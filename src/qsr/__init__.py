@@ -2,8 +2,8 @@
 
 The package splits into:
 
-- `qsr.linalg`: small dense complex matrices and a Hermitian Jacobi
-  eigensolver.
+- `qsr.linalg`: input-checked Hermitian eigenvalues (LAPACK) for the
+  small matrices of single-qubit channels.
 - `qsr.channel`: generic Kraus-channel machinery (entropies, exchange
   matrix, coherent information, entangled fidelity, dilation).
 - `qsr.two_pauli`: the two-Pauli channel family with closed forms that
@@ -30,13 +30,7 @@ from .channel import (
     spectrum_entropy,
     von_neumann_entropy,
 )
-from .linalg import (
-    adjoint,
-    hermitian_eigenvalues,
-    hermitian_residual,
-    mat_mul,
-    trace,
-)
+from .linalg import hermitian_eigenvalues, hermitian_residual
 from .resonance import (
     EnhancementReport,
     ScanReport,
@@ -69,7 +63,6 @@ __all__ = [
     "ScanReport",
     "SlopeSample",
     "SweepCurve",
-    "adjoint",
     "analytic_exchange_matrix",
     "analytic_fidelity",
     "analytic_output_bloch",
@@ -90,13 +83,11 @@ __all__ = [
     "hermitian_eigenvalues",
     "hermitian_residual",
     "make_two_pauli",
-    "mat_mul",
     "monotone_branches",
     "quantum_mutual_information",
     "spectrum_entropy",
     "state_scan",
     "sweep",
-    "trace",
     "two_pauli_metrics",
     "von_neumann_entropy",
 ]

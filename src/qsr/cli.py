@@ -12,7 +12,7 @@ import os
 import sys
 
 from .channel import BlochVector
-from .resonance import detect_enhancement, state_scan, sweep
+from .resonance import detect_enhancement, detect_multivalued, state_scan, sweep
 from .validation import run_all
 
 #: The four reference input states swept in the figure1 command.
@@ -59,6 +59,19 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise _CliError(f"--x-range bounds must be numbers, got {text!r}") from None
 
 
+def _precision(text: str) -> int:
+    """Parse --precision: a negative value would fail only at CSV writing."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _format(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
@@ -78,54 +91,54 @@ def _sweep_csv(curve, precision: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _describe(report) -> list[str]:
-    """Human-readable lines for one enhancement report (6 digits suffice)."""
-    lines = []
-    if report.segments:
-        parts = ", ".join(
-            f"x {_format(lo, 6)}..{_format(hi, 6)} (max dQ/dN {_format(top, 6)})"
-            for lo, hi, top in report.segments
-        )
-        word = "segment" if len(report.segments) == 1 else "segments"
-        lines.append(
-            f"{report.quantity} enhancement: present "
-            f"({len(report.segments)} {word}: {parts})"
-        )
-    else:
-        lines.append(f"{report.quantity} enhancement: none")
-    return lines
+def _describe(report) -> str:
+    """Human-readable line for one enhancement report (6 digits suffice)."""
+    if not report.segments:
+        return f"{report.quantity} enhancement: none"
+    parts = ", ".join(
+        f"x {_format(lo, 6)}..{_format(hi, 6)} (max dQ/dN {_format(top, 6)})"
+        for lo, hi, top in report.segments
+    )
+    word = "segment" if len(report.segments) == 1 else "segments"
+    return (
+        f"{report.quantity} enhancement: present "
+        f"({len(report.segments)} {word}: {parts})"
+    )
 
 
 def _curve_summary(curve) -> list[str]:
     capacity = detect_enhancement(curve, "capacity")
-    fidelity = detect_enhancement(curve, "fidelity")
-    lines = _describe(capacity) + _describe(fidelity)
+    lines = [_describe(capacity), _describe(detect_enhancement(curve, "fidelity"))]
     if capacity.noise_peak_x is not None:
         lines.append(f"noise peak: x = {_format(capacity.noise_peak_x, 6)}")
     else:
         lines.append("noise peak: none (noise is monotone over the sweep)")
-    if capacity.multivalued_noise_intervals:
-        spans = ", ".join(
-            f"{_format(lo, 6)}..{_format(hi, 6)}"
-            for lo, hi in capacity.multivalued_noise_intervals
-        )
+    intervals = detect_multivalued(curve)
+    if intervals:
+        spans = ", ".join(f"{_format(lo, 6)}..{_format(hi, 6)}" for lo, hi in intervals)
         lines.append(f"multivalued capacity N-intervals: {spans}")
     else:
         lines.append("multivalued capacity N-intervals: none")
     return lines
 
 
-def cmd_sweep(args) -> int:
-    state = _parse_state(args.state)
-    x_min, x_max = _parse_range(args.x_range)
+def _write_sweep(state, x_min: float, x_max: float, args, path: str) -> list[str]:
+    """Sweep one state, write its CSV to ``path``; return the summary lines."""
     try:
         curve = sweep(state, x_min, x_max, args.steps)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
-    _write_text(args.out, _sweep_csv(curve, args.precision))
+    _write_text(path, _sweep_csv(curve, args.precision))
+    return _curve_summary(curve)
+
+
+def cmd_sweep(args) -> int:
+    state = _parse_state(args.state)
+    x_min, x_max = _parse_range(args.x_range)
+    summary = _write_sweep(state, x_min, x_max, args, args.out)
     print(f"sweep: state {args.state}, x in [{x_min:g}, {x_max:g}], {args.steps} steps")
-    print(f"wrote {args.out} ({len(curve.samples)} rows)")
-    for line in _curve_summary(curve):
+    print(f"wrote {args.out} ({args.steps} rows)")
+    for line in summary:
         print(line)
     return 0
 
@@ -134,15 +147,11 @@ def cmd_figure1(args) -> int:
     x_min, x_max = _parse_range(args.x_range)
     os.makedirs(args.out, exist_ok=True)
     for name, state in FIGURE1_STATES:
-        try:
-            curve = sweep(state, x_min, x_max, args.steps)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from None
         path = os.path.join(args.out, f"{name}.csv")
-        _write_text(path, _sweep_csv(curve, args.precision))
+        summary = _write_sweep(state, x_min, x_max, args, path)
         state_text = ",".join(_format(v, 6) for v in state.as_tuple())
         print(f"{name}: state {state_text} -> {path}")
-        for line in _curve_summary(curve):
+        for line in summary:
             print(f"  {line}")
     return 0
 
@@ -200,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
     sweep_p.add_argument("--steps", type=int, default=701, help="grid points (default 701)")
     sweep_p.add_argument("--out", default="sweep.csv", help="output CSV path")
-    sweep_p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+    sweep_p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
                          help="significant digits in the CSV (default 12)")
     sweep_p.set_defaults(func=cmd_sweep)
 
@@ -208,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
     fig_p.add_argument("--steps", type=int, default=701, help="grid points (default 701)")
     fig_p.add_argument("--out", default=".", help="output directory for fig1a..fig1d.csv")
-    fig_p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+    fig_p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
                        help="significant digits in the CSV (default 12)")
     fig_p.set_defaults(func=cmd_figure1)
 
@@ -218,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--steps", type=int, default=701, help="grid points per sweep (default 701)")
     scan_p.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
     scan_p.add_argument("--out", default="scan.csv", help="output CSV path")
-    scan_p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+    scan_p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
                         help="significant digits in the CSV (default 12)")
     scan_p.set_defaults(func=cmd_scan)
 

@@ -1,24 +1,18 @@
-"""Minimal dense complex linear algebra for small Hermitian problems.
+"""Hermitian eigenvalues for the small matrices of single-qubit channels.
 
-Covers the 2x2 to 6x6 matrices that appear in single-qubit channel
-calculations: products, adjoints, traces, and a cyclic-Jacobi eigenvalue
-solver for Hermitian matrices. Everything is value-semantic; no function
-mutates its arguments.
+Covers the 1x1 to 6x6 matrices that appear in single-qubit channel
+calculations: the Hermitian residual and the spectrum, checked for shape,
+size and finiteness. No function mutates its arguments.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 MAX_DIM = 6
 
-_OFF_DIAGONAL_TOL = 1e-14
-_MAX_SWEEPS = 100
 
-
-def as_complex_matrix(entries) -> np.ndarray:
+def _as_complex_matrix(entries) -> np.ndarray:
     """Coerce to a square complex matrix of dimension 1..6 with finite entries."""
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -32,119 +26,32 @@ def as_complex_matrix(entries) -> np.ndarray:
     return mat
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product of two square matrices of equal dimension."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T.copy()
-
-
-def trace(a) -> complex:
-    """Sum of the diagonal entries."""
-    return complex(np.trace(as_complex_matrix(a)))
-
-
 def hermitian_residual(a) -> float:
     """Largest |m[i][j] - conj(m[j][i])|; zero for an exactly Hermitian matrix."""
-    mat = as_complex_matrix(a)
+    mat = _as_complex_matrix(a)
     return float(np.abs(mat - mat.conj().T).max())
 
 
 def hermitian_eigenvalues(mat, tol: float = 1e-10) -> list[float]:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
-    Uses cyclic Jacobi rotations, which are simple and backward stable at
-    these sizes. Convergence is declared once the off-diagonal Frobenius
-    norm falls below 1e-14 (scaled up by the matrix norm for inputs far
-    from unit scale); exceeding 100 sweeps is an error. A diagonal input
-    returns its diagonal unchanged.
+    Solved by LAPACK (``numpy.linalg.eigvalsh``) on the exactly Hermitian
+    part ``(a + a^dag) / 2`` of the input, whose residual is within ``tol``.
 
     Args:
-        mat: square complex matrix, Hermitian up to ``tol``.
+        mat: square complex matrix of dimension 1..6 with finite entries,
+            Hermitian up to ``tol``.
         tol: largest acceptable Hermitian residual of the input.
 
     Raises:
-        ValueError: input not Hermitian within ``tol``.
-        RuntimeError: sweep cap reached before convergence.
+        ValueError: input not square, outside 1..6, not finite, or not
+            Hermitian within ``tol``.
     """
-    a = as_complex_matrix(mat)
-    residual = float(np.abs(a - a.conj().T).max())
+    a = _as_complex_matrix(mat)
+    adj = a.conj().T
+    residual = float(np.abs(a - adj).max())
     if residual > tol:
         raise ValueError(
             f"matrix is not Hermitian: residual {residual:.3e} exceeds {tol:.3e}"
         )
-    n = a.shape[0]
-    if n == 1:
-        return [a[0, 0].real]
-
-    # Work on the exactly Hermitian part; the residual is within tol.
-    rows = a.tolist()
-    m = [
-        [0.5 * (rows[i][j] + rows[j][i].conjugate()) for j in range(n)]
-        for i in range(n)
-    ]
-
-    scale = 0.0
-    for i in range(n):
-        for j in range(n):
-            v = m[i][j]
-            scale += v.real * v.real + v.imag * v.imag
-    threshold = _OFF_DIAGONAL_TOL * max(1.0, math.sqrt(scale))
-
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            row = m[p]
-            for q in range(p + 1, n):
-                v = row[q]
-                off += v.real * v.real + v.imag * v.imag
-        if math.sqrt(2.0 * off) <= threshold:
-            return sorted(m[i][i].real for i in range(n))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(m, n, p, q)
-    raise RuntimeError(f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps")
-
-
-def _rotate(m, n: int, p: int, q: int) -> None:
-    """One Jacobi rotation annihilating the (p, q) entry of Hermitian m."""
-    apq = m[p][q]
-    mag = abs(apq)
-    if mag == 0.0:
-        return
-    app = m[p][p].real
-    aqq = m[q][q].real
-    # Stable small-angle root of t^2 - 2*tau*t - 1 = 0.
-    tau = (aqq - app) / (2.0 * mag)
-    if tau >= 0.0:
-        t = -1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = 1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    sigma = t * c
-    # Absorb the phase of the pivot so the rotation stays unitary.
-    s = (sigma / mag) * apq.conjugate()
-    s_conj = s.conjugate()
-    for i in range(n):
-        if i == p or i == q:
-            continue
-        aip = m[i][p]
-        aiq = m[i][q]
-        nip = c * aip + s * aiq
-        niq = c * aiq - s_conj * aip
-        m[i][p] = nip
-        m[p][i] = nip.conjugate()
-        m[i][q] = niq
-        m[q][i] = niq.conjugate()
-    shift = 2.0 * c * sigma * mag
-    m[p][p] = complex(c * c * app + sigma * sigma * aqq + shift, 0.0)
-    m[q][q] = complex(sigma * sigma * app + c * c * aqq - shift, 0.0)
-    m[p][q] = 0j
-    m[q][p] = 0j
+    return np.linalg.eigvalsh(0.5 * (a + adj)).tolist()

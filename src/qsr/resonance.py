@@ -87,7 +87,6 @@ class EnhancementReport:
     quantity: str
     segments: tuple
     noise_peak_x: float | None
-    multivalued_noise_intervals: tuple
 
 
 @dataclass(frozen=True)
@@ -268,9 +267,9 @@ def detect_enhancement(
     ``min_slope``, and its noise value is not inside a fold (a noise
     interval covered by two monotone branches). Positive slopes confined
     to a fold are the curve doubling back around the noise extremum; they
-    are reported through ``multivalued_noise_intervals`` instead of as
-    enhancement. A segment needs at least two consecutive qualifying
-    samples, which suppresses single-point finite-difference noise.
+    are reported by `detect_multivalued` instead of as enhancement. A
+    segment needs at least two consecutive qualifying samples, which
+    suppresses single-point finite-difference noise.
 
     The report also carries the x of the noise maximum when it is an
     interior grid point (the rate region where more flipping means less
@@ -311,7 +310,6 @@ def detect_enhancement(
         quantity=quantity,
         segments=tuple(segments),
         noise_peak_x=noise_peak_x,
-        multivalued_noise_intervals=tuple(detect_multivalued(curve)),
     )
 
 

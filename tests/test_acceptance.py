@@ -11,7 +11,6 @@ import pytest
 
 from qsr.channel import (
     bloch_to_density,
-    completeness_residual,
     entropy_exchange,
     environment_output,
     exchange_matrix,
@@ -20,7 +19,13 @@ from qsr.channel import (
 from qsr.linalg import hermitian_eigenvalues
 from qsr.resonance import bloch_ball_grid, detect_enhancement, detect_multivalued, state_scan, sweep
 from qsr.two_pauli import analytic_exchange_matrix, make_two_pauli, two_pauli_metrics
-from qsr.validation import random_bloch_vector, random_kraus_channel
+from qsr.validation import (
+    check_dilation_oracle,
+    check_pure_state_collapse,
+    check_two_pauli_completeness,
+    random_bloch_vector,
+    random_kraus_channel,
+)
 
 FIG1_STATES = (
     (0.1, 0.2, 0.9),
@@ -53,12 +58,8 @@ def ball_scan():
 
 
 def test_criterion_1_completeness():
-    worst = max(
-        completeness_residual(make_two_pauli(float(x)))
-        for x in np.linspace(0.0, 1.0, 101)
-    )
-    report(1, f"completeness residual {worst:.2e} <= 1e-12 over 101 rates",
-           worst <= 1e-12)
+    result = check_two_pauli_completeness(101)
+    report(1, result.detail, result.passed)
 
 
 def test_criterion_2_entrywise_exchange_match():
@@ -88,14 +89,8 @@ def test_criterion_3_spot_values():
 
 
 def test_criterion_4_pure_state_collapse():
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(50):
-        state = random_bloch_vector(rng, pure=True)
-        for x in np.linspace(0.0, 1.0, 101):
-            worst = max(worst, abs(two_pauli_metrics(state, float(x)).coherent_info))
-    report(4, f"|C| {worst:.2e} <= 1e-9 over 50 pure states x 101 rates",
-           worst <= 1e-9)
+    result = check_pure_state_collapse(np.random.default_rng(4), 50, 101)
+    report(4, result.detail, result.passed)
 
 
 def test_criterion_5_no_capacity_resonance(fig1_curves_701, ball_scan):
@@ -141,16 +136,8 @@ def test_criterion_8_multivalued_capacity(fig1_curves_701):
 
 
 def test_criterion_9_dilation_oracle():
-    rng = np.random.default_rng(9)
-    worst = 0.0
-    for _ in range(100):
-        channel = random_kraus_channel(rng)
-        rho = bloch_to_density(random_bloch_vector(rng))
-        spectrum_w = hermitian_eigenvalues(exchange_matrix(channel, rho))
-        spectrum_env = hermitian_eigenvalues(environment_output(channel, rho))
-        worst = max(worst, max(abs(a - b) for a, b in zip(spectrum_w, spectrum_env)))
-    report(9, f"dilation vs exchange spectra max gap {worst:.2e} <= 1e-10 "
-              "over 100 random channel/state pairs", worst <= 1e-10)
+    result = check_dilation_oracle(np.random.default_rng(9), 100)
+    report(9, result.detail, result.passed)
 
 
 def test_criterion_10_grid_convergence(fig1_curves_701, fig1_curves_1401):

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from qsr.cli import main
 
 
@@ -146,6 +148,20 @@ class TestScanCommand:
         )
         assert code == 1
         assert "resolution" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--state", "0,0,0", "--steps", "11"),
+    ("figure1", "--steps", "11"),
+    ("scan", "--grid-resolution", "2", "--steps", "11"),
+])
+def test_rejects_negative_precision(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, _, stderr = run(capsys, *argv, "--precision", "-1", "--out", str(out))
+    assert code == 1
+    assert "--precision" in stderr
+    # rejected before any sweep runs or any output is written
+    assert not out.exists()
 
 
 class TestValidateCommand:

@@ -11,13 +11,10 @@ from qsr.channel import (
     bloch_to_density,
     completeness_residual,
     density_to_bloch,
-    entangled_fidelity,
-    entropy_exchange,
     exchange_matrix,
     von_neumann_entropy,
 )
 from qsr.linalg import hermitian_eigenvalues
-from qsr.resonance import bloch_ball_grid
 from qsr.two_pauli import (
     analytic_exchange_matrix,
     analytic_fidelity,
@@ -26,7 +23,7 @@ from qsr.two_pauli import (
     make_two_pauli,
     two_pauli_metrics,
 )
-from qsr.validation import random_bloch_vector
+from qsr.validation import check_analytic_generic_agreement, random_bloch_vector
 
 # binary entropy h(0.3), frozen from -(0.3 log2 0.3 + 0.7 log2 0.7)
 H_03 = 0.8812908992306927
@@ -202,34 +199,6 @@ class TestMetrics:
 def test_analytic_generic_agreement_full_grid():
     """Every closed form agrees with the generic Kraus route to 1e-12 over
     a 21^3 Bloch ball grid crossed with 101 rates."""
-    worst = 0.0
-    xs = [float(x) for x in np.linspace(0.0, 1.0, 101)]
-    channels = [make_two_pauli(x) for x in xs]
-    for state in bloch_ball_grid(21):
-        rho = bloch_to_density(state)
-        for x, channel in zip(xs, channels):
-            gap = np.abs(
-                analytic_exchange_matrix(state, x) - exchange_matrix(channel, rho)
-            ).max()
-            out = apply_channel(channel, rho)
-            bloch_gap = max(
-                abs(a - b)
-                for a, b in zip(
-                    analytic_output_bloch(state, x).as_tuple(),
-                    density_to_bloch(out).as_tuple(),
-                )
-            )
-            entropy_gap = abs(
-                analytic_output_entropy(state, x) - von_neumann_entropy(out)
-            )
-            noise_gap = abs(
-                two_pauli_metrics(state, x).noise
-                - entropy_exchange(channel, rho)
-            )
-            fidelity_gap = abs(
-                analytic_fidelity(state, x) - entangled_fidelity(channel, rho)
-            )
-            worst = max(
-                worst, float(gap), bloch_gap, entropy_gap, noise_gap, fidelity_gap
-            )
-    assert worst < 1e-12, f"worst analytic/generic deviation {worst:.3e}"
+    result = check_analytic_generic_agreement(21, 101)
+    print(result.detail)
+    assert result.passed, result.detail
