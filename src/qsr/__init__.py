@@ -34,7 +34,6 @@ from .linalg import hermitian_eigenvalues, hermitian_residual
 from .resonance import (
     EnhancementReport,
     ScanReport,
-    SlopeSample,
     SweepCurve,
     bloch_ball_grid,
     detect_enhancement,
@@ -61,7 +60,6 @@ __all__ = [
     "EnhancementReport",
     "KrausChannel",
     "ScanReport",
-    "SlopeSample",
     "SweepCurve",
     "analytic_exchange_matrix",
     "analytic_fidelity",

@@ -114,19 +114,22 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class ChannelMetrics:
-    """One sample of a channel's figures of merit at control setting x.
+    """A channel's figures of merit at control setting x.
 
-    noise, output_entropy, coherent_info and mutual_info are in bits;
-    coherent_info is stored as exactly output_entropy - noise.
+    For one rate x every field is a float and output_bloch a BlochVector;
+    for a 1-D array of rates every field is an array of that length and
+    output_bloch an (n, 3) array, one row per rate. noise, output_entropy,
+    coherent_info and mutual_info are in bits; coherent_info is stored as
+    exactly output_entropy - noise.
     """
 
-    x: float
-    noise: float
-    output_entropy: float
-    coherent_info: float
-    mutual_info: float
-    fidelity: float
-    output_bloch: BlochVector
+    x: float | np.ndarray
+    noise: float | np.ndarray
+    output_entropy: float | np.ndarray
+    coherent_info: float | np.ndarray
+    mutual_info: float | np.ndarray
+    fidelity: float | np.ndarray
+    output_bloch: BlochVector | np.ndarray
 
 
 def completeness_residual(channel: KrausChannel) -> float:
@@ -160,19 +163,22 @@ def density_to_bloch(rho) -> BlochVector:
     return BlochVector(*(np.trace(rho @ pauli).real for pauli in PAULIS))
 
 
-def spectrum_entropy(values) -> float:
-    """Entropy in bits of a probability-like spectrum.
+def spectrum_entropy(values):
+    """Entropy in bits of a probability-like spectrum, or of each row of a
+    stack of spectra (the last axis).
 
     0 log 0 is taken as 0. Values in [-1e-10, 0) are clamped to 0 as
-    rounding noise; anything more negative is rejected.
+    rounding noise; anything more negative is rejected. One spectrum gives
+    a float, a stack gives an array with one entropy per row.
     """
-    total = 0.0
-    for v in values:
-        if v < _EIG_FLOOR:
-            raise ValueError(f"not positive semidefinite: eigenvalue {v:.3e}")
-        if v > 0.0:
-            total -= v * math.log2(v)
-    return total
+    p = np.asarray(values, dtype=float)
+    lowest = p.min(initial=0.0)
+    if lowest < _EIG_FLOOR:
+        raise ValueError(f"not positive semidefinite: eigenvalue {lowest:.3e}")
+    # Clamped and zero values become 1, whose term 1 log 1 is exactly 0.
+    q = np.where(p > 0.0, p, 1.0)
+    total = 0.0 - (q * np.log2(q)).sum(axis=-1)
+    return float(total) if p.ndim <= 1 else total
 
 
 def von_neumann_entropy(rho, herm_tol: float = 1e-10) -> float:

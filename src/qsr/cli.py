@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .channel import BlochVector
 from .resonance import detect_enhancement, detect_multivalued, state_scan, sweep
 from .validation import run_all
@@ -24,6 +26,16 @@ FIGURE1_STATES = (
 )
 
 DEFAULT_PRECISION = 12
+
+#: Largest --precision accepted: 17 significant digits round-trip any double.
+MAX_PRECISION = 17
+
+#: Largest --steps accepted: a sweep holds a (steps, 3, 3) complex stack
+#: and its temporaries, about 100 MB at this size.
+MAX_STEPS = 100_001
+
+#: Largest --grid-resolution accepted: about 69,000 ball states.
+MAX_GRID_RESOLUTION = 51
 
 
 class _CliError(Exception):
@@ -59,21 +71,30 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise _CliError(f"--x-range bounds must be numbers, got {text!r}") from None
 
 
-def _precision(text: str) -> int:
-    """Parse --precision: a negative value would fail only at CSV writing."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        )
-    return value
+def _bounded(low: int, high: int):
+    """Parser for an integer option in low..high.
+
+    Checking at parse time rejects a bad value before any sweep runs or
+    any file is written.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer in {low}..{high}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _format(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
+    # Adding 0.0 turns -0.0 into 0.0 and leaves every other value as is.
+    return f"{value + 0.0:.{precision}g}"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -82,12 +103,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _sweep_csv(curve, precision: int) -> str:
+    rows = np.column_stack((curve.x, curve.noise, curve.coherent_info, curve.fidelity,
+                            curve.output_entropy, curve.output_bloch))
     lines = ["x,N,C,F,H_out,b1,b2,b3"]
-    for s in curve.samples:
-        b = s.output_bloch
-        fields = (s.x, s.noise, s.coherent_info, s.fidelity, s.output_entropy,
-                  b.a1, b.a2, b.a3)
-        lines.append(",".join(_format(v, precision) for v in fields))
+    lines += [",".join(_format(v, precision) for v in row) for row in rows.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -207,27 +226,30 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="sweep one input state over the flipping rate")
     sweep_p.add_argument("--state", required=True, help="Bloch vector 'a1,a2,a3'")
     sweep_p.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
-    sweep_p.add_argument("--steps", type=int, default=701, help="grid points (default 701)")
+    sweep_p.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=701,
+                         help="grid points (default 701)")
     sweep_p.add_argument("--out", default="sweep.csv", help="output CSV path")
-    sweep_p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
+    sweep_p.add_argument("--precision", type=_bounded(0, MAX_PRECISION), default=DEFAULT_PRECISION,
                          help="significant digits in the CSV (default 12)")
     sweep_p.set_defaults(func=cmd_sweep)
 
     fig_p = sub.add_parser("figure1", help="sweep the four reference states")
     fig_p.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
-    fig_p.add_argument("--steps", type=int, default=701, help="grid points (default 701)")
+    fig_p.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=701,
+                       help="grid points (default 701)")
     fig_p.add_argument("--out", default=".", help="output directory for fig1a..fig1d.csv")
-    fig_p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
+    fig_p.add_argument("--precision", type=_bounded(0, MAX_PRECISION), default=DEFAULT_PRECISION,
                        help="significant digits in the CSV (default 12)")
     fig_p.set_defaults(func=cmd_figure1)
 
     scan_p = sub.add_parser("scan", help="scan a Bloch-ball grid for enhancement")
-    scan_p.add_argument("--grid-resolution", type=int, default=11,
+    scan_p.add_argument("--grid-resolution", type=_bounded(2, MAX_GRID_RESOLUTION), default=11,
                         help="points per Bloch axis (default 11)")
-    scan_p.add_argument("--steps", type=int, default=701, help="grid points per sweep (default 701)")
+    scan_p.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=701,
+                        help="grid points per sweep (default 701)")
     scan_p.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
     scan_p.add_argument("--out", default="scan.csv", help="output CSV path")
-    scan_p.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
+    scan_p.add_argument("--precision", type=_bounded(0, MAX_PRECISION), default=DEFAULT_PRECISION,
                         help="significant digits in the CSV (default 12)")
     scan_p.set_defaults(func=cmd_scan)
 

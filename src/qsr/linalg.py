@@ -1,8 +1,9 @@
 """Hermitian eigenvalues for the small matrices of single-qubit channels.
 
 Covers the 1x1 to 6x6 matrices that appear in single-qubit channel
-calculations: the Hermitian residual and the spectrum, checked for shape,
-size and finiteness. No function mutates its arguments.
+calculations, one at a time or as a stack along a leading axis: the
+Hermitian residual and the spectrum, checked for shape, size and
+finiteness. No function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -12,14 +13,17 @@ import numpy as np
 MAX_DIM = 6
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
-    """Coerce to a square complex matrix of dimension 1..6 with finite entries."""
+def _as_complex_matrices(entries) -> np.ndarray:
+    """Coerce to one square complex matrix, or a stack of them, of
+    dimension 1..6 with finite entries."""
     mat = np.asarray(entries, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not 1 <= mat.shape[0] <= MAX_DIM:
+    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(
-            f"dimension {mat.shape[0]} outside supported range 1..{MAX_DIM}"
+            f"expected a square matrix or a stack of them, got shape {mat.shape}"
+        )
+    if not 1 <= mat.shape[-1] <= MAX_DIM:
+        raise ValueError(
+            f"dimension {mat.shape[-1]} outside supported range 1..{MAX_DIM}"
         )
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
@@ -27,31 +31,44 @@ def _as_complex_matrix(entries) -> np.ndarray:
 
 
 def hermitian_residual(a) -> float:
-    """Largest |m[i][j] - conj(m[j][i])|; zero for an exactly Hermitian matrix."""
-    mat = _as_complex_matrix(a)
-    return float(np.abs(mat - mat.conj().T).max())
+    """Largest |m[i][j] - conj(m[j][i])| over a matrix or a stack of them;
+    zero when every matrix is exactly Hermitian."""
+    mat = _as_complex_matrices(a)
+    return float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
-def hermitian_eigenvalues(mat, tol: float = 1e-10) -> list[float]:
-    """All eigenvalues of a Hermitian matrix, sorted ascending.
+def hermitian_eigenvalues(mat, tol: float = 1e-10):
+    """All eigenvalues of a Hermitian matrix, or of each matrix in a stack,
+    sorted ascending.
 
     Solved by LAPACK (``numpy.linalg.eigvalsh``) on the exactly Hermitian
     part ``(a + a^dag) / 2`` of the input, whose residual is within ``tol``.
+    A stack is solved in one call, and every matrix in it passes the same
+    checks as a single one.
 
     Args:
         mat: square complex matrix of dimension 1..6 with finite entries,
-            Hermitian up to ``tol``.
-        tol: largest acceptable Hermitian residual of the input.
+            Hermitian up to ``tol``; or an ``(m, n, n)`` stack of them.
+        tol: largest acceptable Hermitian residual of each input matrix.
+
+    Returns:
+        A list of the n eigenvalues for one matrix; an ``(m, n)`` array,
+        one ascending row per matrix, for a stack.
 
     Raises:
-        ValueError: input not square, outside 1..6, not finite, or not
-            Hermitian within ``tol``.
+        ValueError: input not square, outside 1..6, not finite, or some
+            matrix not Hermitian within ``tol``.
     """
-    a = _as_complex_matrix(mat)
-    adj = a.conj().T
-    residual = float(np.abs(a - adj).max())
+    a = _as_complex_matrices(mat)
+    adj = a.conj().swapaxes(-1, -2)
+    gap = np.abs(a - adj)
+    residual = float(gap.max(initial=0.0))
     if residual > tol:
+        where = ""
+        if a.ndim == 3:
+            where = f" in matrix {int(gap.max(axis=(1, 2)).argmax())} of the stack"
         raise ValueError(
-            f"matrix is not Hermitian: residual {residual:.3e} exceeds {tol:.3e}"
+            f"matrix is not Hermitian: residual {residual:.3e} exceeds {tol:.3e}{where}"
         )
-    return np.linalg.eigvalsh(0.5 * (a + adj)).tolist()
+    values = np.linalg.eigvalsh(0.5 * (a + adj))
+    return values.tolist() if a.ndim == 2 else values

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BlochVector, ChannelMetrics, as_bloch
+from .channel import BlochVector, as_bloch
 from .two_pauli import two_pauli_metrics
 
 QUANTITIES = ("capacity", "fidelity")
@@ -33,51 +33,44 @@ MULTIVALUED_TOL = 1e-9
 _GRID_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepCurve:
-    """Channel metrics sampled on a uniform, strictly increasing x grid."""
+    """Two-Pauli metrics as columns over a uniform, strictly increasing x grid.
+
+    Every column holds one entry per rate in ``x``; ``output_bloch`` is an
+    (n, 3) array, one output Bloch vector per rate. Entropies are in bits
+    and ``coherent_info`` is exactly ``output_entropy - noise``.
+    """
 
     state: BlochVector
-    samples: tuple
-    x_min: float
-    x_max: float
+    x: np.ndarray
+    noise: np.ndarray
+    coherent_info: np.ndarray
+    fidelity: np.ndarray
+    output_entropy: np.ndarray
+    output_bloch: np.ndarray
     step: float
 
     def __post_init__(self):
-        if len(self.samples) < 3:
+        n = len(self.x)
+        if n < 3:
             raise ValueError("a sweep needs at least 3 samples for slope estimates")
-        xs = [s.x for s in self.samples]
-        for i in range(1, len(xs)):
-            dx = xs[i] - xs[i - 1]
-            if dx <= 0.0:
-                raise ValueError("sweep samples must be strictly increasing in x")
-            if abs(dx - self.step) > _GRID_TOL:
-                raise ValueError("sweep samples must be uniformly spaced")
+        columns = (self.noise, self.coherent_info, self.fidelity, self.output_entropy)
+        if any(len(c) != n for c in columns) or np.shape(self.output_bloch) != (n, 3):
+            raise ValueError("every sweep column needs one entry per rate")
+        dx = np.diff(self.x)
+        if (dx <= 0.0).any():
+            raise ValueError("sweep samples must be strictly increasing in x")
+        if np.abs(dx - self.step).max() > _GRID_TOL:
+            raise ValueError("sweep samples must be uniformly spaced")
 
-    def noise(self) -> list[float]:
-        return [s.noise for s in self.samples]
-
-    def values(self, quantity: str) -> list[float]:
-        """Per-sample values of the named quantity (capacity or fidelity)."""
+    def values(self, quantity: str) -> np.ndarray:
+        """The column of the named quantity (capacity or fidelity)."""
         if quantity == "capacity":
-            return [s.coherent_info for s in self.samples]
+            return self.coherent_info
         if quantity == "fidelity":
-            return [s.fidelity for s in self.samples]
+            return self.fidelity
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
-
-
-@dataclass(frozen=True)
-class SlopeSample:
-    """Finite-difference slopes at one grid point.
-
-    dQ_dN is None where |dN/dx| <= the slope epsilon: near a noise
-    extremum the parametric slope is singular.
-    """
-
-    x: float
-    dN_dx: float
-    dQ_dx: float
-    dQ_dN: float | None
 
 
 @dataclass(frozen=True)
@@ -114,7 +107,7 @@ def sweep(state, x_min: float = 0.0, x_max: float = 0.7, steps: int = 701) -> Sw
     """Evaluate the two-Pauli metrics at evenly spaced x values.
 
     Endpoints are included. Requires 0 <= x_min < x_max <= 1 and at least
-    3 steps.
+    3 steps. All rates are evaluated in one array pass.
     """
     state = as_bloch(state)
     if not (0.0 <= x_min < x_max <= 1.0):
@@ -122,44 +115,38 @@ def sweep(state, x_min: float = 0.0, x_max: float = 0.7, steps: int = 701) -> Sw
     if steps < 3:
         raise ValueError(f"need at least 3 steps, got {steps}")
     xs = np.linspace(x_min, x_max, steps)
-    samples = tuple(two_pauli_metrics(state, float(x)) for x in xs)
+    metrics = two_pauli_metrics(state, xs)
     return SweepCurve(
         state=state,
-        samples=samples,
-        x_min=float(x_min),
-        x_max=float(x_max),
+        x=metrics.x,
+        noise=metrics.noise,
+        coherent_info=metrics.coherent_info,
+        fidelity=metrics.fidelity,
+        output_entropy=metrics.output_entropy,
+        output_bloch=metrics.output_bloch,
         step=float(xs[1] - xs[0]),
     )
 
 
-def _derivative(values, step: float) -> list[float]:
-    """Central differences inside, one-sided at the two ends."""
-    n = len(values)
-    out = [0.0] * n
-    out[0] = (values[1] - values[0]) / step
-    out[n - 1] = (values[n - 1] - values[n - 2]) / step
-    for i in range(1, n - 1):
-        out[i] = (values[i + 1] - values[i - 1]) / (2.0 * step)
-    return out
-
-
 def estimate_slopes(
     curve: SweepCurve, quantity: str, slope_epsilon: float = SLOPE_EPSILON
-) -> list[SlopeSample]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slopes of noise and of the chosen quantity along the sweep.
 
-    dQ/dN is the ratio of the two x-derivatives and is left undefined
-    (None) wherever |dN/dx| <= slope_epsilon.
+    Returns the columns ``(dN_dx, dQ_dx, dQ_dN)``. The x-derivatives are
+    central differences inside and one-sided at the two ends. dQ/dN is
+    their ratio, left undefined (NaN) wherever |dN/dx| <= slope_epsilon:
+    near a noise extremum the parametric slope is singular.
     """
-    noise = curve.noise()
-    values = curve.values(quantity)
-    d_noise = _derivative(noise, curve.step)
-    d_values = _derivative(values, curve.step)
-    out = []
-    for sample, dn, dq in zip(curve.samples, d_noise, d_values):
-        ratio = dq / dn if abs(dn) > slope_epsilon else None
-        out.append(SlopeSample(x=sample.x, dN_dx=dn, dQ_dx=dq, dQ_dN=ratio))
-    return out
+    d_values = np.gradient(curve.values(quantity), curve.step)
+    d_noise = np.gradient(curve.noise, curve.step)
+    ratio = np.divide(
+        d_values,
+        d_noise,
+        out=np.full_like(d_noise, np.nan),
+        where=np.abs(d_noise) > slope_epsilon,
+    )
+    return d_noise, d_values, ratio
 
 
 def monotone_branches(curve: SweepCurve) -> list[tuple[int, int]]:
@@ -169,39 +156,39 @@ def monotone_branches(curve: SweepCurve) -> list[tuple[int, int]]:
     the extremum sample that separates them, so every non-extremal sample
     belongs to exactly one branch.
     """
-    return _monotone_runs(curve.noise())
+    return _monotone_runs(curve.noise)
 
 
-def _monotone_runs(values) -> list[tuple[int, int]]:
-    cuts = [0]
-    direction = 0
-    for i in range(1, len(values)):
-        diff = values[i] - values[i - 1]
-        if diff == 0.0:
-            continue
-        step_dir = 1 if diff > 0.0 else -1
-        if direction != 0 and step_dir != direction:
-            cuts.append(i - 1)
-        direction = step_dir
-    cuts.append(len(values) - 1)
-    return [(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]
+def _monotone_runs(values: np.ndarray) -> list[tuple[int, int]]:
+    # Flat steps keep the current direction; a branch ends at the sample
+    # before the first step against it.
+    diff = np.diff(values)
+    steps = np.flatnonzero(diff)
+    signs = np.sign(diff[steps])
+    turns = steps[1:][signs[1:] != signs[:-1]]
+    cuts = [0, *turns.tolist(), len(values) - 1]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _branch_overlaps(noise, branches) -> list[tuple[float, float]]:
-    """Noise intervals covered by at least two monotone branches."""
-    overlaps = []
-    for i in range(len(branches)):
-        lo_i, hi_i = sorted((noise[branches[i][0]], noise[branches[i][1]]))
-        for j in range(i + 1, len(branches)):
-            lo_j, hi_j = sorted((noise[branches[j][0]], noise[branches[j][1]]))
-            lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
-            if hi > lo:
-                overlaps.append((lo, hi))
-    return sorted(overlaps)
+def _folds(noise: np.ndarray, branches) -> np.ndarray:
+    """(lo, hi) noise intervals covered by at least two monotone branches,
+    one row per pair of overlapping branches, sorted by lo."""
+    ends = np.sort(noise[np.array(branches)], axis=1)
+    first, second = np.triu_indices(len(branches), 1)
+    lo = np.maximum(ends[first, 0], ends[second, 0])
+    hi = np.minimum(ends[first, 1], ends[second, 1])
+    folds = np.column_stack((lo, hi))[hi > lo]
+    return folds[np.argsort(folds[:, 0], kind="stable")]
 
 
-def _inside_any(value: float, intervals) -> bool:
-    return any(lo < value < hi for lo, hi in intervals)
+def _inside_folds(noise: np.ndarray, folds: np.ndarray) -> np.ndarray:
+    """Whether each noise value lies strictly inside some fold."""
+    # Folds [0, k) start below each value; it is inside one of them when
+    # the furthest of their upper ends lies above it. The -inf sentinel
+    # keeps the lookup valid when there are no folds.
+    k = np.searchsorted(folds[:, 0], noise, side="left")
+    reach = np.maximum.accumulate(np.append(folds[:, 1], -np.inf))
+    return (k > 0) & (reach[k - 1] > noise)
 
 
 def detect_multivalued(
@@ -216,9 +203,9 @@ def detect_multivalued(
     ``tol`` bits somewhere inside it. Strictly monotone curves, and pure
     states whose capacity is identically zero, give an empty list.
     """
-    noise = np.array(curve.noise())
-    capacity = np.array(curve.values("capacity"))
-    branches = _monotone_runs(noise.tolist())
+    noise = curve.noise
+    capacity = curve.coherent_info
+    branches = _monotone_runs(noise)
     found = []
     for i in range(len(branches)):
         for j in range(i + 1, len(branches)):
@@ -275,40 +262,28 @@ def detect_enhancement(
     interior grid point (the rate region where more flipping means less
     noise lies beyond it).
     """
-    slopes = estimate_slopes(curve, quantity, slope_epsilon)
-    noise = curve.noise()
-    branches = _monotone_runs(noise)
-    folds = _branch_overlaps(noise, branches)
+    _, _, ratio = estimate_slopes(curve, quantity, slope_epsilon)
+    noise = curve.noise
+    folds = _folds(noise, _monotone_runs(noise))
+    # An undefined (NaN) slope compares False, so it never qualifies.
+    qualifying = (ratio > min_slope) & ~_inside_folds(noise, folds)
 
-    qualifying = [
-        s.dQ_dN is not None
-        and s.dQ_dN > min_slope
-        and not _inside_any(noise[i], folds)
-        for i, s in enumerate(slopes)
-    ]
+    edges = np.diff(qualifying.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    segments = tuple(
+        (float(curve.x[i]), float(curve.x[j]), float(ratio[i : j + 1].max()))
+        for i, j in zip(starts.tolist(), ends.tolist())
+        if j > i
+    )
 
-    segments = []
-    i = 0
-    n = len(qualifying)
-    while i < n:
-        if not qualifying[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and qualifying[j + 1]:
-            j += 1
-        if j > i:
-            peak = max(slopes[k].dQ_dN for k in range(i, j + 1))
-            segments.append((slopes[i].x, slopes[j].x, peak))
-        i = j + 1
-
-    peak_index = max(range(len(noise)), key=noise.__getitem__)
+    peak_index = int(np.argmax(noise))
     noise_peak_x = (
-        curve.samples[peak_index].x if 0 < peak_index < len(noise) - 1 else None
+        float(curve.x[peak_index]) if 0 < peak_index < len(noise) - 1 else None
     )
     return EnhancementReport(
         quantity=quantity,
-        segments=tuple(segments),
+        segments=segments,
         noise_peak_x=noise_peak_x,
     )
 

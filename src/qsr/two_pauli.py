@@ -4,6 +4,8 @@ A single rate x in [0, 1] is the probability of leaving the qubit alone;
 otherwise one of sigma_x, sigma_y is applied with probability (1 - x)/2
 each. Every quantity here has a closed form as well as a generic route
 through `qsr.channel`, so the two paths can cross-validate each other.
+The closed forms take one rate or a 1-D array of rates; an array is
+evaluated elementwise in one pass, which is how a sweep is computed.
 """
 
 from __future__ import annotations
@@ -25,11 +27,15 @@ from .channel import (
 from .linalg import hermitian_eigenvalues
 
 
-def _check_rate(x: float) -> float:
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"flipping rate must be in [0, 1], got {x!r}")
-    return x
+def _check_rate(x):
+    """x as a float, or as a 1-D float array; every rate must be in [0, 1]."""
+    rates = np.asarray(x, dtype=float)
+    if rates.ndim > 1:
+        raise ValueError(f"flipping rates must form a 1-D array, got shape {rates.shape}")
+    bad = rates[~((rates >= 0.0) & (rates <= 1.0))]
+    if bad.size:
+        raise ValueError(f"flipping rate must be in [0, 1], got {float(bad[0])!r}")
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def make_two_pauli(x: float) -> KrausChannel:
@@ -50,42 +56,43 @@ def make_two_pauli(x: float) -> KrausChannel:
     return KrausChannel(ops, label=f"two-pauli(x={x:g})")
 
 
-def analytic_output_bloch(state, x: float) -> BlochVector:
-    """Channel action on the Bloch vector: (a1 x, a2 x, a3 (2x - 1))."""
+def analytic_output_bloch(state, x):
+    """Channel action on the Bloch vector: (a1 x, a2 x, a3 (2x - 1)).
+
+    A BlochVector for one rate; an (n, 3) array, one row per rate, for a
+    1-D array of rates.
+    """
     state = as_bloch(state)
     x = _check_rate(x)
-    return BlochVector(state.a1 * x, state.a2 * x, state.a3 * (2.0 * x - 1.0))
+    components = (state.a1 * x, state.a2 * x, state.a3 * (2.0 * x - 1.0))
+    if isinstance(x, float):
+        return BlochVector(*components)
+    return np.stack(components, axis=-1)
 
 
-def analytic_exchange_matrix(state, x: float) -> np.ndarray:
+def analytic_exchange_matrix(state, x) -> np.ndarray:
     """Closed-form 3x3 exchange matrix for the two-Pauli channel.
 
     Matches `qsr.channel.exchange_matrix` on the channel from
     `make_two_pauli` entrywise, including the off-diagonal phases that the
-    -i convention on the sigma_y operator produces.
+    -i convention on the sigma_y operator produces. A 1-D array of rates
+    gives an (n, 3, 3) stack.
     """
     state = as_bloch(state)
     x = _check_rate(x)
-    root = math.sqrt(0.5 * x * (1.0 - x))
+    root = np.sqrt(0.5 * x * (1.0 - x))
     half = 0.5 * (1.0 - x)
-    cross = state.a3 * half
-    return np.array(
-        [
-            [x, state.a1 * root, 1j * state.a2 * root],
-            [state.a1 * root, half, cross],
-            [-1j * state.a2 * root, cross, half],
-        ],
-        dtype=complex,
-    )
+    w = np.zeros(np.shape(x) + (3, 3), dtype=complex)
+    w[..., 0, 0] = x
+    w[..., 0, 1] = w[..., 1, 0] = state.a1 * root
+    w[..., 0, 2] = 1j * state.a2 * root
+    w[..., 2, 0] = -1j * state.a2 * root
+    w[..., 1, 1] = w[..., 2, 2] = half
+    w[..., 1, 2] = w[..., 2, 1] = state.a3 * half
+    return w
 
 
-def _output_radius(state: BlochVector, x: float) -> float:
-    planar = state.a1 * state.a1 + state.a2 * state.a2
-    axial = 1.0 - 2.0 * x
-    return math.sqrt(planar * x * x + state.a3 * state.a3 * axial * axial)
-
-
-def analytic_output_entropy(state, x: float) -> float:
+def analytic_output_entropy(state, x):
     """Output entropy in bits from the output Bloch length |b|.
 
     The output eigenvalues are (1 +- |b|)/2 with
@@ -93,11 +100,13 @@ def analytic_output_entropy(state, x: float) -> float:
     """
     state = as_bloch(state)
     x = _check_rate(x)
-    r = _output_radius(state, x)
-    return spectrum_entropy((0.5 * (1.0 + r), 0.5 * (1.0 - r)))
+    planar = state.a1 * state.a1 + state.a2 * state.a2
+    axial = 1.0 - 2.0 * x
+    r = np.sqrt(planar * x * x + state.a3 * state.a3 * axial * axial)
+    return spectrum_entropy(np.stack((0.5 * (1.0 + r), 0.5 * (1.0 - r)), axis=-1))
 
 
-def analytic_fidelity(state, x: float) -> float:
+def analytic_fidelity(state, x):
     """Entangled fidelity (a1^2 + a2^2)(1 - x)/2 + x."""
     state = as_bloch(state)
     x = _check_rate(x)
@@ -105,12 +114,15 @@ def analytic_fidelity(state, x: float) -> float:
     return 0.5 * planar * (1.0 - x) + x
 
 
-def two_pauli_metrics(state, x: float) -> ChannelMetrics:
-    """All figures of merit for one (state, x) sample.
+def two_pauli_metrics(state, x) -> ChannelMetrics:
+    """All figures of merit for one rate, or for a 1-D array of rates.
 
     The noise is the entropy of the closed-form exchange matrix spectrum;
-    output entropy, fidelity and the output state come from their closed
-    forms; coherent information is stored as output entropy minus noise.
+    for an array of rates all spectra come from one eigensolve of the
+    stacked matrices. Output entropy, fidelity and the output state come
+    from their closed forms; coherent information is stored as output
+    entropy minus noise. A float rate gives float fields, an array gives
+    array fields (see `ChannelMetrics`).
     """
     state = as_bloch(state)
     x = _check_rate(x)

@@ -119,7 +119,7 @@ def test_criterion_6_fidelity_resonance_present(fig1_curves_701):
 def test_criterion_7_interior_noise_peak(fig1_curves_701):
     peaks = {}
     for state, curve in fig1_curves_701.items():
-        noise = curve.noise()
+        noise = curve.noise.tolist()
         idx = max(range(len(noise)), key=noise.__getitem__)
         peaks[state] = idx
     ok = all(0 < idx < 700 for idx in peaks.values())

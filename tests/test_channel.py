@@ -116,6 +116,21 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValueError, match="positive semidefinite"):
             spectrum_entropy([1.1, -0.1])
 
+    def test_spectrum_entropy_rows_of_a_stack(self):
+        got = spectrum_entropy([[0.5, 0.5], [1.0, -1e-11], [0.75, 0.25]])
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert got[0] == 1.0
+        # the clamp acts row by row: -1e-11 counts as 0
+        assert got[1] == 0.0
+        assert got[2] == spectrum_entropy([0.75, 0.25])
+
+    def test_spectrum_entropy_stack_rejects_any_negative_row(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            spectrum_entropy([[0.5, 0.5], [1.0, -1e-9]])
+
+    def test_spectrum_entropy_single_spectrum_is_float(self):
+        assert type(spectrum_entropy([0.5, 0.5])) is float
+
 
 class TestApplyChannel:
     def test_identity_channel(self):

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from qsr.cli import main
+from qsr import cli
+from qsr.cli import MAX_GRID_RESOLUTION, MAX_PRECISION, MAX_STEPS, main
 
 
 def run(capsys, *argv):
@@ -89,12 +90,11 @@ class TestSweepCommand:
 
         curve = run_sweep((0.3, 0.4, 0.2), 0.0, 0.7, 51)
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
-        for row, sample in zip(rows, curve.samples):
+        columns = (curve.x, curve.noise, curve.coherent_info, curve.fidelity,
+                   curve.output_entropy)
+        for i, row in enumerate(rows):
             parsed = [float(v) for v in row.split(",")]
-            for got, want in zip(parsed[:5], (
-                sample.x, sample.noise, sample.coherent_info,
-                sample.fidelity, sample.output_entropy,
-            )):
+            for got, want in zip(parsed[:5], (column[i] for column in columns)):
                 # 12 significant digits: relative error bounded by one
                 # unit in the 12th digit
                 assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-11)
@@ -162,6 +162,48 @@ def test_rejects_negative_precision(tmp_path, capsys, argv):
     assert "--precision" in stderr
     # rejected before any sweep runs or any output is written
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("sweep", "--state", "0,0,0", "--steps", str(MAX_STEPS + 1)), "--steps"),
+    (("figure1", "--steps", str(MAX_STEPS + 1)), "--steps"),
+    (("scan", "--steps", str(MAX_STEPS + 1)), "--steps"),
+    (("scan", "--grid-resolution", str(MAX_GRID_RESOLUTION + 1)), "--grid-resolution"),
+    (("sweep", "--state", "0,0,0", "--steps", "10**9"), "--steps"),
+    (("scan", "--precision", str(MAX_PRECISION + 1)), "--precision"),
+])
+def test_rejects_out_of_range_options_up_front(tmp_path, capsys, monkeypatch, argv, option):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluation started before the size check")
+
+    monkeypatch.setattr(cli, "sweep", no_evaluation)
+    monkeypatch.setattr(cli, "state_scan", no_evaluation)
+    out = tmp_path / "out"
+    code, _, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert option in stderr and "expected an integer in" in stderr
+    assert not out.exists()
+
+
+def test_bounds_admit_the_sizes_in_use():
+    # 20001-step sweeps (perfbench fine-sweep) and 21^3 grids (the full
+    # agreement test) must stay within reach of the CLI.
+    assert MAX_STEPS >= 20001
+    assert MAX_GRID_RESOLUTION >= 21
+
+
+def test_sweep_csv_writes_no_negative_zero(tmp_path, capsys):
+    # b3 = a3 (2x - 1) is -0.5 * 0.0 = -0.0 at x = 0.5
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys,
+        "sweep", "--state=0,0,-0.5", "--x-range", "0,1", "--steps", "3",
+        "--out", str(out),
+    )
+    assert code == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert rows[2] == "0.5,1.40563906223,-0.40563906223,0.5,1,0,0,0"
+    assert all(field != "-0" for row in rows for field in row.split(","))
 
 
 class TestValidateCommand:

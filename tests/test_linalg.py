@@ -116,6 +116,43 @@ def _random_rotation_product(rng, n):
     return u
 
 
+class TestStacks:
+    def test_single_matrix_stays_a_list(self):
+        got = hermitian_eigenvalues(I2)
+        assert isinstance(got, list)
+        assert got == [1.0, 1.0]
+
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(16)
+        stack = np.array([random_hermitian(rng, 3) for _ in range(5)])
+        got = hermitian_eigenvalues(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (5, 3)
+        for row, m in zip(got, stack):
+            assert row.tolist() == hermitian_eigenvalues(m)
+
+    def test_rejects_stack_with_one_non_hermitian_matrix(self):
+        stack = np.array([I2, SX, np.array([[0, 1], [0, 0]], dtype=complex), SZ])
+        with pytest.raises(ValueError, match="Hermitian.*matrix 2 of the stack"):
+            hermitian_eigenvalues(stack)
+
+    def test_rejects_stack_with_one_non_finite_matrix(self):
+        stack = np.array([I2, np.array([[np.inf, 0], [0, 1]]), SZ])
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eigenvalues(stack)
+
+    def test_tolerance_applies_to_every_matrix(self):
+        off = np.array([[1.0, 1e-8], [0.0, 2.0]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigenvalues(np.array([I2, off]))
+        got = hermitian_eigenvalues(np.array([I2, off]), tol=1e-6)
+        assert got[1] == pytest.approx([1.0, 2.0], abs=1e-7)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (4, 7, 7), (1, 2, 2, 2)])
+    def test_rejects_bad_stack_shapes(self, shape):
+        with pytest.raises(ValueError, match="square|dimension"):
+            hermitian_eigenvalues(np.zeros(shape))
+
+
 def test_hermitian_residual():
     assert hermitian_residual(SY) == 0.0
     skew = np.array([[0, 1j], [1j, 0]])

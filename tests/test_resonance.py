@@ -5,6 +5,7 @@ from qsr.channel import BlochVector
 from qsr.resonance import (
     MIN_POSITIVE_SLOPE,
     SLOPE_EPSILON,
+    SweepCurve,
     bloch_ball_grid,
     detect_enhancement,
     detect_multivalued,
@@ -32,23 +33,21 @@ def fig1_curves():
 class TestSweep:
     def test_samples_match_direct_evaluation(self, fig1_curves):
         curve = fig1_curves[FIG1_STATES[0]]
-        assert len(curve.samples) == 701
-        last = curve.samples[-1]
+        assert len(curve.x) == 701
         direct = two_pauli_metrics(FIG1_STATES[0], 0.7)
-        assert last.x == 0.7
-        assert last.noise == direct.noise
-        assert last.coherent_info == direct.coherent_info
-        assert last.fidelity == direct.fidelity
+        assert curve.x[-1] == 0.7
+        assert curve.noise[-1] == direct.noise
+        assert curve.coherent_info[-1] == direct.coherent_info
+        assert curve.fidelity[-1] == direct.fidelity
 
     def test_three_point_sweep_endpoints(self):
         curve = sweep((0, 0, 0), 0.0, 1.0, 3)
-        assert [s.x for s in curve.samples] == [0.0, 0.5, 1.0]
-        assert curve.samples[-1].noise == 0.0
+        assert curve.x.tolist() == [0.0, 0.5, 1.0]
+        assert curve.noise[-1] == 0.0
 
     def test_grid_is_uniform(self, fig1_curves):
         curve = fig1_curves[FIG1_STATES[1]]
-        xs = [s.x for s in curve.samples]
-        diffs = np.diff(xs)
+        diffs = np.diff(curve.x)
         assert np.abs(diffs - curve.step).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -67,8 +66,8 @@ class TestEstimateSlopes:
     def test_fidelity_slope_is_one_without_planar_components(self):
         # F = x exactly when a1 = a2 = 0, so dF/dx = 1 up to rounding
         curve = sweep((0, 0, 0), 0.0, 1.0, 101)
-        slopes = estimate_slopes(curve, "fidelity")
-        assert max(abs(s.dQ_dx - 1.0) for s in slopes) < 1e-10
+        _, dQ_dx, _ = estimate_slopes(curve, "fidelity")
+        assert np.abs(dQ_dx - 1.0).max() < 1e-10
 
     def test_undefined_at_noise_peak(self):
         # the (0,0,0) noise peaks at x = 1/3; straddle it with a grid fine
@@ -76,24 +75,23 @@ class TestEstimateSlopes:
         # below the epsilon gate
         lo, hi = 1 / 3 - 5e-4, 1 / 3 + 5e-4
         curve = sweep((0, 0, 0), lo, hi, 101)
-        slopes = estimate_slopes(curve, "capacity")
-        noises = [s.noise for s in curve.samples]
-        peak = max(range(len(noises)), key=noises.__getitem__)
-        assert slopes[peak].dQ_dN is None
-        assert abs(slopes[peak].dN_dx) <= SLOPE_EPSILON
+        dN_dx, _, dQ_dN = estimate_slopes(curve, "capacity")
+        peak = int(np.argmax(curve.noise))
+        assert np.isnan(dQ_dN[peak])
+        assert abs(dN_dx[peak]) <= SLOPE_EPSILON
 
     def test_pure_state_capacity_slopes_vanish(self):
         curve = sweep((0, 0, 1), 0.0, 0.7, 701)
-        slopes = estimate_slopes(curve, "capacity")
-        assert max(abs(s.dQ_dx) for s in slopes) < 1e-9
-        defined = [s.dQ_dN for s in slopes if s.dQ_dN is not None]
-        assert defined and max(abs(r) for r in defined) < 1e-6
+        _, dQ_dx, dQ_dN = estimate_slopes(curve, "capacity")
+        assert np.abs(dQ_dx).max() < 1e-9
+        defined = dQ_dN[~np.isnan(dQ_dN)]
+        assert defined.size and np.abs(defined).max() < 1e-6
 
     def test_noise_derivative_shared_between_quantities(self, fig1_curves):
         curve = fig1_curves[FIG1_STATES[0]]
-        cap = estimate_slopes(curve, "capacity")
-        fid = estimate_slopes(curve, "fidelity")
-        assert all(a.dN_dx == b.dN_dx for a, b in zip(cap, fid))
+        cap_dN_dx, _, _ = estimate_slopes(curve, "capacity")
+        fid_dN_dx, _, _ = estimate_slopes(curve, "fidelity")
+        assert np.array_equal(cap_dN_dx, fid_dN_dx)
 
     def test_rejects_unknown_quantity(self, fig1_curves):
         with pytest.raises(ValueError, match="unknown quantity"):
@@ -105,7 +103,7 @@ class TestMonotoneBranches:
         for curve in fig1_curves.values():
             branches = monotone_branches(curve)
             boundaries = {b[0] for b in branches} | {b[1] for b in branches}
-            count = [0] * len(curve.samples)
+            count = [0] * len(curve.x)
             for lo, hi in branches:
                 for i in range(lo, hi + 1):
                     count[i] += 1
@@ -118,7 +116,7 @@ class TestMonotoneBranches:
 
     def test_branches_are_noise_monotone(self, fig1_curves):
         for curve in fig1_curves.values():
-            noise = curve.noise()
+            noise = curve.noise
             for lo, hi in monotone_branches(curve):
                 diffs = np.diff(noise[lo : hi + 1])
                 assert (diffs >= 0).all() or (diffs <= 0).all()
@@ -160,11 +158,11 @@ class TestDetectEnhancement:
     def test_segments_have_positive_slope_throughout(self, fig1_curves):
         curve = fig1_curves[BlochVector(0.6, 0.3, 0.5)]
         report = detect_enhancement(curve, "fidelity")
-        slopes = estimate_slopes(curve, "fidelity")
+        _, _, dQ_dN = estimate_slopes(curve, "fidelity")
         for lo, hi, _ in report.segments:
-            inside = [s for s in slopes if lo <= s.x <= hi]
+            inside = dQ_dN[(lo <= curve.x) & (curve.x <= hi)]
             assert len(inside) >= 2
-            assert all(s.dQ_dN is not None and s.dQ_dN > 0 for s in inside)
+            assert (~np.isnan(inside) & (inside > 0)).all()
 
     def test_grid_refinement_moves_endpoints_at_most_one_cell(self):
         for state in FIG1_STATES:
@@ -196,7 +194,7 @@ class TestDetectMultivalued:
 
     def test_intervals_lie_inside_noise_range(self, fig1_curves):
         for curve in fig1_curves.values():
-            noise = curve.noise()
+            noise = curve.noise
             for lo, hi in detect_multivalued(curve):
                 assert min(noise) - 1e-12 <= lo < hi <= max(noise) + 1e-12
 
@@ -230,6 +228,68 @@ def test_pure_states_never_register_capacity_enhancement():
         curve = sweep(v, 0.0, 0.7, 351)
         assert detect_enhancement(curve, "capacity").segments == ()
         assert detect_multivalued(curve) == []
+
+
+def _loop_runs(noise):
+    """Monotone runs by the per-sample loop the array code replaced."""
+    cuts, direction = [0], 0
+    for i in range(1, len(noise)):
+        diff = noise[i] - noise[i - 1]
+        if diff == 0.0:
+            continue
+        step_dir = 1 if diff > 0.0 else -1
+        if direction != 0 and step_dir != direction:
+            cuts.append(i - 1)
+        direction = step_dir
+    cuts.append(len(noise) - 1)
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _loop_segments(curve, quantity):
+    """Enhancement segments by the per-sample loop the array code replaced."""
+    x, noise = curve.x.tolist(), curve.noise.tolist()
+    values, h = curve.values(quantity).tolist(), curve.step
+    n = len(x)
+
+    def derivative(v):
+        inner = [(v[i + 1] - v[i - 1]) / (2.0 * h) for i in range(1, n - 1)]
+        return [(v[1] - v[0]) / h, *inner, (v[-1] - v[-2]) / h]
+
+    ratio = [dq / dn if abs(dn) > SLOPE_EPSILON else None
+             for dn, dq in zip(derivative(noise), derivative(values))]
+    ends = [sorted((noise[lo], noise[hi])) for lo, hi in _loop_runs(noise)]
+    folds = [(max(a[0], b[0]), min(a[1], b[1]))
+             for k, a in enumerate(ends) for b in ends[k + 1:]]
+    qualifying = [r is not None and r > MIN_POSITIVE_SLOPE
+                  and not any(lo < noise[i] < hi for lo, hi in folds if hi > lo)
+                  for i, r in enumerate(ratio)] + [False]
+    segments, start = [], None
+    for i, q in enumerate(qualifying):
+        if q and start is None:
+            start = i
+        elif not q and start is not None:
+            if i - 1 > start:
+                segments.append((x[start], x[i - 1], max(ratio[start:i])))
+            start = None
+    return tuple(segments)
+
+
+def test_array_detection_matches_loop_reference(fig1_curves):
+    # Random walks with flat steps exercise ties, turns and many folds.
+    rng = np.random.default_rng(52)
+    curves = list(fig1_curves.values())
+    for _ in range(40):
+        n = int(rng.integers(3, 300))
+        x = np.linspace(0.0, 1.0, n)
+        noise = np.cumsum(rng.choice([-1.0, 0.0, 1.0], size=n) * rng.uniform(size=n))
+        values = np.cumsum(rng.normal(size=n))
+        curves.append(SweepCurve(BlochVector(0, 0, 0), x, noise, values, values[::-1],
+                                 np.zeros(n), np.zeros((n, 3)), float(x[1] - x[0])))
+    for curve in curves:
+        assert monotone_branches(curve) == _loop_runs(curve.noise.tolist())
+        for quantity in ("capacity", "fidelity"):
+            report = detect_enhancement(curve, quantity)
+            assert report.segments == _loop_segments(curve, quantity)
 
 
 def test_reports_are_deterministic():
