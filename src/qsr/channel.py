@@ -6,6 +6,13 @@ coherent information, quantum mutual information, entangled fidelity, and
 an explicit system-environment dilation that serves as an independent
 cross-check of the exchange matrix.
 
+Every function of the generic route takes rho as one 2x2 density matrix
+or as an (m, 2, 2) stack of them, and evaluates a stack in one pass over
+the stacked Kraus operators. One matrix gives a float, a BlochVector or a
+matrix; a stack gives an array with one row per matrix. Every check
+applies to each matrix of a stack, and an error names the first matrix
+that fails it.
+
 All entropies are in bits (base-2 logarithms).
 """
 
@@ -23,6 +30,7 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_STACK = np.stack(PAULIS)
 
 #: Most Kraus operators a channel may carry (keeps the eigensolver small).
 MAX_OPERATORS = 6
@@ -157,10 +165,44 @@ def bloch_to_density(state) -> np.ndarray:
     )
 
 
-def density_to_bloch(rho) -> BlochVector:
-    """Bloch components a_i = Tr(rho sigma_i); inverse of bloch_to_density."""
-    rho = np.asarray(rho, dtype=complex)
-    return BlochVector(*(np.trace(rho @ pauli).real for pauli in PAULIS))
+def _where(mat: np.ndarray, flagged) -> str:
+    """Where a check failed: the first flagged matrix of a stack, or ''."""
+    if mat.ndim == 2:
+        return ""
+    return f" in matrix {int(np.argmax(flagged))} of the stack"
+
+
+def _density_matrices(rho) -> np.ndarray:
+    """rho as a complex 2x2 matrix or (m, 2, 2) stack with finite entries."""
+    mat = np.asarray(rho, dtype=complex)
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (2, 2):
+        raise ValueError(
+            f"expected a 2x2 density matrix or an (m, 2, 2) stack, got shape {mat.shape}"
+        )
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError("density matrix entries must be finite" + _where(mat, ~finite))
+    return mat
+
+
+def density_to_bloch(rho):
+    """Bloch components a_i = Tr(rho sigma_i); inverse of bloch_to_density.
+
+    A BlochVector for one matrix; an (m, 3) array, one row per matrix, for
+    a stack. Every row must satisfy |a|^2 <= 1 within 1e-12.
+    """
+    rho = _density_matrices(rho)
+    bloch = np.einsum("...ab,iba->...i", rho, _PAULI_STACK).real
+    if rho.ndim == 2:
+        return BlochVector(*bloch)
+    norm_squared = (bloch * bloch).sum(axis=-1)
+    unphysical = norm_squared > 1.0 + BLOCH_NORM_TOL
+    if unphysical.any():
+        worst = norm_squared[int(np.argmax(unphysical))]
+        raise ValueError(
+            f"unphysical Bloch vector: |a|^2 = {worst:.12g} > 1" + _where(rho, unphysical)
+        )
+    return bloch
 
 
 def spectrum_entropy(values):
@@ -168,10 +210,16 @@ def spectrum_entropy(values):
     stack of spectra (the last axis).
 
     0 log 0 is taken as 0. Values in [-1e-10, 0) are clamped to 0 as
-    rounding noise; anything more negative is rejected. One spectrum gives
-    a float, a stack gives an array with one entropy per row.
+    rounding noise; anything more negative, and any value that is not
+    finite, is rejected. One spectrum gives a float, a stack gives an
+    array with one entropy per row.
     """
     p = np.asarray(values, dtype=float)
+    if not np.isfinite(p).all():
+        where = ""
+        if p.ndim > 1:
+            where = f" in row {int(np.argmax(~np.isfinite(p).all(axis=-1)))} of the stack"
+        raise ValueError(f"spectrum values must be finite{where}")
     lowest = p.min(initial=0.0)
     if lowest < _EIG_FLOOR:
         raise ValueError(f"not positive semidefinite: eigenvalue {lowest:.3e}")
@@ -181,45 +229,39 @@ def spectrum_entropy(values):
     return float(total) if p.ndim <= 1 else total
 
 
-def von_neumann_entropy(rho, herm_tol: float = 1e-10) -> float:
-    """Entropy in bits of a density matrix, from its eigenvalues."""
+def von_neumann_entropy(rho, herm_tol: float = 1e-10):
+    """Entropy in bits of a density matrix, from its eigenvalues; an array
+    of entropies for a stack of them."""
     return spectrum_entropy(hermitian_eigenvalues(rho, tol=herm_tol))
 
 
 def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
-    """Push a density matrix through the channel: sum_i A_i rho A_i^dag.
+    """Push a density matrix, or each of a stack, through the channel:
+    sum_i A_i rho A_i^dag.
 
     The operator set must satisfy completeness within 1e-10, which is what
     guarantees the output trace stays 1.
     """
     _require_complete(channel)
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    for op in channel.operators:
-        out += op @ rho @ op.conj().T
-    return out
+    rho = _density_matrices(rho)
+    ops = np.stack(channel.operators)
+    return np.einsum("kab,...bc,kdc->...ad", ops, rho, ops.conj())
 
 
 def exchange_matrix(channel: KrausChannel, rho) -> np.ndarray:
-    """k x k matrix W with W[i][j] = Tr(A_i rho A_j^dag).
+    """k x k matrix W with W[i][j] = Tr(A_i rho A_j^dag); an (m, k, k)
+    stack for a stack of density matrices.
 
     Hermitian, unit trace and positive semidefinite for a valid channel
     and state; its spectrum carries the entropy exchanged with the
     environment.
     """
-    rho = np.asarray(rho, dtype=complex)
-    ops = channel.operators
-    k = len(ops)
-    propagated = [op @ rho for op in ops]
-    w = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            # vdot conjugates its first argument, so this is Tr(A_i rho A_j^dag).
-            w[i, j] = np.vdot(ops[j], propagated[i])
-    return w
+    rho = _density_matrices(rho)
+    ops = np.stack(channel.operators)
+    return np.einsum("iab,...bc,jac->...ij", ops, rho, ops.conj())
 
 
-def entropy_exchange(channel: KrausChannel, rho) -> float:
+def entropy_exchange(channel: KrausChannel, rho):
     """Entropy in bits of the exchange matrix: the channel's noise measure."""
     _require_complete(channel)
     w = exchange_matrix(channel, rho)
@@ -228,10 +270,10 @@ def entropy_exchange(channel: KrausChannel, rho) -> float:
 
 def _normalized_output(channel: KrausChannel, rho) -> np.ndarray:
     out = apply_channel(channel, rho)
-    return out / np.trace(out).real
+    return out / np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def coherent_information(channel: KrausChannel, rho) -> float:
+def coherent_information(channel: KrausChannel, rho):
     """Output entropy minus entropy exchange, in bits; may be negative.
 
     The output is renormalized by its trace before taking the entropy so
@@ -241,7 +283,7 @@ def coherent_information(channel: KrausChannel, rho) -> float:
     return von_neumann_entropy(out) - entropy_exchange(channel, rho)
 
 
-def quantum_mutual_information(channel: KrausChannel, rho) -> float:
+def quantum_mutual_information(channel: KrausChannel, rho):
     """Input entropy plus output entropy minus entropy exchange, in bits."""
     out = _normalized_output(channel, rho)
     return (
@@ -251,44 +293,42 @@ def quantum_mutual_information(channel: KrausChannel, rho) -> float:
     )
 
 
-def entangled_fidelity(channel: KrausChannel, rho) -> float:
+def entangled_fidelity(channel: KrausChannel, rho):
     """sum_mu Tr(rho A_mu) Tr(rho A_mu^dag), in [0, 1].
 
     Measures how well the channel preserves the state together with any
     entanglement it carries. The sum is real up to rounding; an imaginary
     residue above 1e-12 is an error, below it is discarded.
     """
-    rho = np.asarray(rho, dtype=complex)
-    total = 0j
-    for op in channel.operators:
-        total += np.trace(rho @ op) * np.trace(rho @ op.conj().T)
-    if abs(total.imag) > _FIDELITY_IMAG_TOL:
+    rho = _density_matrices(rho)
+    ops = np.stack(channel.operators)
+    traces = np.einsum("...ab,kba->...k", rho, ops)
+    # (A^dag)[b, a] = conj(A[a, b]), so this is Tr(rho A_mu^dag).
+    adjoint_traces = np.einsum("...ab,kab->...k", rho, ops.conj())
+    total = (traces * adjoint_traces).sum(axis=-1)
+    non_real = np.abs(total.imag) > _FIDELITY_IMAG_TOL
+    if non_real.any():
+        imag = total.imag.flat[int(np.argmax(non_real))]
         raise ValueError(
-            f"entangled fidelity came out non-real: imaginary part {total.imag:.3e}"
+            f"entangled fidelity came out non-real: imaginary part {imag:.3e}"
+            + _where(rho, non_real)
         )
-    return float(total.real)
+    return float(total.real) if rho.ndim == 2 else total.real
 
 
 def environment_output(channel: KrausChannel, rho) -> np.ndarray:
     """Environment state after routing rho through the channel's dilation.
 
     The channel is embedded in a joint system-environment evolution with
-    the environment starting in a pure state: the joint output is the
-    block matrix with (i, j) block A_i rho A_j^dag, and the environment's
-    reduced k x k density matrix is obtained by tracing out the system.
+    the environment starting in a pure state: the Stinespring isometry
+    V = sum_i |i> (x) A_i, a (2k, 2) array, takes rho to the joint state
+    V rho V^dag, and tracing out the system leaves the environment's
+    reduced k x k density matrix (an (m, k, k) stack for a stack of rho).
     Its spectrum must match the exchange matrix spectrum; it is computed
     through this separate route precisely so the two can cross-check.
     """
-    rho = np.asarray(rho, dtype=complex)
-    ops = channel.operators
-    k = len(ops)
-    joint = np.zeros((2 * k, 2 * k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            joint[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = ops[i] @ rho @ ops[j].conj().T
-    env = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            block = joint[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            env[i, j] = block[0, 0] + block[1, 1]
-    return env
+    rho = _density_matrices(rho)
+    k = len(channel.operators)
+    isometry = np.stack(channel.operators).reshape(2 * k, 2)
+    joint = np.einsum("xa,...ab,yb->...xy", isometry, rho, isometry.conj())
+    return np.einsum("...iaja->...ij", joint.reshape(rho.shape[:-2] + (k, 2, k, 2)))

@@ -105,8 +105,10 @@ def _write_text(path: str, text: str) -> None:
 def _sweep_csv(curve, precision: int) -> str:
     rows = np.column_stack((curve.x, curve.noise, curve.coherent_info, curve.fidelity,
                             curve.output_entropy, curve.output_bloch))
+    # One %-template per row writes what _format writes for each value.
+    template = ",".join([f"%.{precision}g"] * 8)
     lines = ["x,N,C,F,H_out,b1,b2,b3"]
-    lines += [",".join(_format(v, precision) for v in row) for row in rows.tolist()]
+    lines += [template % tuple(row) for row in (rows + 0.0).tolist()]
     return "\n".join(lines) + "\n"
 
 

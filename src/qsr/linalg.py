@@ -25,8 +25,12 @@ def _as_complex_matrices(entries) -> np.ndarray:
         raise ValueError(
             f"dimension {mat.shape[-1]} outside supported range 1..{MAX_DIM}"
         )
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix entries must be finite")
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    if not finite.all():
+        where = ""
+        if mat.ndim == 3:
+            where = f" in matrix {int(np.argmax(~finite))} of the stack"
+        raise ValueError(f"matrix entries must be finite{where}")
     return mat
 
 

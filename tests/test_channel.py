@@ -8,6 +8,7 @@ from qsr.channel import (
     BlochVector,
     IDENTITY,
     KrausChannel,
+    _normalized_output,
     apply_channel,
     as_bloch,
     bloch_to_density,
@@ -130,6 +131,16 @@ class TestVonNeumannEntropy:
 
     def test_spectrum_entropy_single_spectrum_is_float(self):
         assert type(spectrum_entropy([0.5, 0.5])) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_spectrum_entropy_rejects_non_finite(self, bad):
+        # NaN passes the -1e-10 floor, so it must be caught on its own
+        with pytest.raises(ValueError, match="finite"):
+            spectrum_entropy([bad, 1.0])
+
+    def test_spectrum_entropy_stack_rejects_non_finite_row(self):
+        with pytest.raises(ValueError, match="finite in row 1 of the stack"):
+            spectrum_entropy([[0.5, 0.5], [math.nan, 1.0], [1.0, 0.0]])
 
 
 class TestApplyChannel:
@@ -338,3 +349,163 @@ def test_bloch_contraction_under_two_pauli():
         x = float(rng.uniform())
         out = density_to_bloch(apply_channel(make_two_pauli(x), bloch_to_density(v)))
         assert out.norm <= v.norm + 1e-12
+
+
+# Stacks of density matrices go through the same einsum path as one matrix;
+# the contractions may run in another order, so a stack agrees with one
+# matrix at a time to a few ulps of the O(1) results.
+STACK_TOL = 8 * np.finfo(float).eps
+
+CHANNEL_FUNCTIONS = (
+    apply_channel,
+    exchange_matrix,
+    entropy_exchange,
+    coherent_information,
+    quantum_mutual_information,
+    entangled_fidelity,
+    environment_output,
+)
+
+
+def random_density_stack(rng, m):
+    return np.stack([bloch_to_density(random_bloch_vector(rng)) for _ in range(m)])
+
+
+def with_bad_matrix(stack, index, bad):
+    stack = stack.copy()
+    stack[index] = bad
+    return stack
+
+
+def old_environment_output(channel, rho):
+    """The block-assembly loop that environment_output replaced."""
+    ops = channel.operators
+    k = len(ops)
+    joint = np.zeros((2 * k, 2 * k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            joint[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = ops[i] @ rho @ ops[j].conj().T
+    env = np.empty((k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            block = joint[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+            env[i, j] = block[0, 0] + block[1, 1]
+    return env
+
+
+class TestStackedRoute:
+    @pytest.mark.parametrize("func", CHANNEL_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_stack_equals_one_matrix_at_a_time(self, func):
+        rng = np.random.default_rng(33)
+        for k in range(1, 7):
+            channel = random_kraus_channel(rng, num_operators=k)
+            rho = random_density_stack(rng, 9)
+            got = func(channel, rho)
+            one_by_one = [func(channel, r) for r in rho]
+            assert isinstance(got, np.ndarray) and len(got) == len(rho)
+            assert np.abs(got - np.array(one_by_one)).max() <= STACK_TOL
+
+    def test_state_functions_on_a_stack(self):
+        rng = np.random.default_rng(34)
+        rho = random_density_stack(rng, 9)
+        entropies = von_neumann_entropy(rho)
+        assert entropies.shape == (9,)
+        assert np.abs(entropies - [von_neumann_entropy(r) for r in rho]).max() <= STACK_TOL
+        bloch = density_to_bloch(rho)
+        assert bloch.shape == (9, 3)
+        singles = [density_to_bloch(r) for r in rho]
+        assert all(isinstance(b, BlochVector) for b in singles)
+        assert np.abs(bloch - [b.as_array() for b in singles]).max() <= STACK_TOL
+
+    def test_one_matrix_keeps_its_types(self):
+        channel = make_two_pauli(0.3)
+        rho = bloch_to_density((0.1, 0.2, 0.3))
+        for func in (entropy_exchange, coherent_information, quantum_mutual_information,
+                     entangled_fidelity):
+            assert type(func(channel, rho)) is float
+        assert type(von_neumann_entropy(rho)) is float
+        assert apply_channel(channel, rho).shape == (2, 2)
+        assert exchange_matrix(channel, rho).shape == (3, 3)
+        assert environment_output(channel, rho).shape == (3, 3)
+
+    def test_output_renormalised_per_matrix(self):
+        rng = np.random.default_rng(35)
+        channel = random_kraus_channel(rng, num_operators=4)
+        rho = random_density_stack(rng, 5) * np.array([0.5, 1.0, 2.0, 3.0, 0.25])[:, None, None]
+        out = _normalized_output(channel, rho)
+        assert np.abs(np.trace(out, axis1=1, axis2=2) - 1.0).max() <= STACK_TOL
+        for r, o in zip(rho, out):
+            assert np.abs(_normalized_output(channel, r) - o).max() <= STACK_TOL
+
+    @pytest.mark.parametrize(
+        "func",
+        (entropy_exchange, coherent_information, quantum_mutual_information),
+        ids=lambda f: f.__name__,
+    )
+    def test_rejects_non_hermitian_matrix_by_index(self, func):
+        rng = np.random.default_rng(36)
+        rho = with_bad_matrix(random_density_stack(rng, 4), 2, [[0.5, 0.3], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="Hermitian.*matrix 2 of the stack"):
+            func(random_kraus_channel(rng, num_operators=3), rho)
+
+    def test_von_neumann_entropy_rejects_non_hermitian_matrix_by_index(self):
+        rho = with_bad_matrix(random_density_stack(np.random.default_rng(37), 4), 3,
+                              [[0.5, 0.3], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="Hermitian.*matrix 3 of the stack"):
+            von_neumann_entropy(rho)
+
+    @pytest.mark.parametrize("func", CHANNEL_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_matrix_by_index(self, func, bad):
+        rng = np.random.default_rng(38)
+        rho = with_bad_matrix(random_density_stack(rng, 4), 1, [[bad, 0.0], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="finite.*matrix 1 of the stack"):
+            func(random_kraus_channel(rng, num_operators=2), rho)
+
+    def test_state_functions_reject_non_finite_matrix_by_index(self):
+        rho = with_bad_matrix(random_density_stack(np.random.default_rng(39), 4), 2,
+                              [[0.5, math.nan], [0.0, 0.5]])
+        for func in (von_neumann_entropy, density_to_bloch):
+            with pytest.raises(ValueError, match="finite.*matrix 2 of the stack"):
+                func(rho)
+
+    def test_rejects_bad_shapes(self):
+        channel = make_two_pauli(0.3)
+        for shape in [(3, 3), (2,), (4, 2, 3), (2, 2, 2, 2)]:
+            with pytest.raises(ValueError, match="2x2 density matrix"):
+                apply_channel(channel, np.zeros(shape))
+
+    def test_fidelity_rejects_imaginary_residue_in_one_sample(self):
+        channel = make_two_pauli(0.3)
+        rho = random_density_stack(np.random.default_rng(40), 4)
+        # A non-Hermitian perturbation makes Tr(rho A) Tr(rho A^dag) complex.
+        skewed = with_bad_matrix(rho, 1, rho[1] + [[0.0, 1e-9j], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="non-real.*matrix 1 of the stack"):
+            entangled_fidelity(channel, skewed)
+        # below 1e-12 the residue is discarded, as for one matrix
+        slight = with_bad_matrix(rho, 1, rho[1] + [[0.0, 1e-15j], [0.0, 0.0]])
+        assert entangled_fidelity(channel, slight).shape == (4,)
+
+    def test_bloch_norm_checked_per_matrix(self):
+        rho = random_density_stack(np.random.default_rng(41), 4)
+        rho[2] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match="unphysical.*matrix 2 of the stack"):
+            density_to_bloch(rho)
+
+    def test_completeness_checked_for_a_stack(self):
+        broken = KrausChannel((math.sqrt(0.5) * IDENTITY,), label="broken")
+        rho = random_density_stack(np.random.default_rng(42), 3)
+        for func in (apply_channel, entropy_exchange, coherent_information):
+            with pytest.raises(ValueError, match="completeness"):
+                func(broken, rho)
+
+    def test_environment_output_matches_block_assembly(self):
+        rng = np.random.default_rng(43)
+        for k in range(1, 7):
+            for _ in range(5):
+                channel = random_kraus_channel(rng, num_operators=k)
+                rho = bloch_to_density(random_bloch_vector(rng))
+                want = old_environment_output(channel, rho)
+                got = environment_output(channel, rho)
+                assert got.shape == (k, k)
+                assert np.abs(got - want).max() <= STACK_TOL

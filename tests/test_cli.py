@@ -1,5 +1,7 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qsr import cli
@@ -215,3 +217,24 @@ class TestValidateCommand:
         # the negative control proves the completeness detector fires
         assert "broken-channel negative control" in stdout
         assert "completeness violation detected" in stdout
+
+
+def test_sweep_csv_rows_match_per_value_format():
+    # -0, subnormals, huge values and values that round up at some precision
+    values = np.array([
+        -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300,
+        0.999999999999999, 9.9999999999995, 0.5, 2.5, 1.0 / 3.0, -0.95, 123456.5,
+        float(np.nextafter(1.0, 2.0)), 0.1, 7.0, -12345678901234567.0,
+    ])
+    curve = SimpleNamespace(
+        x=values, noise=values[::-1], coherent_info=np.roll(values, 3),
+        fidelity=np.roll(values, 5), output_entropy=np.roll(values, 7),
+        output_bloch=np.column_stack((np.roll(values, 1), -values, np.roll(values, 11))),
+    )
+    rows = np.column_stack((curve.x, curve.noise, curve.coherent_info, curve.fidelity,
+                            curve.output_entropy, curve.output_bloch))
+    for precision in range(MAX_PRECISION + 1):
+        lines = cli._sweep_csv(curve, precision).splitlines()
+        assert lines[0] == "x,N,C,F,H_out,b1,b2,b3"
+        want = [",".join(cli._format(v, precision) for v in row) for row in rows.tolist()]
+        assert lines[1:] == want

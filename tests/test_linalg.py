@@ -137,7 +137,7 @@ class TestStacks:
 
     def test_rejects_stack_with_one_non_finite_matrix(self):
         stack = np.array([I2, np.array([[np.inf, 0], [0, 1]]), SZ])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite in matrix 1 of the stack"):
             hermitian_eigenvalues(stack)
 
     def test_tolerance_applies_to_every_matrix(self):
