@@ -2,9 +2,9 @@
 
 Provides Bloch-vector / density-matrix conversions, channel application,
 the exchange matrix and its entropy (the noise handed to the environment),
-coherent information, quantum mutual information, entangled fidelity, and
-an explicit system-environment dilation that serves as an independent
-cross-check of the exchange matrix.
+coherent information, entangled fidelity, and an explicit
+system-environment dilation that serves as an independent cross-check of
+the exchange matrix.
 
 Every function of the generic route takes rho as one 2x2 density matrix
 or as an (m, 2, 2) stack of them, and evaluates a stack in one pass over
@@ -19,7 +19,8 @@ All entropies are in bits (base-2 logarithms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,9 +77,6 @@ class BlochVector:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a1, self.a2, self.a3)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple())
-
 
 def as_bloch(state) -> BlochVector:
     """Coerce a BlochVector or a 3-sequence of reals into a BlochVector."""
@@ -94,14 +92,17 @@ def as_bloch(state) -> BlochVector:
 class KrausChannel:
     """Ordered 2x2 Kraus operators defining rho -> sum_i A_i rho A_i^dag.
 
-    Construction checks shapes and finiteness only. Completeness
-    (sum_i A_i^dag A_i = I) is checked where it matters, so deliberately
-    broken operator sets can still be built and diagnosed with
+    Construction checks shapes and finiteness only and stacks the
+    operators into the (k, 2, 2) array ``stack`` that every function of
+    the generic route evaluates. Completeness (sum_i A_i^dag A_i = I) is
+    checked where it matters, on first use, so deliberately broken
+    operator sets can still be built and diagnosed with
     `completeness_residual`.
     """
 
     operators: tuple
     label: str = ""
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.array(op, dtype=complex) for op in self.operators)
@@ -115,29 +116,29 @@ class KrausChannel:
             if not np.isfinite(op).all():
                 raise ValueError("Kraus operator entries must be finite")
         object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "stack", np.stack(ops))
 
-    def __len__(self) -> int:
-        return len(self.operators)
+    @cached_property
+    def _residual(self) -> float:
+        return completeness_residual(self)
 
 
 @dataclass(frozen=True)
 class ChannelMetrics:
-    """A channel's figures of merit at control setting x.
+    """A channel's figures of merit over a 1-D array of control settings x.
 
-    For one rate x every field is a float and output_bloch a BlochVector;
-    for a 1-D array of rates every field is an array of that length and
-    output_bloch an (n, 3) array, one row per rate. noise, output_entropy,
-    coherent_info and mutual_info are in bits; coherent_info is stored as
-    exactly output_entropy - noise.
+    Every field is an array with one entry per rate; output_bloch is an
+    (n, 3) array, one row per rate. noise, output_entropy and
+    coherent_info are in bits; coherent_info is stored as exactly
+    output_entropy - noise.
     """
 
-    x: float | np.ndarray
-    noise: float | np.ndarray
-    output_entropy: float | np.ndarray
-    coherent_info: float | np.ndarray
-    mutual_info: float | np.ndarray
-    fidelity: float | np.ndarray
-    output_bloch: BlochVector | np.ndarray
+    x: np.ndarray
+    noise: np.ndarray
+    output_entropy: np.ndarray
+    coherent_info: np.ndarray
+    fidelity: np.ndarray
+    output_bloch: np.ndarray
 
 
 def completeness_residual(channel: KrausChannel) -> float:
@@ -149,7 +150,7 @@ def completeness_residual(channel: KrausChannel) -> float:
 
 
 def _require_complete(channel: KrausChannel) -> None:
-    residual = completeness_residual(channel)
+    residual = channel._residual
     if residual > COMPLETENESS_TOL:
         name = channel.label or "channel"
         raise ValueError(
@@ -229,10 +230,10 @@ def spectrum_entropy(values):
     return float(total) if p.ndim <= 1 else total
 
 
-def von_neumann_entropy(rho, herm_tol: float = 1e-10):
+def von_neumann_entropy(rho):
     """Entropy in bits of a density matrix, from its eigenvalues; an array
     of entropies for a stack of them."""
-    return spectrum_entropy(hermitian_eigenvalues(rho, tol=herm_tol))
+    return spectrum_entropy(hermitian_eigenvalues(rho))
 
 
 def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
@@ -244,8 +245,7 @@ def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
     """
     _require_complete(channel)
     rho = _density_matrices(rho)
-    ops = np.stack(channel.operators)
-    return np.einsum("kab,...bc,kdc->...ad", ops, rho, ops.conj())
+    return np.einsum("kab,...bc,kdc->...ad", channel.stack, rho, channel.stack.conj())
 
 
 def exchange_matrix(channel: KrausChannel, rho) -> np.ndarray:
@@ -257,8 +257,7 @@ def exchange_matrix(channel: KrausChannel, rho) -> np.ndarray:
     environment.
     """
     rho = _density_matrices(rho)
-    ops = np.stack(channel.operators)
-    return np.einsum("iab,...bc,jac->...ij", ops, rho, ops.conj())
+    return np.einsum("iab,...bc,jac->...ij", channel.stack, rho, channel.stack.conj())
 
 
 def entropy_exchange(channel: KrausChannel, rho):
@@ -283,16 +282,6 @@ def coherent_information(channel: KrausChannel, rho):
     return von_neumann_entropy(out) - entropy_exchange(channel, rho)
 
 
-def quantum_mutual_information(channel: KrausChannel, rho):
-    """Input entropy plus output entropy minus entropy exchange, in bits."""
-    out = _normalized_output(channel, rho)
-    return (
-        von_neumann_entropy(rho)
-        + von_neumann_entropy(out)
-        - entropy_exchange(channel, rho)
-    )
-
-
 def entangled_fidelity(channel: KrausChannel, rho):
     """sum_mu Tr(rho A_mu) Tr(rho A_mu^dag), in [0, 1].
 
@@ -301,10 +290,9 @@ def entangled_fidelity(channel: KrausChannel, rho):
     residue above 1e-12 is an error, below it is discarded.
     """
     rho = _density_matrices(rho)
-    ops = np.stack(channel.operators)
-    traces = np.einsum("...ab,kba->...k", rho, ops)
+    traces = np.einsum("...ab,kba->...k", rho, channel.stack)
     # (A^dag)[b, a] = conj(A[a, b]), so this is Tr(rho A_mu^dag).
-    adjoint_traces = np.einsum("...ab,kab->...k", rho, ops.conj())
+    adjoint_traces = np.einsum("...ab,kab->...k", rho, channel.stack.conj())
     total = (traces * adjoint_traces).sum(axis=-1)
     non_real = np.abs(total.imag) > _FIDELITY_IMAG_TOL
     if non_real.any():
@@ -329,6 +317,6 @@ def environment_output(channel: KrausChannel, rho) -> np.ndarray:
     """
     rho = _density_matrices(rho)
     k = len(channel.operators)
-    isometry = np.stack(channel.operators).reshape(2 * k, 2)
+    isometry = channel.stack.reshape(2 * k, 2)
     joint = np.einsum("xa,...ab,yb->...xy", isometry, rho, isometry.conj())
     return np.einsum("...iaja->...ij", joint.reshape(rho.shape[:-2] + (k, 2, k, 2)))

@@ -112,26 +112,23 @@ def _sweep_csv(curve, precision: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _describe(report) -> str:
-    """Human-readable line for one enhancement report (6 digits suffice)."""
-    if not report.segments:
-        return f"{report.quantity} enhancement: none"
+def _describe(quantity: str, segments: tuple) -> str:
+    """Human-readable line for one quantity's segments (6 digits suffice)."""
+    if not segments:
+        return f"{quantity} enhancement: none"
     parts = ", ".join(
         f"x {_format(lo, 6)}..{_format(hi, 6)} (max dQ/dN {_format(top, 6)})"
-        for lo, hi, top in report.segments
+        for lo, hi, top in segments
     )
-    word = "segment" if len(report.segments) == 1 else "segments"
-    return (
-        f"{report.quantity} enhancement: present "
-        f"({len(report.segments)} {word}: {parts})"
-    )
+    word = "segment" if len(segments) == 1 else "segments"
+    return f"{quantity} enhancement: present ({len(segments)} {word}: {parts})"
 
 
 def _curve_summary(curve) -> list[str]:
-    capacity = detect_enhancement(curve, "capacity")
-    lines = [_describe(capacity), _describe(detect_enhancement(curve, "fidelity"))]
-    if capacity.noise_peak_x is not None:
-        lines.append(f"noise peak: x = {_format(capacity.noise_peak_x, 6)}")
+    report = detect_enhancement(curve)
+    lines = [_describe("capacity", report.capacity), _describe("fidelity", report.fidelity)]
+    if report.noise_peak_x is not None:
+        lines.append(f"noise peak: x = {_format(report.noise_peak_x, 6)}")
     else:
         lines.append("noise peak: none (noise is monotone over the sweep)")
     intervals = detect_multivalued(curve)
@@ -184,19 +181,10 @@ def cmd_scan(args) -> int:
         raise _CliError(str(exc)) from None
     lines = ["a1,a2,a3,cap_enh,fid_enh,noise_peak_x"]
     for entry in report.entries:
+        fields = [_format(a, args.precision) for a in entry.state.as_tuple()]
+        fields += [str(len(entry.capacity)), str(len(entry.fidelity))]
         peak = "" if entry.noise_peak_x is None else _format(entry.noise_peak_x, args.precision)
-        lines.append(
-            ",".join(
-                [
-                    _format(entry.state.a1, args.precision),
-                    _format(entry.state.a2, args.precision),
-                    _format(entry.state.a3, args.precision),
-                    str(entry.capacity_segments),
-                    str(entry.fidelity_segments),
-                    peak,
-                ]
-            )
-        )
+        lines.append(",".join(fields + [peak]))
     _write_text(args.out, "\n".join(lines) + "\n")
     print(f"scan: {report.total_states} states, grid resolution {args.grid_resolution}")
     print(f"wrote {args.out}")
@@ -225,34 +213,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep_p = sub.add_parser("sweep", help="sweep one input state over the flipping rate")
+    # The sweep options shared by sweep, figure1 and scan.
+    swept = argparse.ArgumentParser(add_help=False)
+    swept.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
+    swept.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=701,
+                       help="grid points per sweep (default 701)")
+    swept.add_argument("--precision", type=_bounded(0, MAX_PRECISION), default=DEFAULT_PRECISION,
+                       help="significant digits in the CSV (default 12)")
+
+    sweep_p = sub.add_parser("sweep", parents=[swept],
+                             help="sweep one input state over the flipping rate")
     sweep_p.add_argument("--state", required=True, help="Bloch vector 'a1,a2,a3'")
-    sweep_p.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
-    sweep_p.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=701,
-                         help="grid points (default 701)")
     sweep_p.add_argument("--out", default="sweep.csv", help="output CSV path")
-    sweep_p.add_argument("--precision", type=_bounded(0, MAX_PRECISION), default=DEFAULT_PRECISION,
-                         help="significant digits in the CSV (default 12)")
     sweep_p.set_defaults(func=cmd_sweep)
 
-    fig_p = sub.add_parser("figure1", help="sweep the four reference states")
-    fig_p.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
-    fig_p.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=701,
-                       help="grid points (default 701)")
+    fig_p = sub.add_parser("figure1", parents=[swept], help="sweep the four reference states")
     fig_p.add_argument("--out", default=".", help="output directory for fig1a..fig1d.csv")
-    fig_p.add_argument("--precision", type=_bounded(0, MAX_PRECISION), default=DEFAULT_PRECISION,
-                       help="significant digits in the CSV (default 12)")
     fig_p.set_defaults(func=cmd_figure1)
 
-    scan_p = sub.add_parser("scan", help="scan a Bloch-ball grid for enhancement")
-    scan_p.add_argument("--grid-resolution", type=_bounded(2, MAX_GRID_RESOLUTION), default=11,
+    # Resolution 2 would leave only the corners, all outside the ball.
+    scan_p = sub.add_parser("scan", parents=[swept], help="scan a Bloch-ball grid for enhancement")
+    scan_p.add_argument("--grid-resolution", type=_bounded(3, MAX_GRID_RESOLUTION), default=11,
                         help="points per Bloch axis (default 11)")
-    scan_p.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=701,
-                        help="grid points per sweep (default 701)")
-    scan_p.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
     scan_p.add_argument("--out", default="scan.csv", help="output CSV path")
-    scan_p.add_argument("--precision", type=_bounded(0, MAX_PRECISION), default=DEFAULT_PRECISION,
-                        help="significant digits in the CSV (default 12)")
     scan_p.set_defaults(func=cmd_scan)
 
     val_p = sub.add_parser("validate", help="run the built-in validation suite")

@@ -75,32 +75,36 @@ class SweepCurve:
 
 @dataclass(frozen=True)
 class EnhancementReport:
-    """Noise-enhancement findings for one quantity on one curve."""
+    """Noise-enhancement findings on the sweep of one input state.
 
-    quantity: str
-    segments: tuple
-    noise_peak_x: float | None
+    ``capacity`` and ``fidelity`` hold each quantity's segments as
+    (x_start, x_end, max dQ/dN) triples. ``noise_peak_x`` is the x of the
+    noise maximum when it is an interior grid point, else None.
+    """
 
-
-@dataclass(frozen=True)
-class ScanEntry:
     state: BlochVector
-    capacity_segments: int
-    fidelity_segments: int
+    capacity: tuple
+    fidelity: tuple
     noise_peak_x: float | None
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Aggregated enhancement counts over a grid of input states."""
+    """Enhancement reports over a grid of input states, in grid order."""
 
     entries: tuple
-    capacity_enhanced_states: int
-    fidelity_enhanced_states: int
 
     @property
     def total_states(self) -> int:
         return len(self.entries)
+
+    @property
+    def capacity_enhanced_states(self) -> int:
+        return sum(1 for entry in self.entries if entry.capacity)
+
+    @property
+    def fidelity_enhanced_states(self) -> int:
+        return sum(1 for entry in self.entries if entry.fidelity)
 
 
 def sweep(state, x_min: float = 0.0, x_max: float = 0.7, steps: int = 701) -> SweepCurve:
@@ -129,39 +133,39 @@ def sweep(state, x_min: float = 0.0, x_max: float = 0.7, steps: int = 701) -> Sw
 
 
 def estimate_slopes(
-    curve: SweepCurve, quantity: str, slope_epsilon: float = SLOPE_EPSILON
+    curve: SweepCurve, quantity: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slopes of noise and of the chosen quantity along the sweep.
 
     Returns the columns ``(dN_dx, dQ_dx, dQ_dN)``. The x-derivatives are
     central differences inside and one-sided at the two ends. dQ/dN is
-    their ratio, left undefined (NaN) wherever |dN/dx| <= slope_epsilon:
+    their ratio, left undefined (NaN) wherever |dN/dx| <= SLOPE_EPSILON:
     near a noise extremum the parametric slope is singular.
     """
-    d_values = np.gradient(curve.values(quantity), curve.step)
     d_noise = np.gradient(curve.noise, curve.step)
+    d_values, ratio = _parametric_slope(curve, curve.values(quantity), d_noise)
+    return d_noise, d_values, ratio
+
+
+def _parametric_slope(curve: SweepCurve, values: np.ndarray, d_noise: np.ndarray):
+    """dQ/dx of one column and its ratio to dN/dx, NaN where undefined."""
+    d_values = np.gradient(values, curve.step)
     ratio = np.divide(
         d_values,
         d_noise,
         out=np.full_like(d_noise, np.nan),
-        where=np.abs(d_noise) > slope_epsilon,
+        where=np.abs(d_noise) > SLOPE_EPSILON,
     )
-    return d_noise, d_values, ratio
-
-
-def monotone_branches(curve: SweepCurve) -> list[tuple[int, int]]:
-    """Split the sample indices into maximal runs of monotone noise.
-
-    Returns inclusive (start, end) index pairs; consecutive branches share
-    the extremum sample that separates them, so every non-extremal sample
-    belongs to exactly one branch.
-    """
-    return _monotone_runs(curve.noise)
+    return d_values, ratio
 
 
 def _monotone_runs(values: np.ndarray) -> list[tuple[int, int]]:
-    # Flat steps keep the current direction; a branch ends at the sample
-    # before the first step against it.
+    """Split the sample indices into maximal runs of monotone values.
+
+    Returns inclusive (start, end) index pairs; consecutive runs share the
+    extremum sample that separates them. Flat steps keep the current
+    direction; a run ends at the sample before the first step against it.
+    """
     diff = np.diff(values)
     steps = np.flatnonzero(diff)
     signs = np.sign(diff[steps])
@@ -170,67 +174,60 @@ def _monotone_runs(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _folds(noise: np.ndarray, branches) -> np.ndarray:
-    """(lo, hi) noise intervals covered by at least two monotone branches,
-    one row per pair of overlapping branches, sorted by lo."""
+def _folds(noise: np.ndarray, branches) -> tuple[np.ndarray, ...]:
+    """Pairs of monotone branches that cover a common noise interval.
+
+    Returns the arrays ``(first, second, lo, hi)``: the indices into
+    ``branches`` of each overlapping pair (first < second, in pair order)
+    and the noise interval (lo, hi) that both cover, with hi > lo.
+    """
     ends = np.sort(noise[np.array(branches)], axis=1)
     first, second = np.triu_indices(len(branches), 1)
     lo = np.maximum(ends[first, 0], ends[second, 0])
     hi = np.minimum(ends[first, 1], ends[second, 1])
-    folds = np.column_stack((lo, hi))[hi > lo]
-    return folds[np.argsort(folds[:, 0], kind="stable")]
+    overlap = hi > lo
+    return first[overlap], second[overlap], lo[overlap], hi[overlap]
 
 
-def _inside_folds(noise: np.ndarray, folds: np.ndarray) -> np.ndarray:
-    """Whether each noise value lies strictly inside some fold."""
-    # Folds [0, k) start below each value; it is inside one of them when
-    # the furthest of their upper ends lies above it. The -inf sentinel
-    # keeps the lookup valid when there are no folds.
-    k = np.searchsorted(folds[:, 0], noise, side="left")
-    reach = np.maximum.accumulate(np.append(folds[:, 1], -np.inf))
+def _inside_folds(noise: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each noise value lies strictly inside some fold (lo, hi)."""
+    # Folds [0, k) in order of lo start below each value; it is inside one
+    # of them when the furthest of their upper ends lies above it. The
+    # -inf sentinel keeps the lookup valid when there are no folds.
+    order = np.argsort(lo, kind="stable")
+    k = np.searchsorted(lo[order], noise, side="left")
+    reach = np.maximum.accumulate(np.append(hi[order], -np.inf))
     return (k > 0) & (reach[k - 1] > noise)
 
 
-def detect_multivalued(
-    curve: SweepCurve, tol: float = MULTIVALUED_TOL
-) -> list[tuple[float, float]]:
+def detect_multivalued(curve: SweepCurve) -> list[tuple[float, float]]:
     """Noise intervals where two monotone branches disagree on capacity.
 
-    Each branch is oriented by increasing noise and the capacities are
-    compared at matched noise values (every sampled noise value of either
-    branch inside the overlap, by linear interpolation within the other
-    branch). An interval is reported when the branches differ by more than
-    ``tol`` bits somewhere inside it. Strictly monotone curves, and pure
-    states whose capacity is identically zero, give an empty list.
+    Each pair of branches that covers a common noise interval (a fold) is
+    compared there: both are oriented by increasing noise and their
+    capacities are compared at matched noise values (every sampled noise
+    value of either branch inside the interval, by linear interpolation
+    within the other branch). The interval is reported when the branches
+    differ by more than MULTIVALUED_TOL bits somewhere inside it. Strictly
+    monotone curves, and pure states whose capacity is identically zero,
+    give an empty list.
     """
     noise = curve.noise
     capacity = curve.coherent_info
     branches = _monotone_runs(noise)
+    first, second, lows, highs = _folds(noise, branches)
     found = []
-    for i in range(len(branches)):
-        for j in range(i + 1, len(branches)):
-            interval = _compare_branches(noise, capacity, branches[i], branches[j], tol)
-            if interval is not None:
-                found.append(interval)
+    for i, j, lo, hi in zip(first.tolist(), second.tolist(), lows.tolist(), highs.tolist()):
+        n1, c1 = _oriented(noise, capacity, branches[i])
+        n2, c2 = _oriented(noise, capacity, branches[j])
+        # lo is where one of the two branches starts, so there is a probe.
+        probes = np.concatenate(
+            [n1[(n1 >= lo) & (n1 <= hi)], n2[(n2 >= lo) & (n2 <= hi)]]
+        )
+        gap = np.abs(np.interp(probes, n1, c1) - np.interp(probes, n2, c2))
+        if gap.max() > MULTIVALUED_TOL:
+            found.append((lo, hi))
     return sorted(found)
-
-
-def _compare_branches(noise, capacity, first, second, tol):
-    n1, c1 = _oriented(noise, capacity, first)
-    n2, c2 = _oriented(noise, capacity, second)
-    lo = max(n1[0], n2[0])
-    hi = min(n1[-1], n2[-1])
-    if hi <= lo:
-        return None
-    probes = np.concatenate(
-        [n1[(n1 >= lo) & (n1 <= hi)], n2[(n2 >= lo) & (n2 <= hi)]]
-    )
-    if probes.size == 0:
-        return None
-    gap = np.abs(np.interp(probes, n1, c1) - np.interp(probes, n2, c2))
-    if float(gap.max()) > tol:
-        return (float(lo), float(hi))
-    return None
 
 
 def _oriented(noise, capacity, branch):
@@ -242,49 +239,48 @@ def _oriented(noise, capacity, branch):
     return n, c
 
 
-def detect_enhancement(
-    curve: SweepCurve,
-    quantity: str,
-    slope_epsilon: float = SLOPE_EPSILON,
-    min_slope: float = MIN_POSITIVE_SLOPE,
-) -> EnhancementReport:
-    """Find stretches where the quantity genuinely rises with the noise.
+def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
+    """Find stretches where capacity or fidelity genuinely rises with the noise.
 
-    A sample qualifies when its parametric slope dQ/dN is defined, exceeds
-    ``min_slope``, and its noise value is not inside a fold (a noise
+    The noise gradient, the monotone branches and the folds are worked out
+    once for the curve and shared by both quantities. A sample qualifies
+    when its parametric slope dQ/dN is defined, exceeds
+    MIN_POSITIVE_SLOPE, and its noise value is not inside a fold (a noise
     interval covered by two monotone branches). Positive slopes confined
     to a fold are the curve doubling back around the noise extremum; they
     are reported by `detect_multivalued` instead of as enhancement. A
     segment needs at least two consecutive qualifying samples, which
     suppresses single-point finite-difference noise.
-
-    The report also carries the x of the noise maximum when it is an
-    interior grid point (the rate region where more flipping means less
-    noise lies beyond it).
     """
-    _, _, ratio = estimate_slopes(curve, quantity, slope_epsilon)
     noise = curve.noise
-    folds = _folds(noise, _monotone_runs(noise))
-    # An undefined (NaN) slope compares False, so it never qualifies.
-    qualifying = (ratio > min_slope) & ~_inside_folds(noise, folds)
-
-    edges = np.diff(qualifying.astype(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    segments = tuple(
-        (float(curve.x[i]), float(curve.x[j]), float(ratio[i : j + 1].max()))
-        for i, j in zip(starts.tolist(), ends.tolist())
-        if j > i
-    )
-
+    d_noise = np.gradient(noise, curve.step)
+    _, _, lo, hi = _folds(noise, _monotone_runs(noise))
+    outside = ~_inside_folds(noise, lo, hi)
     peak_index = int(np.argmax(noise))
     noise_peak_x = (
         float(curve.x[peak_index]) if 0 < peak_index < len(noise) - 1 else None
     )
     return EnhancementReport(
-        quantity=quantity,
-        segments=segments,
+        state=curve.state,
+        capacity=_segments(curve, curve.coherent_info, d_noise, outside),
+        fidelity=_segments(curve, curve.fidelity, d_noise, outside),
         noise_peak_x=noise_peak_x,
+    )
+
+
+def _segments(curve: SweepCurve, values, d_noise, outside) -> tuple:
+    """(x_start, x_end, max dQ/dN) of each run of two or more samples whose
+    dQ/dN exceeds MIN_POSITIVE_SLOPE outside every fold."""
+    _, ratio = _parametric_slope(curve, values, d_noise)
+    # An undefined (NaN) slope compares False, so it never qualifies.
+    qualifying = (ratio > MIN_POSITIVE_SLOPE) & outside
+    edges = np.diff(qualifying.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    return tuple(
+        (float(curve.x[i]), float(curve.x[j]), float(ratio[i : j + 1].max()))
+        for i, j in zip(starts.tolist(), ends.tolist())
+        if j > i
     )
 
 
@@ -308,26 +304,12 @@ def state_scan(
     x_min: float = 0.0,
     x_max: float = 0.7,
 ) -> ScanReport:
-    """Sweep every ball-grid state and count enhancement of each kind.
+    """Sweep every ball-grid state and report its enhancement.
 
     Evaluation order does not affect the result; entries are reported in
     grid order (a1 outermost, a3 innermost).
     """
-    entries = []
-    for state in bloch_ball_grid(grid_resolution):
-        curve = sweep(state, x_min, x_max, x_steps)
-        cap = detect_enhancement(curve, "capacity")
-        fid = detect_enhancement(curve, "fidelity")
-        entries.append(
-            ScanEntry(
-                state=state,
-                capacity_segments=len(cap.segments),
-                fidelity_segments=len(fid.segments),
-                noise_peak_x=cap.noise_peak_x,
-            )
-        )
-    return ScanReport(
-        entries=tuple(entries),
-        capacity_enhanced_states=sum(1 for e in entries if e.capacity_segments > 0),
-        fidelity_enhanced_states=sum(1 for e in entries if e.fidelity_segments > 0),
-    )
+    return ScanReport(entries=tuple(
+        detect_enhancement(sweep(state, x_min, x_max, x_steps))
+        for state in bloch_ball_grid(grid_resolution)
+    ))

@@ -80,9 +80,9 @@ def test_criterion_2_entrywise_exchange_match():
 def test_criterion_3_spot_values():
     m = two_pauli_metrics((0, 0, 0), 0.5)
     gaps = (
-        abs(m.noise - 1.5),
-        abs(m.coherent_info + 0.5),
-        abs(m.fidelity - 0.5),
+        abs(m.noise[0] - 1.5),
+        abs(m.coherent_info[0] + 0.5),
+        abs(m.fidelity[0] - 0.5),
     )
     report(3, f"N=1.5, C=-0.5, F=0.5 at the fully mixed state, x=0.5 "
               f"(max gap {max(gaps):.2e})", max(gaps) <= 1e-12)
@@ -95,7 +95,7 @@ def test_criterion_4_pure_state_collapse():
 
 def test_criterion_5_no_capacity_resonance(fig1_curves_701, ball_scan):
     per_state = {
-        state: len(detect_enhancement(curve, "capacity").segments)
+        state: len(detect_enhancement(curve).capacity)
         for state, curve in fig1_curves_701.items()
     }
     ok = all(n == 0 for n in per_state.values()) and (
@@ -109,7 +109,7 @@ def test_criterion_5_no_capacity_resonance(fig1_curves_701, ball_scan):
 
 def test_criterion_6_fidelity_resonance_present(fig1_curves_701):
     counts = {
-        state: len(detect_enhancement(fig1_curves_701[state], "fidelity").segments)
+        state: len(detect_enhancement(fig1_curves_701[state]).fidelity)
         for state in FIDELITY_ENHANCED_STATES
     }
     report(6, f"fidelity enhancement segments {list(counts.values())} >= 1 on the "
@@ -145,9 +145,11 @@ def test_criterion_10_grid_convergence(fig1_curves_701, fig1_curves_1401):
     worst = 0.0
     ok = True
     for state in FIG1_STATES:
+        coarse_report = detect_enhancement(fig1_curves_701[state])
+        fine_report = detect_enhancement(fig1_curves_1401[state])
         for quantity in ("capacity", "fidelity"):
-            coarse = detect_enhancement(fig1_curves_701[state], quantity).segments
-            fine = detect_enhancement(fig1_curves_1401[state], quantity).segments
+            coarse = getattr(coarse_report, quantity)
+            fine = getattr(fine_report, quantity)
             if len(coarse) != len(fine):
                 ok = False
                 continue

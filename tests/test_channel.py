@@ -19,7 +19,6 @@ from qsr.channel import (
     entropy_exchange,
     environment_output,
     exchange_matrix,
-    quantum_mutual_information,
     spectrum_entropy,
     von_neumann_entropy,
 )
@@ -66,6 +65,28 @@ class TestKrausChannel:
     def test_broken_channel_is_constructible(self):
         broken = KrausChannel((math.sqrt(0.5) * IDENTITY,), label="broken")
         assert completeness_residual(broken) == pytest.approx(0.5, abs=1e-15)
+
+    def test_operators_stacked_once_at_construction(self):
+        channel = make_two_pauli(0.3)
+        assert channel.stack.shape == (3, 2, 2)
+        assert all(np.array_equal(s, op) for s, op in zip(channel.stack, channel.operators))
+
+    def test_completeness_computed_on_first_use_only(self, monkeypatch):
+        import qsr.channel
+
+        calls = []
+
+        def counted(channel):
+            calls.append(channel)
+            return completeness_residual(channel)
+
+        monkeypatch.setattr(qsr.channel, "completeness_residual", counted)
+        channel = make_two_pauli(0.3)
+        assert calls == []
+        rho = bloch_to_density((0.1, 0.2, 0.3))
+        for _ in range(3):
+            coherent_information(channel, rho)
+        assert calls == [channel]
 
 
 class TestBlochDensityConversions:
@@ -161,8 +182,10 @@ class TestApplyChannel:
 
     def test_rejects_incomplete_channel(self):
         broken = KrausChannel((math.sqrt(0.5) * IDENTITY,), label="broken")
-        with pytest.raises(ValueError, match="completeness"):
-            apply_channel(broken, IDENTITY / 2)
+        # The residual is computed once; the second use must still fail.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="completeness"):
+                apply_channel(broken, IDENTITY / 2)
 
     def test_trace_preserved_on_random_inputs(self):
         rng = np.random.default_rng(23)
@@ -261,23 +284,6 @@ class TestCoherentInformation:
             assert abs(coherent_information(make_two_pauli(x), rho)) < 1e-9
 
 
-class TestQuantumMutualInformation:
-    def test_identity_on_maximally_mixed(self):
-        assert quantum_mutual_information(IDENTITY_CHANNEL, IDENTITY / 2) == (
-            pytest.approx(2.0, abs=1e-12)
-        )
-
-    def test_identity_on_pure_state(self):
-        rho = bloch_to_density((0, 0, 1))
-        assert quantum_mutual_information(IDENTITY_CHANNEL, rho) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_half_rate_mixed_input(self):
-        got = quantum_mutual_information(make_two_pauli(0.5), IDENTITY / 2)
-        assert got == pytest.approx(0.5, abs=1e-12)
-
-
 class TestEntangledFidelity:
     def test_identity_channel(self):
         rng = np.random.default_rng(27)
@@ -361,7 +367,6 @@ CHANNEL_FUNCTIONS = (
     exchange_matrix,
     entropy_exchange,
     coherent_information,
-    quantum_mutual_information,
     entangled_fidelity,
     environment_output,
 )
@@ -415,13 +420,12 @@ class TestStackedRoute:
         assert bloch.shape == (9, 3)
         singles = [density_to_bloch(r) for r in rho]
         assert all(isinstance(b, BlochVector) for b in singles)
-        assert np.abs(bloch - [b.as_array() for b in singles]).max() <= STACK_TOL
+        assert np.abs(bloch - [b.as_tuple() for b in singles]).max() <= STACK_TOL
 
     def test_one_matrix_keeps_its_types(self):
         channel = make_two_pauli(0.3)
         rho = bloch_to_density((0.1, 0.2, 0.3))
-        for func in (entropy_exchange, coherent_information, quantum_mutual_information,
-                     entangled_fidelity):
+        for func in (entropy_exchange, coherent_information, entangled_fidelity):
             assert type(func(channel, rho)) is float
         assert type(von_neumann_entropy(rho)) is float
         assert apply_channel(channel, rho).shape == (2, 2)
@@ -439,7 +443,7 @@ class TestStackedRoute:
 
     @pytest.mark.parametrize(
         "func",
-        (entropy_exchange, coherent_information, quantum_mutual_information),
+        (entropy_exchange, coherent_information),
         ids=lambda f: f.__name__,
     )
     def test_rejects_non_hermitian_matrix_by_index(self, func):

@@ -145,17 +145,21 @@ class TestScanCommand:
         assert "states with capacity enhancement: 0" in stdout
 
     def test_rejects_small_resolution(self, tmp_path, capsys):
-        code, _, stderr = run(
-            capsys, "scan", "--grid-resolution", "1", "--out", str(tmp_path / "s.csv")
-        )
-        assert code == 1
-        assert "resolution" in stderr
+        # At resolution 2 every grid point is a corner outside the ball.
+        for resolution in ("1", "2"):
+            out = tmp_path / "s.csv"
+            code, _, stderr = run(
+                capsys, "scan", "--grid-resolution", resolution, "--out", str(out)
+            )
+            assert code == 1
+            assert "resolution" in stderr
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
     ("sweep", "--state", "0,0,0", "--steps", "11"),
     ("figure1", "--steps", "11"),
-    ("scan", "--grid-resolution", "2", "--steps", "11"),
+    ("scan", "--grid-resolution", "3", "--steps", "11"),
 ])
 def test_rejects_negative_precision(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -63,12 +63,14 @@ def test_coherent_info_is_output_entropy_minus_noise(state, n, window):
 def test_swept_samples_equal_scalar_evaluation(state, n, window):
     curve = sweep(state, *window, n)
     for i, x in enumerate(curve.x.tolist()):
+        # One rate gives columns of length 1.
         m = two_pauli_metrics(state, x)
-        assert curve.noise[i] == m.noise
-        assert curve.coherent_info[i] == m.coherent_info
-        assert curve.fidelity[i] == m.fidelity
-        assert curve.output_entropy[i] == m.output_entropy
-        assert curve.output_bloch[i].tolist() == list(m.output_bloch.as_tuple())
+        assert m.noise.shape == (1,) and m.output_bloch.shape == (1, 3)
+        assert curve.noise[i] == m.noise[0]
+        assert curve.coherent_info[i] == m.coherent_info[0]
+        assert curve.fidelity[i] == m.fidelity[0]
+        assert curve.output_entropy[i] == m.output_entropy[0]
+        assert curve.output_bloch[i].tolist() == m.output_bloch[0].tolist()
 
 
 @PROPERTY_SETTINGS

@@ -4,13 +4,14 @@ import pytest
 from qsr.channel import BlochVector
 from qsr.resonance import (
     MIN_POSITIVE_SLOPE,
+    MULTIVALUED_TOL,
     SLOPE_EPSILON,
     SweepCurve,
+    _monotone_runs,
     bloch_ball_grid,
     detect_enhancement,
     detect_multivalued,
     estimate_slopes,
-    monotone_branches,
     state_scan,
     sweep,
 )
@@ -101,7 +102,7 @@ class TestEstimateSlopes:
 class TestMonotoneBranches:
     def test_partition_covers_interior_samples_once(self, fig1_curves):
         for curve in fig1_curves.values():
-            branches = monotone_branches(curve)
+            branches = _monotone_runs(curve.noise)
             boundaries = {b[0] for b in branches} | {b[1] for b in branches}
             count = [0] * len(curve.x)
             for lo, hi in branches:
@@ -112,12 +113,12 @@ class TestMonotoneBranches:
 
     def test_monotone_curve_is_single_branch(self):
         curve = sweep((0, 0, 0), 0.5, 0.7, 51)
-        assert monotone_branches(curve) == [(0, 50)]
+        assert _monotone_runs(curve.noise) == [(0, 50)]
 
     def test_branches_are_noise_monotone(self, fig1_curves):
         for curve in fig1_curves.values():
             noise = curve.noise
-            for lo, hi in monotone_branches(curve):
+            for lo, hi in _monotone_runs(curve.noise):
                 diffs = np.diff(noise[lo : hi + 1])
                 assert (diffs >= 0).all() or (diffs <= 0).all()
 
@@ -125,53 +126,53 @@ class TestMonotoneBranches:
 class TestDetectEnhancement:
     def test_no_capacity_enhancement_on_reference_states(self, fig1_curves):
         for state, curve in fig1_curves.items():
-            report = detect_enhancement(curve, "capacity")
-            assert report.segments == (), f"unexpected capacity segments for {state}"
+            report = detect_enhancement(curve)
+            assert report.capacity == (), f"unexpected capacity segments for {state}"
 
     def test_fidelity_enhancement_present(self, fig1_curves):
-        report = detect_enhancement(fig1_curves[BlochVector(0.3, 0.4, 0.2)], "fidelity")
-        assert len(report.segments) >= 1
-        lo, hi, top = report.segments[0]
+        report = detect_enhancement(fig1_curves[BlochVector(0.3, 0.4, 0.2)])
+        assert len(report.fidelity) >= 1
+        lo, hi, top = report.fidelity[0]
         assert lo < hi and top > MIN_POSITIVE_SLOPE
 
     def test_fidelity_segment_tracks_noise_direction(self):
         # dF/dx > 0 everywhere, so segments exist exactly where the noise
         # rises with x; on [0.9, 1] the noise only falls
         falling = sweep((0, 0, 0), 0.9, 1.0, 101)
-        assert detect_enhancement(falling, "fidelity").segments == ()
+        assert detect_enhancement(falling).fidelity == ()
         rising = sweep((0, 0, 0), 0.05, 0.3, 101)
-        report = detect_enhancement(rising, "fidelity")
-        assert len(report.segments) == 1
-        lo, hi, _ = report.segments[0]
+        report = detect_enhancement(rising)
+        assert len(report.fidelity) == 1
+        lo, hi, _ = report.fidelity[0]
         assert lo == 0.05 and hi == 0.3
 
     def test_noise_peak_reported_when_interior(self, fig1_curves):
         for curve in fig1_curves.values():
-            report = detect_enhancement(curve, "capacity")
+            report = detect_enhancement(curve)
             assert report.noise_peak_x is not None
             assert 0.0 < report.noise_peak_x < 0.7
 
     def test_noise_peak_absent_on_monotone_curve(self):
         curve = sweep((0, 0, 0), 0.5, 0.7, 51)
-        assert detect_enhancement(curve, "capacity").noise_peak_x is None
+        assert detect_enhancement(curve).noise_peak_x is None
 
     def test_segments_have_positive_slope_throughout(self, fig1_curves):
         curve = fig1_curves[BlochVector(0.6, 0.3, 0.5)]
-        report = detect_enhancement(curve, "fidelity")
+        report = detect_enhancement(curve)
         _, _, dQ_dN = estimate_slopes(curve, "fidelity")
-        for lo, hi, _ in report.segments:
+        for lo, hi, _ in report.fidelity:
             inside = dQ_dN[(lo <= curve.x) & (curve.x <= hi)]
             assert len(inside) >= 2
             assert (~np.isnan(inside) & (inside > 0)).all()
 
     def test_grid_refinement_moves_endpoints_at_most_one_cell(self):
         for state in FIG1_STATES:
-            coarse = detect_enhancement(sweep(state, 0.0, 0.7, 701), "fidelity")
-            fine = detect_enhancement(sweep(state, 0.0, 0.7, 1401), "fidelity")
-            assert len(coarse.segments) == len(fine.segments)
+            coarse = detect_enhancement(sweep(state, 0.0, 0.7, 701))
+            fine = detect_enhancement(sweep(state, 0.0, 0.7, 1401))
+            assert len(coarse.fidelity) == len(fine.fidelity)
             cell = 0.7 / 700
             for (lo_c, hi_c, _), (lo_f, hi_f, _) in zip(
-                coarse.segments, fine.segments
+                coarse.fidelity, fine.fidelity
             ):
                 assert abs(lo_c - lo_f) <= cell + 1e-12
                 assert abs(hi_c - hi_f) <= cell + 1e-12
@@ -220,13 +221,29 @@ class TestStateScan:
         with pytest.raises(ValueError, match="resolution"):
             state_scan(1, 101)
 
+    def test_detection_runs_once_per_curve(self, monkeypatch):
+        import qsr.resonance as resonance
+
+        counts = {"_folds": 0, "_monotone_runs": 0}
+        for name in counts:
+            original = getattr(resonance, name)
+
+            def counted(*args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(resonance, name, counted)
+        report = state_scan(3, 51)
+        assert report.total_states == 7
+        assert counts == {"_folds": 7, "_monotone_runs": 7}
+
 
 def test_pure_states_never_register_capacity_enhancement():
     rng = np.random.default_rng(51)
     for _ in range(10):
         v = random_bloch_vector(rng, pure=True)
         curve = sweep(v, 0.0, 0.7, 351)
-        assert detect_enhancement(curve, "capacity").segments == ()
+        assert detect_enhancement(curve).capacity == ()
         assert detect_multivalued(curve) == []
 
 
@@ -274,6 +291,34 @@ def _loop_segments(curve, quantity):
     return tuple(segments)
 
 
+def _loop_multivalued(curve):
+    """Multivalued intervals by the all-pairs branch comparison that the
+    shared fold computation replaced."""
+    noise, capacity = curve.noise, curve.coherent_info
+
+    def oriented(branch):
+        lo, hi = branch
+        n, c = noise[lo : hi + 1], capacity[lo : hi + 1]
+        return (n[::-1], c[::-1]) if n[0] > n[-1] else (n, c)
+
+    branches = _loop_runs(noise.tolist())
+    found = []
+    for i in range(len(branches)):
+        for j in range(i + 1, len(branches)):
+            n1, c1 = oriented(branches[i])
+            n2, c2 = oriented(branches[j])
+            lo, hi = max(n1[0], n2[0]), min(n1[-1], n2[-1])
+            if hi <= lo:
+                continue
+            probes = np.concatenate([n1[(n1 >= lo) & (n1 <= hi)], n2[(n2 >= lo) & (n2 <= hi)]])
+            if probes.size == 0:
+                continue
+            gap = np.abs(np.interp(probes, n1, c1) - np.interp(probes, n2, c2))
+            if float(gap.max()) > MULTIVALUED_TOL:
+                found.append((float(lo), float(hi)))
+    return sorted(found)
+
+
 def test_array_detection_matches_loop_reference(fig1_curves):
     # Random walks with flat steps exercise ties, turns and many folds.
     rng = np.random.default_rng(52)
@@ -285,15 +330,26 @@ def test_array_detection_matches_loop_reference(fig1_curves):
         values = np.cumsum(rng.normal(size=n))
         curves.append(SweepCurve(BlochVector(0, 0, 0), x, noise, values, values[::-1],
                                  np.zeros(n), np.zeros((n, 3)), float(x[1] - x[0])))
+    # The first and last branches meet only at N = 1, which is no fold.
+    touching = np.array([0.0, 1.0, 0.5, 2.0, 1.0])
+    values = np.arange(5.0) ** 2
+    curves.append(SweepCurve(BlochVector(0, 0, 0), np.linspace(0.0, 1.0, 5), touching, values,
+                             values, np.zeros(5), np.zeros((5, 3)), 0.25))
+    multivalued = 0
     for curve in curves:
-        assert monotone_branches(curve) == _loop_runs(curve.noise.tolist())
-        for quantity in ("capacity", "fidelity"):
-            report = detect_enhancement(curve, quantity)
-            assert report.segments == _loop_segments(curve, quantity)
+        assert _monotone_runs(curve.noise) == _loop_runs(curve.noise.tolist())
+        report = detect_enhancement(curve)
+        assert report.capacity == _loop_segments(curve, "capacity")
+        assert report.fidelity == _loop_segments(curve, "fidelity")
+        intervals = detect_multivalued(curve)
+        assert intervals == _loop_multivalued(curve)
+        multivalued += bool(intervals)
+    # The comparison covers curves that do have multivalued intervals.
+    assert multivalued >= 10
 
 
 def test_reports_are_deterministic():
     state = BlochVector(0.6, 0.3, 0.5)
-    a = detect_enhancement(sweep(state, 0.0, 0.7, 701), "fidelity")
-    b = detect_enhancement(sweep(state, 0.0, 0.7, 701), "fidelity")
+    a = detect_enhancement(sweep(state, 0.0, 0.7, 701))
+    b = detect_enhancement(sweep(state, 0.0, 0.7, 701))
     assert a == b

@@ -67,14 +67,15 @@ class TestFactory:
 class TestOutputBloch:
     def test_identity_rate(self):
         got = analytic_output_bloch((0.1, 0.2, 0.9), 1.0)
-        assert got.as_tuple() == (0.1, 0.2, 0.9)
+        assert got.shape == (1, 3)
+        assert tuple(got[0].tolist()) == (0.1, 0.2, 0.9)
 
     def test_half_rate(self):
-        got = analytic_output_bloch((0.1, 0.2, 0.9), 0.5)
-        assert got.as_tuple() == pytest.approx((0.05, 0.1, 0.0), abs=1e-16)
+        got = analytic_output_bloch((0.1, 0.2, 0.9), 0.5)[0]
+        assert tuple(got.tolist()) == pytest.approx((0.05, 0.1, 0.0), abs=1e-16)
 
     def test_zero_rate_flips_z(self):
-        assert analytic_output_bloch((0, 0, 1), 0.0).as_tuple() == (0.0, 0.0, -1.0)
+        assert analytic_output_bloch((0, 0, 1), 0.0)[0].tolist() == [0.0, 0.0, -1.0]
 
     def test_matches_generic_route(self):
         rng = np.random.default_rng(41)
@@ -82,10 +83,10 @@ class TestOutputBloch:
             v = random_bloch_vector(rng)
             x = float(rng.uniform())
             out = apply_channel(make_two_pauli(x), bloch_to_density(v))
-            got = analytic_output_bloch(v, x)
+            got = analytic_output_bloch(v, x)[0]
             want = density_to_bloch(out)
             assert max(
-                abs(a - b) for a, b in zip(got.as_tuple(), want.as_tuple())
+                abs(a - b) for a, b in zip(got.tolist(), want.as_tuple())
             ) < 1e-14
 
 
@@ -107,7 +108,7 @@ class TestExchangeMatrixClosedForm:
     def test_z_pole_spectrum(self):
         # lower 2x2 block has eigenvalues (1 - x) and 0
         for x in (0.1, 0.4, 0.8):
-            vals = hermitian_eigenvalues(analytic_exchange_matrix((0, 0, 1), x))
+            vals = hermitian_eigenvalues(analytic_exchange_matrix((0, 0, 1), x)[0])
             want = sorted([x, 1 - x, 0.0])
             assert vals == pytest.approx(want, abs=1e-14)
 
@@ -158,34 +159,33 @@ class TestFidelityClosedForm:
 class TestMetrics:
     def test_mixed_input_half_rate_spot_values(self):
         m = two_pauli_metrics((0, 0, 0), 0.5)
-        assert m.noise == pytest.approx(1.5, abs=1e-12)
-        assert m.output_entropy == pytest.approx(1.0, abs=1e-12)
-        assert m.coherent_info == pytest.approx(-0.5, abs=1e-12)
-        assert m.mutual_info == pytest.approx(0.5, abs=1e-12)
-        assert m.fidelity == pytest.approx(0.5, abs=1e-12)
+        assert m.noise[0] == pytest.approx(1.5, abs=1e-12)
+        assert m.output_entropy[0] == pytest.approx(1.0, abs=1e-12)
+        assert m.coherent_info[0] == pytest.approx(-0.5, abs=1e-12)
+        assert m.fidelity[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_z_pole_spot_values(self):
         m = two_pauli_metrics((0, 0, 1), 0.3)
-        assert m.noise == pytest.approx(H_03, abs=1e-12)
-        assert m.output_entropy == pytest.approx(H_03, abs=1e-12)
-        assert m.coherent_info == pytest.approx(0.0, abs=1e-12)
-        assert m.fidelity == pytest.approx(0.3, abs=1e-15)
+        assert m.noise[0] == pytest.approx(H_03, abs=1e-12)
+        assert m.output_entropy[0] == pytest.approx(H_03, abs=1e-12)
+        assert m.coherent_info[0] == pytest.approx(0.0, abs=1e-12)
+        assert m.fidelity[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_identity_rate_is_exact(self):
         v = (0.1, 0.2, 0.3)
         m = two_pauli_metrics(v, 1.0)
-        assert m.noise == 0.0
-        assert m.fidelity == 1.0
-        assert m.output_bloch.as_tuple() == pytest.approx(v, abs=1e-14)
+        assert m.noise[0] == 0.0
+        assert m.fidelity[0] == 1.0
+        assert tuple(m.output_bloch[0].tolist()) == pytest.approx(v, abs=1e-14)
         # with no noise, coherent information is the input entropy
         want = von_neumann_entropy(bloch_to_density(v))
-        assert m.coherent_info == pytest.approx(want, abs=1e-12)
+        assert m.coherent_info[0] == pytest.approx(want, abs=1e-12)
 
     def test_coherent_info_stored_as_difference(self):
         rng = np.random.default_rng(46)
         for _ in range(20):
             m = two_pauli_metrics(random_bloch_vector(rng), float(rng.uniform()))
-            assert m.coherent_info == m.output_entropy - m.noise
+            assert m.coherent_info[0] == m.output_entropy[0] - m.noise[0]
 
     def test_pure_states_have_matching_entropies(self):
         rng = np.random.default_rng(47)
@@ -193,7 +193,7 @@ class TestMetrics:
             v = random_bloch_vector(rng, pure=True)
             for x in np.linspace(0.0, 1.0, 21):
                 m = two_pauli_metrics(v, float(x))
-                assert abs(m.noise - m.output_entropy) < 1e-10
+                assert abs(m.noise[0] - m.output_entropy[0]) < 1e-10
 
 
 def test_analytic_generic_agreement_full_grid():
