@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
+from .linalg import _as_complex_matrices, _where, hermitian_eigenvalues
 
 IDENTITY = np.array([[1, 0], [0, 1]], dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -105,18 +105,15 @@ class KrausChannel:
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(np.array(op, dtype=complex) for op in self.operators)
-        if not 1 <= len(ops) <= MAX_OPERATORS:
+        if not 1 <= len(self.operators) <= MAX_OPERATORS:
             raise ValueError(
-                f"channel needs 1..{MAX_OPERATORS} Kraus operators, got {len(ops)}"
+                f"channel needs 1..{MAX_OPERATORS} Kraus operators, got {len(self.operators)}"
             )
-        for op in ops:
-            if op.shape != (2, 2):
-                raise ValueError(f"Kraus operators must be 2x2, got {op.shape}")
-            if not np.isfinite(op).all():
-                raise ValueError("Kraus operator entries must be finite")
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "stack", np.stack(ops))
+        stack = _as_complex_matrices(self.operators)
+        if stack.shape[1:] != (2, 2):
+            raise ValueError(f"Kraus operators must be 2x2, got {stack.shape[1:]}")
+        object.__setattr__(self, "operators", tuple(stack))
+        object.__setattr__(self, "stack", stack)
 
     @cached_property
     def _residual(self) -> float:
@@ -143,10 +140,9 @@ class ChannelMetrics:
 
 def completeness_residual(channel: KrausChannel) -> float:
     """Max-norm of sum_i A_i^dag A_i - I; zero for a trace-preserving set."""
-    acc = np.zeros((2, 2), dtype=complex)
-    for op in channel.operators:
-        acc += op.conj().T @ op
-    return float(np.abs(acc - IDENTITY).max())
+    # Summed in operator order: an einsum contraction would round differently.
+    gram = (channel.stack.conj().swapaxes(-1, -2) @ channel.stack).sum(axis=0)
+    return float(np.abs(gram - IDENTITY).max())
 
 
 def _require_complete(channel: KrausChannel) -> None:
@@ -166,24 +162,14 @@ def bloch_to_density(state) -> np.ndarray:
     )
 
 
-def _where(mat: np.ndarray, flagged) -> str:
-    """Where a check failed: the first flagged matrix of a stack, or ''."""
-    if mat.ndim == 2:
-        return ""
-    return f" in matrix {int(np.argmax(flagged))} of the stack"
-
-
 def _density_matrices(rho) -> np.ndarray:
     """rho as a complex 2x2 matrix or (m, 2, 2) stack with finite entries."""
-    mat = np.asarray(rho, dtype=complex)
-    if mat.ndim not in (2, 3) or mat.shape[-2:] != (2, 2):
+    shape = np.shape(rho)
+    if len(shape) not in (2, 3) or shape[-2:] != (2, 2):
         raise ValueError(
-            f"expected a 2x2 density matrix or an (m, 2, 2) stack, got shape {mat.shape}"
+            f"expected a 2x2 density matrix or an (m, 2, 2) stack, got shape {shape}"
         )
-    finite = np.isfinite(mat).all(axis=(-2, -1))
-    if not finite.all():
-        raise ValueError("density matrix entries must be finite" + _where(mat, ~finite))
-    return mat
+    return _as_complex_matrices(rho)
 
 
 def density_to_bloch(rho):
@@ -201,7 +187,7 @@ def density_to_bloch(rho):
     if unphysical.any():
         worst = norm_squared[int(np.argmax(unphysical))]
         raise ValueError(
-            f"unphysical Bloch vector: |a|^2 = {worst:.12g} > 1" + _where(rho, unphysical)
+            f"unphysical Bloch vector: |a|^2 = {worst:.12g} > 1" + _where(unphysical)
         )
     return bloch
 
@@ -216,11 +202,11 @@ def spectrum_entropy(values):
     array with one entropy per row.
     """
     p = np.asarray(values, dtype=float)
-    if not np.isfinite(p).all():
-        where = ""
-        if p.ndim > 1:
-            where = f" in row {int(np.argmax(~np.isfinite(p).all(axis=-1)))} of the stack"
-        raise ValueError(f"spectrum values must be finite{where}")
+    finite = np.isfinite(p)
+    if not finite.all():
+        raise ValueError(
+            "spectrum values must be finite" + _where(~finite.all(axis=-1), "row")
+        )
     lowest = p.min(initial=0.0)
     if lowest < _EIG_FLOOR:
         raise ValueError(f"not positive semidefinite: eigenvalue {lowest:.3e}")
@@ -263,8 +249,7 @@ def exchange_matrix(channel: KrausChannel, rho) -> np.ndarray:
 def entropy_exchange(channel: KrausChannel, rho):
     """Entropy in bits of the exchange matrix: the channel's noise measure."""
     _require_complete(channel)
-    w = exchange_matrix(channel, rho)
-    return spectrum_entropy(hermitian_eigenvalues(w))
+    return von_neumann_entropy(exchange_matrix(channel, rho))
 
 
 def _normalized_output(channel: KrausChannel, rho) -> np.ndarray:
@@ -299,7 +284,7 @@ def entangled_fidelity(channel: KrausChannel, rho):
         imag = total.imag.flat[int(np.argmax(non_real))]
         raise ValueError(
             f"entangled fidelity came out non-real: imaginary part {imag:.3e}"
-            + _where(rho, non_real)
+            + _where(non_real)
         )
     return float(total.real) if rho.ndim == 2 else total.real
 

@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from .channel import BlochVector
-from .resonance import detect_enhancement, detect_multivalued, state_scan, sweep
+from .resonance import DEFAULT_X_MAX, DEFAULT_X_MIN, detect_enhancement, detect_multivalued
+from .resonance import state_scan, sweep
 from .validation import run_all
 
 #: The four reference input states swept in the figure1 command.
@@ -140,37 +141,39 @@ def _curve_summary(curve) -> list[str]:
     return lines
 
 
-def _write_sweep(state, x_min: float, x_max: float, args, path: str) -> list[str]:
-    """Sweep one state, write its CSV to ``path``; return the summary lines."""
+def _sweep(state, x_min: float, x_max: float, steps: int):
+    """Sweep one state; a window or step count the library rejects is bad input."""
     try:
-        curve = sweep(state, x_min, x_max, args.steps)
+        return sweep(state, x_min, x_max, steps)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
-    _write_text(path, _sweep_csv(curve, args.precision))
-    return _curve_summary(curve)
 
 
 def cmd_sweep(args) -> int:
     state = _parse_state(args.state)
     x_min, x_max = _parse_range(args.x_range)
-    summary = _write_sweep(state, x_min, x_max, args, args.out)
+    curve = _sweep(state, x_min, x_max, args.steps)
+    _write_text(args.out, _sweep_csv(curve, args.precision))
     print(f"sweep: state {args.state}, x in [{x_min:g}, {x_max:g}], {args.steps} steps")
     print(f"wrote {args.out} ({args.steps} rows)")
-    for line in summary:
+    for line in _curve_summary(curve):
         print(line)
     return 0
 
 
 def cmd_figure1(args) -> int:
     x_min, x_max = _parse_range(args.x_range)
-    os.makedirs(args.out, exist_ok=True)
     for name, state in FIGURE1_STATES:
+        curve = _sweep(state, x_min, x_max, args.steps)
+        # Made after a sweep has accepted the window, so bad input leaves none.
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{name}.csv")
-        summary = _write_sweep(state, x_min, x_max, args, path)
+        _write_text(path, _sweep_csv(curve, args.precision))
         state_text = ",".join(_format(v, 6) for v in state.as_tuple())
         print(f"{name}: state {state_text} -> {path}")
-        for line in summary:
+        for line in _curve_summary(curve):
             print(f"  {line}")
+        del curve  # else the next sweep's peak memory holds this curve too
     return 0
 
 
@@ -215,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The sweep options shared by sweep, figure1 and scan.
     swept = argparse.ArgumentParser(add_help=False)
-    swept.add_argument("--x-range", default="0,0.7", help="rate range 'min,max' (default 0,0.7)")
+    window = f"{DEFAULT_X_MIN:g},{DEFAULT_X_MAX:g}"
+    swept.add_argument("--x-range", default=window, help=f"rate range 'min,max' (default {window})")
     swept.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=701,
                        help="grid points per sweep (default 701)")
     swept.add_argument("--precision", type=_bounded(0, MAX_PRECISION), default=DEFAULT_PRECISION,

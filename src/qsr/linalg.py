@@ -12,6 +12,17 @@ import numpy as np
 
 MAX_DIM = 6
 
+#: Largest Hermitian residual `hermitian_eigenvalues` accepts in a matrix.
+HERMITIAN_TOL = 1e-10
+
+
+def _where(flagged, item: str = "matrix") -> str:
+    """' in matrix i of the stack' at the first flagged (or largest) entry
+    of a per-matrix array; '' for one matrix, whose ``flagged`` is 0-d."""
+    if np.ndim(flagged) == 0:
+        return ""
+    return f" in {item} {int(np.argmax(flagged))} of the stack"
+
 
 def _as_complex_matrices(entries) -> np.ndarray:
     """Coerce to one square complex matrix, or a stack of them, of
@@ -27,10 +38,7 @@ def _as_complex_matrices(entries) -> np.ndarray:
         )
     finite = np.isfinite(mat).all(axis=(-2, -1))
     if not finite.all():
-        where = ""
-        if mat.ndim == 3:
-            where = f" in matrix {int(np.argmax(~finite))} of the stack"
-        raise ValueError(f"matrix entries must be finite{where}")
+        raise ValueError("matrix entries must be finite" + _where(~finite))
     return mat
 
 
@@ -41,38 +49,31 @@ def hermitian_residual(a) -> float:
     return float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
-def hermitian_eigenvalues(mat, tol: float = 1e-10):
-    """All eigenvalues of a Hermitian matrix, or of each matrix in a stack,
-    sorted ascending.
+def hermitian_eigenvalues(mat):
+    """All eigenvalues of a Hermitian matrix, sorted ascending, as a list;
+    for an ``(m, n, n)`` stack, an ``(m, n)`` array with one row per matrix.
 
     Solved by LAPACK (``numpy.linalg.eigvalsh``) on the exactly Hermitian
-    part ``(a + a^dag) / 2`` of the input, whose residual is within ``tol``.
-    A stack is solved in one call, and every matrix in it passes the same
-    checks as a single one.
-
-    Args:
-        mat: square complex matrix of dimension 1..6 with finite entries,
-            Hermitian up to ``tol``; or an ``(m, n, n)`` stack of them.
-        tol: largest acceptable Hermitian residual of each input matrix.
-
-    Returns:
-        A list of the n eigenvalues for one matrix; an ``(m, n)`` array,
-        one ascending row per matrix, for a stack.
-
-    Raises:
-        ValueError: input not square, outside 1..6, not finite, or some
-            matrix not Hermitian within ``tol``.
+    part ``(a + a^dag) / 2`` of the input; a stack is solved in one call.
+    Raises ValueError unless every matrix is square of dimension 1..6,
+    finite, and Hermitian within HERMITIAN_TOL.
     """
     a = _as_complex_matrices(mat)
-    adj = a.conj().swapaxes(-1, -2)
-    gap = np.abs(a - adj)
+    re_t, im_t = a.real.swapaxes(-1, -2), a.imag.swapaxes(-1, -2)
+    # a - a^dag, then the Hermitian part, in one buffer: a scan solves a
+    # stack per curve, and a.conj() would add a second stack-sized copy.
+    part = np.empty_like(a)
+    np.subtract(a.real, re_t, out=part.real)
+    np.add(a.imag, im_t, out=part.imag)
+    gap = np.abs(part).max(axis=(-2, -1))
     residual = float(gap.max(initial=0.0))
-    if residual > tol:
-        where = ""
-        if a.ndim == 3:
-            where = f" in matrix {int(gap.max(axis=(1, 2)).argmax())} of the stack"
+    if residual > HERMITIAN_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: residual {residual:.3e} exceeds {tol:.3e}{where}"
+            f"matrix is not Hermitian: residual {residual:.3e} exceeds {HERMITIAN_TOL:.3e}"
+            + _where(gap)
         )
-    values = np.linalg.eigvalsh(0.5 * (a + adj))
+    np.add(a.real, re_t, out=part.real)
+    np.subtract(a.imag, im_t, out=part.imag)
+    part *= 0.5
+    values = np.linalg.eigvalsh(part)
     return values.tolist() if a.ndim == 2 else values

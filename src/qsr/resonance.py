@@ -17,7 +17,9 @@ import numpy as np
 from .channel import BlochVector, as_bloch
 from .two_pauli import two_pauli_metrics
 
-QUANTITIES = ("capacity", "fidelity")
+#: The default window of flipping rates swept, [DEFAULT_X_MIN, DEFAULT_X_MAX].
+DEFAULT_X_MIN = 0.0
+DEFAULT_X_MAX = 0.7
 
 #: |dN/dx| at or below this leaves the parametric slope dQ/dN undefined.
 SLOPE_EPSILON = 1e-6
@@ -64,14 +66,6 @@ class SweepCurve:
         if np.abs(dx - self.step).max() > _GRID_TOL:
             raise ValueError("sweep samples must be uniformly spaced")
 
-    def values(self, quantity: str) -> np.ndarray:
-        """The column of the named quantity (capacity or fidelity)."""
-        if quantity == "capacity":
-            return self.coherent_info
-        if quantity == "fidelity":
-            return self.fidelity
-        raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
-
 
 @dataclass(frozen=True)
 class EnhancementReport:
@@ -107,7 +101,8 @@ class ScanReport:
         return sum(1 for entry in self.entries if entry.fidelity)
 
 
-def sweep(state, x_min: float = 0.0, x_max: float = 0.7, steps: int = 701) -> SweepCurve:
+def sweep(state, x_min: float = DEFAULT_X_MIN, x_max: float = DEFAULT_X_MAX,
+          steps: int = 701) -> SweepCurve:
     """Evaluate the two-Pauli metrics at evenly spaced x values.
 
     Endpoints are included. Requires 0 <= x_min < x_max <= 1 and at least
@@ -132,31 +127,24 @@ def sweep(state, x_min: float = 0.0, x_max: float = 0.7, steps: int = 701) -> Sw
     )
 
 
-def estimate_slopes(
-    curve: SweepCurve, quantity: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slopes of noise and of the chosen quantity along the sweep.
+def estimate_slopes(curve: SweepCurve) -> tuple[np.ndarray, tuple, tuple]:
+    """Slopes of the noise and of both quantities along the sweep.
 
-    Returns the columns ``(dN_dx, dQ_dx, dQ_dN)``. The x-derivatives are
-    central differences inside and one-sided at the two ends. dQ/dN is
-    their ratio, left undefined (NaN) wherever |dN/dx| <= SLOPE_EPSILON:
-    near a noise extremum the parametric slope is singular.
+    Returns ``(dN_dx, dQ_dx, dQ_dN)``: the noise slope, one entry per
+    rate, and two pairs of such columns, capacity first, then fidelity.
+    The x-derivatives are central differences inside and one-sided at the
+    two ends. dQ/dN is their ratio, left undefined (NaN) wherever
+    |dN/dx| <= SLOPE_EPSILON: near a noise extremum the parametric slope
+    is singular.
     """
     d_noise = np.gradient(curve.noise, curve.step)
-    d_values, ratio = _parametric_slope(curve, curve.values(quantity), d_noise)
-    return d_noise, d_values, ratio
-
-
-def _parametric_slope(curve: SweepCurve, values: np.ndarray, d_noise: np.ndarray):
-    """dQ/dx of one column and its ratio to dN/dx, NaN where undefined."""
-    d_values = np.gradient(values, curve.step)
-    ratio = np.divide(
-        d_values,
-        d_noise,
-        out=np.full_like(d_noise, np.nan),
-        where=np.abs(d_noise) > SLOPE_EPSILON,
+    defined = np.abs(d_noise) > SLOPE_EPSILON
+    d_values = (np.gradient(curve.coherent_info, curve.step),
+                np.gradient(curve.fidelity, curve.step))
+    ratios = tuple(
+        np.divide(d, d_noise, out=np.full_like(d, np.nan), where=defined) for d in d_values
     )
-    return d_values, ratio
+    return d_noise, d_values, ratios
 
 
 def _monotone_runs(values: np.ndarray) -> list[tuple[int, int]]:
@@ -242,9 +230,9 @@ def _oriented(noise, capacity, branch):
 def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
     """Find stretches where capacity or fidelity genuinely rises with the noise.
 
-    The noise gradient, the monotone branches and the folds are worked out
-    once for the curve and shared by both quantities. A sample qualifies
-    when its parametric slope dQ/dN is defined, exceeds
+    The slopes (one `estimate_slopes` call), the monotone branches and the
+    folds are worked out once for the curve and shared by both quantities.
+    A sample qualifies when its parametric slope dQ/dN is defined, exceeds
     MIN_POSITIVE_SLOPE, and its noise value is not inside a fold (a noise
     interval covered by two monotone branches). Positive slopes confined
     to a fold are the curve doubling back around the noise extremum; they
@@ -253,7 +241,7 @@ def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
     suppresses single-point finite-difference noise.
     """
     noise = curve.noise
-    d_noise = np.gradient(noise, curve.step)
+    _, _, (capacity, fidelity) = estimate_slopes(curve)
     _, _, lo, hi = _folds(noise, _monotone_runs(noise))
     outside = ~_inside_folds(noise, lo, hi)
     peak_index = int(np.argmax(noise))
@@ -262,23 +250,22 @@ def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
     )
     return EnhancementReport(
         state=curve.state,
-        capacity=_segments(curve, curve.coherent_info, d_noise, outside),
-        fidelity=_segments(curve, curve.fidelity, d_noise, outside),
+        capacity=_segments(curve.x, capacity, outside),
+        fidelity=_segments(curve.x, fidelity, outside),
         noise_peak_x=noise_peak_x,
     )
 
 
-def _segments(curve: SweepCurve, values, d_noise, outside) -> tuple:
+def _segments(x: np.ndarray, ratio: np.ndarray, outside: np.ndarray) -> tuple:
     """(x_start, x_end, max dQ/dN) of each run of two or more samples whose
-    dQ/dN exceeds MIN_POSITIVE_SLOPE outside every fold."""
-    _, ratio = _parametric_slope(curve, values, d_noise)
+    dQ/dN (``ratio``) exceeds MIN_POSITIVE_SLOPE outside every fold."""
     # An undefined (NaN) slope compares False, so it never qualifies.
     qualifying = (ratio > MIN_POSITIVE_SLOPE) & outside
     edges = np.diff(qualifying.astype(np.int8), prepend=0, append=0)
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
     return tuple(
-        (float(curve.x[i]), float(curve.x[j]), float(ratio[i : j + 1].max()))
+        (float(x[i]), float(x[j]), float(ratio[i : j + 1].max()))
         for i, j in zip(starts.tolist(), ends.tolist())
         if j > i
     )
@@ -298,12 +285,8 @@ def bloch_ball_grid(resolution: int) -> list[BlochVector]:
     return grid
 
 
-def state_scan(
-    grid_resolution: int,
-    x_steps: int,
-    x_min: float = 0.0,
-    x_max: float = 0.7,
-) -> ScanReport:
+def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
+               x_max: float = DEFAULT_X_MAX) -> ScanReport:
     """Sweep every ball-grid state and report its enhancement.
 
     Evaluation order does not affect the result; entries are reported in

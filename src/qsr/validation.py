@@ -34,6 +34,13 @@ from .two_pauli import analytic_exchange_matrix, make_two_pauli, two_pauli_metri
 
 DEFAULT_SEED = 20240117
 
+#: Sizes of the fixed checks: rates for completeness, random channels for
+#: the exchange matrix, and pure states and rates for the collapse check.
+COMPLETENESS_RATES = 101
+EXCHANGE_TRIALS = 50
+COLLAPSE_STATES = 50
+COLLAPSE_RATES = 101
+
 # Ball-grid states per pass of the generic route in the agreement check:
 # each block's density stack goes through the route once per rate. One
 # stack of the whole grid would hold every (state, rate) sample at once.
@@ -89,15 +96,15 @@ def random_kraus_channel(rng, num_operators: int | None = None) -> KrausChannel:
     return KrausChannel(tuple(raw @ whitener), label=f"random(k={k})")
 
 
-def check_two_pauli_completeness(samples: int = 101) -> CheckResult:
+def check_two_pauli_completeness() -> CheckResult:
     worst = max(
         completeness_residual(make_two_pauli(x))
-        for x in np.linspace(0.0, 1.0, samples)
+        for x in np.linspace(0.0, 1.0, COMPLETENESS_RATES)
     )
     return CheckResult(
         name="two-pauli completeness",
         passed=worst <= 1e-12,
-        detail=f"max residual {worst:.3e} over {samples} rates (limit 1e-12)",
+        detail=f"max residual {worst:.3e} over {COMPLETENESS_RATES} rates (limit 1e-12)",
     )
 
 
@@ -120,10 +127,10 @@ def check_broken_channel_detected() -> CheckResult:
     )
 
 
-def check_exchange_matrix_properties(rng, trials: int = 50) -> CheckResult:
+def check_exchange_matrix_properties(rng) -> CheckResult:
     worst_herm = worst_trace = 0.0
     lowest_eig = 0.0
-    for _ in range(trials):
+    for _ in range(EXCHANGE_TRIALS):
         channel = random_kraus_channel(rng)
         rho = bloch_to_density(random_bloch_vector(rng))
         w = exchange_matrix(channel, rho)
@@ -136,7 +143,7 @@ def check_exchange_matrix_properties(rng, trials: int = 50) -> CheckResult:
         passed=passed,
         detail=(
             f"hermitian residual {worst_herm:.3e}, trace error {worst_trace:.3e}, "
-            f"lowest eigenvalue {lowest_eig:.3e} over {trials} random channels"
+            f"lowest eigenvalue {lowest_eig:.3e} over {EXCHANGE_TRIALS} random channels"
         ),
     )
 
@@ -197,16 +204,16 @@ def check_dilation_oracle(rng, trials: int = 100) -> CheckResult:
     )
 
 
-def check_pure_state_collapse(rng, states: int = 50, x_samples: int = 101) -> CheckResult:
+def check_pure_state_collapse(rng) -> CheckResult:
     worst = 0.0
-    xs = np.linspace(0.0, 1.0, x_samples)
-    for _ in range(states):
+    xs = np.linspace(0.0, 1.0, COLLAPSE_RATES)
+    for _ in range(COLLAPSE_STATES):
         state = random_bloch_vector(rng, pure=True)
         worst = max(worst, float(np.abs(two_pauli_metrics(state, xs).coherent_info).max()))
     return CheckResult(
         name="pure-state coherent information collapses to zero",
         passed=worst <= 1e-9,
-        detail=f"max |C| {worst:.3e} over {states} pure states (limit 1e-9)",
+        detail=f"max |C| {worst:.3e} over {COLLAPSE_STATES} pure states (limit 1e-9)",
     )
 
 

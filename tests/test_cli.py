@@ -170,6 +170,20 @@ def test_rejects_negative_precision(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--state", "0,0,0"),
+    ("figure1",),
+    ("scan", "--grid-resolution", "3"),
+])
+def test_rejects_reversed_range_without_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, _, stderr = run(capsys, *argv, "--x-range", "0.5,0.2", "--out", str(out))
+    assert code == 1
+    assert "x_min < x_max" in stderr
+    # no file, and for figure1 no directory, is left behind
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, option", [
     (("sweep", "--state", "0,0,0", "--steps", str(MAX_STEPS + 1)), "--steps"),
     (("figure1", "--steps", str(MAX_STEPS + 1)), "--steps"),

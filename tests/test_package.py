@@ -1,6 +1,8 @@
 """The package's public surface: what `qsr` exports and what stays in modules."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 
@@ -66,3 +68,66 @@ def test_one_rate_gives_length_one_columns_of_a_sweep():
     assert m.coherent_info[0] == curve.coherent_info[i]
     assert m.fidelity[0] == curve.fidelity[i]
     assert np.array_equal(m.output_bloch[0], curve.output_bloch[i])
+
+
+def _module_level_names(tree):
+    """The names a module binds by imports, and its ``_private`` module-level
+    definitions mapped to their nodes. Dunders and ``__future__`` are exempt."""
+    imports, private = set(), {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imports |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                private[name] = node
+    return imports, private
+
+
+def _read_names(tree, skip=None):
+    """Names read anywhere in ``tree`` outside the subtree ``skip``, plus the
+    names listed in its ``__all__``."""
+    skipped = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        and id(node) not in skipped
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return read
+
+
+def test_no_unreferenced_module_names():
+    # An import, or a module-level _private name, that nothing in the
+    # package reads is left over from a deletion.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(qsr.__file__).parent.glob("*.py"))}
+    # (module, name) pairs that some package module imports by name.
+    imported_from = {
+        (node.module, alias.name)
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    unused = []
+    for module, tree in trees.items():
+        imports, private = _module_level_names(tree)
+        read = _read_names(tree)
+        unused += [f"{module}: import {name}" for name in sorted(imports)
+                   if name not in read and (module, name) not in imported_from]
+        unused += [f"{module}: {name}" for name, node in private.items()
+                   if name not in _read_names(tree, skip=node)
+                   and (module, name) not in imported_from]
+    assert unused == []

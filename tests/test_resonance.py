@@ -67,8 +67,8 @@ class TestEstimateSlopes:
     def test_fidelity_slope_is_one_without_planar_components(self):
         # F = x exactly when a1 = a2 = 0, so dF/dx = 1 up to rounding
         curve = sweep((0, 0, 0), 0.0, 1.0, 101)
-        _, dQ_dx, _ = estimate_slopes(curve, "fidelity")
-        assert np.abs(dQ_dx - 1.0).max() < 1e-10
+        _, (_, dF_dx), _ = estimate_slopes(curve)
+        assert np.abs(dF_dx - 1.0).max() < 1e-10
 
     def test_undefined_at_noise_peak(self):
         # the (0,0,0) noise peaks at x = 1/3; straddle it with a grid fine
@@ -76,27 +76,17 @@ class TestEstimateSlopes:
         # below the epsilon gate
         lo, hi = 1 / 3 - 5e-4, 1 / 3 + 5e-4
         curve = sweep((0, 0, 0), lo, hi, 101)
-        dN_dx, _, dQ_dN = estimate_slopes(curve, "capacity")
+        dN_dx, _, dQ_dN = estimate_slopes(curve)
         peak = int(np.argmax(curve.noise))
-        assert np.isnan(dQ_dN[peak])
+        assert all(np.isnan(ratio[peak]) for ratio in dQ_dN)
         assert abs(dN_dx[peak]) <= SLOPE_EPSILON
 
     def test_pure_state_capacity_slopes_vanish(self):
         curve = sweep((0, 0, 1), 0.0, 0.7, 701)
-        _, dQ_dx, dQ_dN = estimate_slopes(curve, "capacity")
-        assert np.abs(dQ_dx).max() < 1e-9
-        defined = dQ_dN[~np.isnan(dQ_dN)]
+        _, (dC_dx, _), (dC_dN, _) = estimate_slopes(curve)
+        assert np.abs(dC_dx).max() < 1e-9
+        defined = dC_dN[~np.isnan(dC_dN)]
         assert defined.size and np.abs(defined).max() < 1e-6
-
-    def test_noise_derivative_shared_between_quantities(self, fig1_curves):
-        curve = fig1_curves[FIG1_STATES[0]]
-        cap_dN_dx, _, _ = estimate_slopes(curve, "capacity")
-        fid_dN_dx, _, _ = estimate_slopes(curve, "fidelity")
-        assert np.array_equal(cap_dN_dx, fid_dN_dx)
-
-    def test_rejects_unknown_quantity(self, fig1_curves):
-        with pytest.raises(ValueError, match="unknown quantity"):
-            estimate_slopes(fig1_curves[FIG1_STATES[0]], "snr")
 
 
 class TestMonotoneBranches:
@@ -159,9 +149,9 @@ class TestDetectEnhancement:
     def test_segments_have_positive_slope_throughout(self, fig1_curves):
         curve = fig1_curves[BlochVector(0.6, 0.3, 0.5)]
         report = detect_enhancement(curve)
-        _, _, dQ_dN = estimate_slopes(curve, "fidelity")
+        _, _, (_, dF_dN) = estimate_slopes(curve)
         for lo, hi, _ in report.fidelity:
-            inside = dQ_dN[(lo <= curve.x) & (curve.x <= hi)]
+            inside = dF_dN[(lo <= curve.x) & (curve.x <= hi)]
             assert len(inside) >= 2
             assert (~np.isnan(inside) & (inside > 0)).all()
 
@@ -237,6 +227,22 @@ class TestStateScan:
         assert report.total_states == 7
         assert counts == {"_folds": 7, "_monotone_runs": 7}
 
+    def test_detection_calls_estimate_slopes_once_per_curve(self, monkeypatch):
+        import qsr.resonance as resonance
+
+        calls = []
+        original = resonance.estimate_slopes
+
+        def counted(curve):
+            calls.append(curve)
+            return original(curve)
+
+        monkeypatch.setattr(resonance, "estimate_slopes", counted)
+        report = state_scan(3, 51)
+        assert report.total_states == 7
+        assert len(calls) == 7
+        assert [c.state for c in calls] == [e.state for e in report.entries]
+
 
 def test_pure_states_never_register_capacity_enhancement():
     rng = np.random.default_rng(51)
@@ -262,10 +268,10 @@ def _loop_runs(noise):
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _loop_segments(curve, quantity):
+def _loop_segments(curve, column):
     """Enhancement segments by the per-sample loop the array code replaced."""
     x, noise = curve.x.tolist(), curve.noise.tolist()
-    values, h = curve.values(quantity).tolist(), curve.step
+    values, h = column.tolist(), curve.step
     n = len(x)
 
     def derivative(v):
@@ -339,8 +345,8 @@ def test_array_detection_matches_loop_reference(fig1_curves):
     for curve in curves:
         assert _monotone_runs(curve.noise) == _loop_runs(curve.noise.tolist())
         report = detect_enhancement(curve)
-        assert report.capacity == _loop_segments(curve, "capacity")
-        assert report.fidelity == _loop_segments(curve, "fidelity")
+        assert report.capacity == _loop_segments(curve, curve.coherent_info)
+        assert report.fidelity == _loop_segments(curve, curve.fidelity)
         intervals = detect_multivalued(curve)
         assert intervals == _loop_multivalued(curve)
         multivalued += bool(intervals)
