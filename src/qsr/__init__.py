@@ -7,7 +7,7 @@ The package splits into:
 - `qsr.channel`: generic Kraus-channel machinery (entropies, exchange
   matrix, coherent information, entangled fidelity, dilation).
 - `qsr.two_pauli`: the two-Pauli channel family with closed forms that
-  cross-validate the generic route.
+  cross-validate the generic route, and the `SweepCurve` record of them.
 - `qsr.resonance`: rate sweeps, enhancement and multivalued-capacity
   detection, and Bloch-ball scans.
 - `qsr.validation`: the self-checks behind `qsr validate`.
@@ -30,14 +30,13 @@ from .linalg import hermitian_eigenvalues
 from .resonance import (
     EnhancementReport,
     ScanReport,
-    SweepCurve,
     bloch_ball_grid,
     detect_enhancement,
     detect_multivalued,
     state_scan,
     sweep,
 )
-from .two_pauli import make_two_pauli, two_pauli_metrics
+from .two_pauli import SweepCurve, make_two_pauli, two_pauli_metrics
 
 __version__ = "0.1.0"
 

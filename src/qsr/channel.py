@@ -120,24 +120,6 @@ class KrausChannel:
         return completeness_residual(self)
 
 
-@dataclass(frozen=True)
-class ChannelMetrics:
-    """A channel's figures of merit over a 1-D array of control settings x.
-
-    Every field is an array with one entry per rate; output_bloch is an
-    (n, 3) array, one row per rate. noise, output_entropy and
-    coherent_info are in bits; coherent_info is stored as exactly
-    output_entropy - noise.
-    """
-
-    x: np.ndarray
-    noise: np.ndarray
-    output_entropy: np.ndarray
-    coherent_info: np.ndarray
-    fidelity: np.ndarray
-    output_bloch: np.ndarray
-
-
 def completeness_residual(channel: KrausChannel) -> float:
     """Max-norm of sum_i A_i^dag A_i - I; zero for a trace-preserving set."""
     # Summed in operator order: an einsum contraction would round differently.

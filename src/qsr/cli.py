@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .channel import BlochVector
-from .resonance import DEFAULT_X_MAX, DEFAULT_X_MIN, detect_enhancement, detect_multivalued
-from .resonance import state_scan, sweep
+from .resonance import DEFAULT_STEPS, DEFAULT_X_MAX, DEFAULT_X_MIN, detect_enhancement
+from .resonance import detect_multivalued, state_scan, sweep
 from .validation import run_all
 
 #: The four reference input states swept in the figure1 command.
@@ -218,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The sweep options shared by sweep, figure1 and scan.
     swept = argparse.ArgumentParser(add_help=False)
-    window = f"{DEFAULT_X_MIN:g},{DEFAULT_X_MAX:g}"
-    swept.add_argument("--x-range", default=window, help=f"rate range 'min,max' (default {window})")
-    swept.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=701,
-                       help="grid points per sweep (default 701)")
+    swept.add_argument("--x-range", default=f"{DEFAULT_X_MIN:g},{DEFAULT_X_MAX:g}",
+                       help="rate range 'min,max' (default %(default)s)")
+    swept.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=DEFAULT_STEPS,
+                       help="grid points per sweep (default %(default)s)")
     swept.add_argument("--precision", type=_bounded(0, MAX_PRECISION), default=DEFAULT_PRECISION,
-                       help="significant digits in the CSV (default 12)")
+                       help="significant digits in the CSV (default %(default)s)")
 
     sweep_p = sub.add_parser("sweep", parents=[swept],
                              help="sweep one input state over the flipping rate")
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Resolution 2 would leave only the corners, all outside the ball.
     scan_p = sub.add_parser("scan", parents=[swept], help="scan a Bloch-ball grid for enhancement")
     scan_p.add_argument("--grid-resolution", type=_bounded(3, MAX_GRID_RESOLUTION), default=11,
-                        help="points per Bloch axis (default 11)")
+                        help="points per Bloch axis (default %(default)s)")
     scan_p.add_argument("--out", default="scan.csv", help="output CSV path")
     scan_p.set_defaults(func=cmd_scan)
 

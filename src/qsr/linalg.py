@@ -42,11 +42,19 @@ def _as_complex_matrices(entries) -> np.ndarray:
     return mat
 
 
+def _skew_part(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a - a^dag in a new buffer, and its largest |entry| in each matrix."""
+    part = np.empty_like(a)
+    np.subtract(a.real, a.real.swapaxes(-1, -2), out=part.real)
+    np.add(a.imag, a.imag.swapaxes(-1, -2), out=part.imag)
+    return part, np.abs(part).max(axis=(-2, -1))
+
+
 def hermitian_residual(a) -> float:
     """Largest |m[i][j] - conj(m[j][i])| over a matrix or a stack of them;
     zero when every matrix is exactly Hermitian."""
-    mat = _as_complex_matrices(a)
-    return float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max(initial=0.0))
+    _, gap = _skew_part(_as_complex_matrices(a))
+    return float(gap.max(initial=0.0))
 
 
 def hermitian_eigenvalues(mat):
@@ -59,21 +67,17 @@ def hermitian_eigenvalues(mat):
     finite, and Hermitian within HERMITIAN_TOL.
     """
     a = _as_complex_matrices(mat)
-    re_t, im_t = a.real.swapaxes(-1, -2), a.imag.swapaxes(-1, -2)
-    # a - a^dag, then the Hermitian part, in one buffer: a scan solves a
+    # The Hermitian part overwrites the a - a^dag buffer: a scan solves a
     # stack per curve, and a.conj() would add a second stack-sized copy.
-    part = np.empty_like(a)
-    np.subtract(a.real, re_t, out=part.real)
-    np.add(a.imag, im_t, out=part.imag)
-    gap = np.abs(part).max(axis=(-2, -1))
+    part, gap = _skew_part(a)
     residual = float(gap.max(initial=0.0))
     if residual > HERMITIAN_TOL:
         raise ValueError(
             f"matrix is not Hermitian: residual {residual:.3e} exceeds {HERMITIAN_TOL:.3e}"
             + _where(gap)
         )
-    np.add(a.real, re_t, out=part.real)
-    np.subtract(a.imag, im_t, out=part.imag)
+    np.add(a.real, a.real.swapaxes(-1, -2), out=part.real)
+    np.subtract(a.imag, a.imag.swapaxes(-1, -2), out=part.imag)
     part *= 0.5
     values = np.linalg.eigvalsh(part)
     return values.tolist() if a.ndim == 2 else values

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BlochVector, as_bloch
-from .two_pauli import two_pauli_metrics
+from .channel import BLOCH_NORM_TOL, BlochVector
+from .two_pauli import SweepCurve, two_pauli_metrics
 
-#: The default window of flipping rates swept, [DEFAULT_X_MIN, DEFAULT_X_MAX].
+#: The default window of flipping rates swept, [DEFAULT_X_MIN, DEFAULT_X_MAX],
+#: and the default number of rates in it.
 DEFAULT_X_MIN = 0.0
 DEFAULT_X_MAX = 0.7
+DEFAULT_STEPS = 701
 
 #: |dN/dx| at or below this leaves the parametric slope dQ/dN undefined.
 SLOPE_EPSILON = 1e-6
@@ -33,38 +35,6 @@ MIN_POSITIVE_SLOPE = 1e-9
 MULTIVALUED_TOL = 1e-9
 
 _GRID_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class SweepCurve:
-    """Two-Pauli metrics as columns over a uniform, strictly increasing x grid.
-
-    Every column holds one entry per rate in ``x``; ``output_bloch`` is an
-    (n, 3) array, one output Bloch vector per rate. Entropies are in bits
-    and ``coherent_info`` is exactly ``output_entropy - noise``.
-    """
-
-    state: BlochVector
-    x: np.ndarray
-    noise: np.ndarray
-    coherent_info: np.ndarray
-    fidelity: np.ndarray
-    output_entropy: np.ndarray
-    output_bloch: np.ndarray
-    step: float
-
-    def __post_init__(self):
-        n = len(self.x)
-        if n < 3:
-            raise ValueError("a sweep needs at least 3 samples for slope estimates")
-        columns = (self.noise, self.coherent_info, self.fidelity, self.output_entropy)
-        if any(len(c) != n for c in columns) or np.shape(self.output_bloch) != (n, 3):
-            raise ValueError("every sweep column needs one entry per rate")
-        dx = np.diff(self.x)
-        if (dx <= 0.0).any():
-            raise ValueError("sweep samples must be strictly increasing in x")
-        if np.abs(dx - self.step).max() > _GRID_TOL:
-            raise ValueError("sweep samples must be uniformly spaced")
 
 
 @dataclass(frozen=True)
@@ -102,29 +72,34 @@ class ScanReport:
 
 
 def sweep(state, x_min: float = DEFAULT_X_MIN, x_max: float = DEFAULT_X_MAX,
-          steps: int = 701) -> SweepCurve:
+          steps: int = DEFAULT_STEPS) -> SweepCurve:
     """Evaluate the two-Pauli metrics at evenly spaced x values.
 
     Endpoints are included. Requires 0 <= x_min < x_max <= 1 and at least
     3 steps. All rates are evaluated in one array pass.
     """
-    state = as_bloch(state)
     if not (0.0 <= x_min < x_max <= 1.0):
         raise ValueError(f"need 0 <= x_min < x_max <= 1, got [{x_min}, {x_max}]")
+    _require_steps(steps)
+    return two_pauli_metrics(state, np.linspace(x_min, x_max, steps))
+
+
+def _require_steps(steps: int) -> None:
     if steps < 3:
-        raise ValueError(f"need at least 3 steps, got {steps}")
-    xs = np.linspace(x_min, x_max, steps)
-    metrics = two_pauli_metrics(state, xs)
-    return SweepCurve(
-        state=state,
-        x=metrics.x,
-        noise=metrics.noise,
-        coherent_info=metrics.coherent_info,
-        fidelity=metrics.fidelity,
-        output_entropy=metrics.output_entropy,
-        output_bloch=metrics.output_bloch,
-        step=float(xs[1] - xs[0]),
-    )
+        raise ValueError(f"need at least 3 steps for slope estimates, got {steps}")
+
+
+def _grid_step(x: np.ndarray) -> float:
+    """The spacing of a sweep's rates, which must number at least 3, be
+    strictly increasing and be uniformly spaced within _GRID_TOL."""
+    _require_steps(len(x))
+    dx = np.diff(x)
+    if (dx <= 0.0).any():
+        raise ValueError("sweep samples must be strictly increasing in x")
+    step = float(x[1] - x[0])
+    if np.abs(dx - step).max() > _GRID_TOL:
+        raise ValueError("sweep samples must be uniformly spaced")
+    return step
 
 
 def estimate_slopes(curve: SweepCurve) -> tuple[np.ndarray, tuple, tuple]:
@@ -133,14 +108,16 @@ def estimate_slopes(curve: SweepCurve) -> tuple[np.ndarray, tuple, tuple]:
     Returns ``(dN_dx, dQ_dx, dQ_dN)``: the noise slope, one entry per
     rate, and two pairs of such columns, capacity first, then fidelity.
     The x-derivatives are central differences inside and one-sided at the
-    two ends. dQ/dN is their ratio, left undefined (NaN) wherever
-    |dN/dx| <= SLOPE_EPSILON: near a noise extremum the parametric slope
-    is singular.
+    two ends, so the rates must form a uniform, strictly increasing grid
+    of at least 3 samples. dQ/dN is their ratio, left undefined (NaN)
+    wherever |dN/dx| <= SLOPE_EPSILON: near a noise extremum the
+    parametric slope is singular.
     """
-    d_noise = np.gradient(curve.noise, curve.step)
+    step = _grid_step(curve.x)
+    d_noise = np.gradient(curve.noise, step)
     defined = np.abs(d_noise) > SLOPE_EPSILON
-    d_values = (np.gradient(curve.coherent_info, curve.step),
-                np.gradient(curve.fidelity, curve.step))
+    d_values = (np.gradient(curve.coherent_info, step),
+                np.gradient(curve.fidelity, step))
     ratios = tuple(
         np.divide(d, d_noise, out=np.full_like(d, np.nan), where=defined) for d in d_values
     )
@@ -280,7 +257,7 @@ def bloch_ball_grid(resolution: int) -> list[BlochVector]:
     for a1 in axis:
         for a2 in axis:
             for a3 in axis:
-                if a1 * a1 + a2 * a2 + a3 * a3 <= 1.0 + 1e-12:
+                if a1 * a1 + a2 * a2 + a3 * a3 <= 1.0 + BLOCH_NORM_TOL:
                     grid.append(BlochVector(float(a1), float(a2), float(a3)))
     return grid
 

@@ -5,18 +5,19 @@ otherwise one of sigma_x, sigma_y is applied with probability (1 - x)/2
 each. Every quantity here has a closed form as well as a generic route
 through `qsr.channel`, so the two paths can cross-validate each other.
 The closed forms take a 1-D array of rates, or one rate as an array of
-length 1, and evaluate every rate in one pass, which is how a sweep is
-computed.
+length 1, and evaluate every rate in one pass; `two_pauli_metrics`
+gathers them into one `SweepCurve`, which is how a sweep is computed.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
-    ChannelMetrics,
+    BlochVector,
     IDENTITY,
     KrausChannel,
     PAULI_X,
@@ -111,7 +112,32 @@ def analytic_fidelity(state, x) -> np.ndarray:
     return 0.5 * planar * (1.0 - x) + x
 
 
-def two_pauli_metrics(state, x) -> ChannelMetrics:
+@dataclass(frozen=True, eq=False)
+class SweepCurve:
+    """The two-Pauli figures of merit of one input state as columns over a
+    1-D array of rates ``x``.
+
+    Every column holds one entry per rate; ``output_bloch`` is an (n, 3)
+    array, one output Bloch vector per rate. Entropies are in bits and
+    ``coherent_info`` is exactly ``output_entropy - noise``.
+    """
+
+    state: BlochVector
+    x: np.ndarray
+    noise: np.ndarray
+    coherent_info: np.ndarray
+    fidelity: np.ndarray
+    output_entropy: np.ndarray
+    output_bloch: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.x)
+        columns = (self.noise, self.coherent_info, self.fidelity, self.output_entropy)
+        if any(len(c) != n for c in columns) or np.shape(self.output_bloch) != (n, 3):
+            raise ValueError("every sweep column needs one entry per rate")
+
+
+def two_pauli_metrics(state, x) -> SweepCurve:
     """All figures of merit as columns over a 1-D array of rates (one rate
     gives columns of length 1).
 
@@ -124,7 +150,8 @@ def two_pauli_metrics(state, x) -> ChannelMetrics:
     x = _check_rate(x)
     noise = spectrum_entropy(hermitian_eigenvalues(analytic_exchange_matrix(state, x)))
     output_entropy = analytic_output_entropy(state, x)
-    return ChannelMetrics(
+    return SweepCurve(
+        state=state,
         x=x,
         noise=noise,
         output_entropy=output_entropy,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -256,3 +257,46 @@ def test_sweep_csv_rows_match_per_value_format():
         assert lines[0] == "x,N,C,F,H_out,b1,b2,b3"
         want = [",".join(cli._format(v, precision) for v in row) for row in rows.tolist()]
         assert lines[1:] == want
+
+
+#: SHA-256 of the CLI's outputs, output paths in stdout replaced by "<out>".
+#: A change that alters any output updates these and lists every changed
+#: field in CHANGES.md. argparse lays out the --help texts; these were
+#: recorded with Python 3.11.
+RECORDED_DIGESTS = {
+    "figure1 stdout": "d2df854b0be272a9b02736b12858b3503f7ab02ecdbf2ff13ee7f121f1a5e3ce",
+    "figure1/fig1a.csv": "ea064a37ee4e9ffca5ff322d90bff524f1f8f6c5b7c195b58e81468497a5e3af",
+    "figure1/fig1b.csv": "ad8bf9f592929d7e9fecdff4946cf9621d9226ca4b0ddaccc5747fc5af03ca7e",
+    "figure1/fig1c.csv": "9f1a08ddad057301c4eee9919601ed20d596d3d13c11943837cffaf0512f3f35",
+    "figure1/fig1d.csv": "c6ad1153859cae8f998456adad2b833fc6765d337476f7038b056c3066174e17",
+    "scan stdout": "8fd5367da02374bf8dcd5155ff5ec5da77a3b0733183d98acb005ee477910f2d",
+    "scan.csv": "6cd7722491faf14d61362c143cf9de17812be39fd70cea51ca7723ea7d25a139",
+    "validate stdout": "8d319bc3be4e9a1808d8621cb8853a67b2c562fb3a8d875db15279af19348d91",
+    "sweep --help": "6798aeb77df47786067a07a8343b980dbb6bd775826012bb8866e4a762c62f8f",
+    "figure1 --help": "a08571021cda83c226340d20271b534db002a742315a3f886d809e854291df3f",
+    "scan --help": "a3660081d72db67f00b016ce017176606c17efce45fb47ed24c5887c06dd983c",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digests = {}
+    for argv in (
+        ["figure1", "--steps", "701", "--out", str(tmp_path / "figure1")],
+        ["scan", "--grid-resolution", "9", "--steps", "701", "--out", str(tmp_path / "scan.csv")],
+        ["validate"],
+    ):
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        digests[f"{argv[0]} stdout"] = _sha256(stdout.replace(str(tmp_path), "<out>").encode())
+    for path in sorted(tmp_path.rglob("*.csv")):
+        digests[path.relative_to(tmp_path).as_posix()] = _sha256(path.read_bytes())
+    for command in ("sweep", "figure1", "scan"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        digests[f"{command} --help"] = _sha256(capsys.readouterr().out.encode())
+    assert digests == RECORDED_DIGESTS

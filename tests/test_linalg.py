@@ -148,3 +148,13 @@ def test_hermitian_residual():
     assert hermitian_residual(SY) == 0.0
     skew = np.array([[0, 1j], [1j, 0]])
     assert hermitian_residual(skew) == pytest.approx(2.0)
+    # Over a stack: the largest |a - a^dag| entry of any matrix, bit for bit.
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    want = np.abs(stack - stack.conj().swapaxes(-1, -2)).max()
+    assert hermitian_residual(stack) == want
+    assert hermitian_residual(np.array([I2, skew, SZ])) == pytest.approx(2.0)
+    # hermitian_eigenvalues rejects with the same residual and names the matrix.
+    off = np.array([[1.0, 1e-8], [0.0, 2.0]], dtype=complex)
+    with pytest.raises(ValueError, match=f"residual {hermitian_residual(off):.3e}.* matrix 1 "):
+        hermitian_eigenvalues(np.array([I2, off]))

@@ -49,7 +49,7 @@ class TestSweep:
     def test_grid_is_uniform(self, fig1_curves):
         curve = fig1_curves[FIG1_STATES[1]]
         diffs = np.diff(curve.x)
-        assert np.abs(diffs - curve.step).max() <= 1e-12
+        assert np.abs(diffs - (curve.x[1] - curve.x[0])).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "bounds", [(1.0, 1.0), (0.5, 0.2), (-0.1, 0.5), (0.0, 1.2)]
@@ -61,6 +61,35 @@ class TestSweep:
     def test_rejects_too_few_steps(self):
         with pytest.raises(ValueError, match="3 steps"):
             sweep((0, 0, 0), 0.0, 0.7, 2)
+        with pytest.raises(ValueError, match="3 steps"):
+            sweep((0, 0, 0), 0.0, 0.7, -1)
+
+    def test_is_the_record_of_its_rates(self):
+        state = BlochVector(0.6, 0.3, 0.5)
+        curve = sweep(state, 0.1, 0.9, 37)
+        direct = two_pauli_metrics(state, np.linspace(0.1, 0.9, 37))
+        assert isinstance(direct, SweepCurve) and direct.state is state
+        for name in ("x", "noise", "coherent_info", "fidelity", "output_entropy",
+                     "output_bloch"):
+            assert np.array_equal(getattr(curve, name), getattr(direct, name)), name
+
+
+def test_record_rejects_a_column_of_the_wrong_length():
+    curve = two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, 5))
+    with pytest.raises(ValueError, match="one entry per rate"):
+        SweepCurve(curve.state, curve.x, curve.noise[:-1], curve.coherent_info,
+                   curve.fidelity, curve.output_entropy, curve.output_bloch)
+
+
+@pytest.mark.parametrize("detect", [estimate_slopes, detect_enhancement])
+@pytest.mark.parametrize("rates, message", [
+    ([0.1, 0.2], "at least 3 steps"),
+    ([0.1, 0.3, 0.2, 0.4], "strictly increasing"),
+    ([0.1, 0.2, 0.4], "uniformly spaced"),
+])
+def test_slopes_need_a_uniform_increasing_grid(detect, rates, message):
+    with pytest.raises(ValueError, match=message):
+        detect(two_pauli_metrics((0.3, 0.4, 0.2), rates))
 
 
 class TestEstimateSlopes:
@@ -271,7 +300,7 @@ def _loop_runs(noise):
 def _loop_segments(curve, column):
     """Enhancement segments by the per-sample loop the array code replaced."""
     x, noise = curve.x.tolist(), curve.noise.tolist()
-    values, h = column.tolist(), curve.step
+    values, h = column.tolist(), float(curve.x[1] - curve.x[0])
     n = len(x)
 
     def derivative(v):
@@ -335,12 +364,12 @@ def test_array_detection_matches_loop_reference(fig1_curves):
         noise = np.cumsum(rng.choice([-1.0, 0.0, 1.0], size=n) * rng.uniform(size=n))
         values = np.cumsum(rng.normal(size=n))
         curves.append(SweepCurve(BlochVector(0, 0, 0), x, noise, values, values[::-1],
-                                 np.zeros(n), np.zeros((n, 3)), float(x[1] - x[0])))
+                                 np.zeros(n), np.zeros((n, 3))))
     # The first and last branches meet only at N = 1, which is no fold.
     touching = np.array([0.0, 1.0, 0.5, 2.0, 1.0])
     values = np.arange(5.0) ** 2
     curves.append(SweepCurve(BlochVector(0, 0, 0), np.linspace(0.0, 1.0, 5), touching, values,
-                             values, np.zeros(5), np.zeros((5, 3)), 0.25))
+                             values, np.zeros(5), np.zeros((5, 3))))
     multivalued = 0
     for curve in curves:
         assert _monotone_runs(curve.noise) == _loop_runs(curve.noise.tolist())
