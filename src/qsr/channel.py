@@ -8,10 +8,11 @@ the exchange matrix.
 
 Every function of the generic route takes rho as one 2x2 density matrix
 or as an (m, 2, 2) stack of them, and evaluates a stack in one pass over
-the stacked Kraus operators. One matrix gives a float, a BlochVector or a
-matrix; a stack gives an array with one row per matrix. Every check
-applies to each matrix of a stack, and an error names the first matrix
-that fails it.
+the (k, 2, 2) Kraus operator array. The result follows numpy's leading-axis
+rule: one matrix gives the per-matrix shape (a numpy scalar, a (3,) Bloch
+array or a (k, k) matrix), and a stack adds a leading axis of length m.
+Every check applies to each matrix of a stack, and an error names the
+first matrix that fails it.
 
 All entropies are in bits (base-2 logarithms).
 """
@@ -19,7 +20,7 @@ All entropies are in bits (base-2 logarithms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,8 +31,7 @@ IDENTITY = np.array([[1, 0], [0, 1]], dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-_PAULI_STACK = np.stack(PAULIS)
+_PAULI_STACK = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
 #: Most Kraus operators a channel may carry (keeps the eigensolver small).
 MAX_OPERATORS = 6
@@ -70,10 +70,6 @@ class BlochVector:
     def norm_squared(self) -> float:
         return self.a1 * self.a1 + self.a2 * self.a2 + self.a3 * self.a3
 
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a1, self.a2, self.a3)
 
@@ -88,21 +84,20 @@ def as_bloch(state) -> BlochVector:
     return BlochVector(*values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Ordered 2x2 Kraus operators defining rho -> sum_i A_i rho A_i^dag.
 
-    Construction checks shapes and finiteness only and stacks the
-    operators into the (k, 2, 2) array ``stack`` that every function of
-    the generic route evaluates. Completeness (sum_i A_i^dag A_i = I) is
-    checked where it matters, on first use, so deliberately broken
-    operator sets can still be built and diagnosed with
-    `completeness_residual`.
+    Construction checks shapes and finiteness only and stores the
+    operators as the complex (k, 2, 2) array ``operators`` that every
+    function of the generic route evaluates. Completeness
+    (sum_i A_i^dag A_i = I) is checked where it matters, on first use, so
+    deliberately broken operator sets can still be built and diagnosed
+    with `completeness_residual`.
     """
 
-    operators: tuple
+    operators: np.ndarray
     label: str = ""
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= len(self.operators) <= MAX_OPERATORS:
@@ -112,8 +107,7 @@ class KrausChannel:
         stack = _as_complex_matrices(self.operators)
         if stack.shape[1:] != (2, 2):
             raise ValueError(f"Kraus operators must be 2x2, got {stack.shape[1:]}")
-        object.__setattr__(self, "operators", tuple(stack))
-        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "operators", stack)
 
     @cached_property
     def _residual(self) -> float:
@@ -123,7 +117,7 @@ class KrausChannel:
 def completeness_residual(channel: KrausChannel) -> float:
     """Max-norm of sum_i A_i^dag A_i - I; zero for a trace-preserving set."""
     # Summed in operator order: an einsum contraction would round differently.
-    gram = (channel.stack.conj().swapaxes(-1, -2) @ channel.stack).sum(axis=0)
+    gram = (channel.operators.conj().swapaxes(-1, -2) @ channel.operators).sum(axis=0)
     return float(np.abs(gram - IDENTITY).max())
 
 
@@ -157,17 +151,15 @@ def _density_matrices(rho) -> np.ndarray:
 def density_to_bloch(rho):
     """Bloch components a_i = Tr(rho sigma_i); inverse of bloch_to_density.
 
-    A BlochVector for one matrix; an (m, 3) array, one row per matrix, for
+    A (3,) array for one matrix; an (m, 3) array, one row per matrix, for
     a stack. Every row must satisfy |a|^2 <= 1 within 1e-12.
     """
     rho = _density_matrices(rho)
     bloch = np.einsum("...ab,iba->...i", rho, _PAULI_STACK).real
-    if rho.ndim == 2:
-        return BlochVector(*bloch)
     norm_squared = (bloch * bloch).sum(axis=-1)
     unphysical = norm_squared > 1.0 + BLOCH_NORM_TOL
     if unphysical.any():
-        worst = norm_squared[int(np.argmax(unphysical))]
+        worst = norm_squared.flat[int(np.argmax(unphysical))]
         raise ValueError(
             f"unphysical Bloch vector: |a|^2 = {worst:.12g} > 1" + _where(unphysical)
         )
@@ -180,8 +172,8 @@ def spectrum_entropy(values):
 
     0 log 0 is taken as 0. Values in [-1e-10, 0) are clamped to 0 as
     rounding noise; anything more negative, and any value that is not
-    finite, is rejected. One spectrum gives a float, a stack gives an
-    array with one entropy per row.
+    finite, is rejected. One spectrum gives a numpy scalar, a stack gives
+    an array with one entropy per row.
     """
     p = np.asarray(values, dtype=float)
     finite = np.isfinite(p)
@@ -195,7 +187,7 @@ def spectrum_entropy(values):
     # Clamped and zero values become 1, whose term 1 log 1 is exactly 0.
     q = np.where(p > 0.0, p, 1.0)
     total = 0.0 - (q * np.log2(q)).sum(axis=-1)
-    return float(total) if p.ndim <= 1 else total
+    return total
 
 
 def von_neumann_entropy(rho):
@@ -213,7 +205,7 @@ def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
     """
     _require_complete(channel)
     rho = _density_matrices(rho)
-    return np.einsum("kab,...bc,kdc->...ad", channel.stack, rho, channel.stack.conj())
+    return np.einsum("kab,...bc,kdc->...ad", channel.operators, rho, channel.operators.conj())
 
 
 def exchange_matrix(channel: KrausChannel, rho) -> np.ndarray:
@@ -225,7 +217,7 @@ def exchange_matrix(channel: KrausChannel, rho) -> np.ndarray:
     environment.
     """
     rho = _density_matrices(rho)
-    return np.einsum("iab,...bc,jac->...ij", channel.stack, rho, channel.stack.conj())
+    return np.einsum("iab,...bc,jac->...ij", channel.operators, rho, channel.operators.conj())
 
 
 def entropy_exchange(channel: KrausChannel, rho):
@@ -254,12 +246,13 @@ def entangled_fidelity(channel: KrausChannel, rho):
 
     Measures how well the channel preserves the state together with any
     entanglement it carries. The sum is real up to rounding; an imaginary
-    residue above 1e-12 is an error, below it is discarded.
+    residue above 1e-12 is an error, below it is discarded. One matrix
+    gives a numpy scalar, a stack an array with one fidelity per matrix.
     """
     rho = _density_matrices(rho)
-    traces = np.einsum("...ab,kba->...k", rho, channel.stack)
+    traces = np.einsum("...ab,kba->...k", rho, channel.operators)
     # (A^dag)[b, a] = conj(A[a, b]), so this is Tr(rho A_mu^dag).
-    adjoint_traces = np.einsum("...ab,kab->...k", rho, channel.stack.conj())
+    adjoint_traces = np.einsum("...ab,kab->...k", rho, channel.operators.conj())
     total = (traces * adjoint_traces).sum(axis=-1)
     non_real = np.abs(total.imag) > _FIDELITY_IMAG_TOL
     if non_real.any():
@@ -268,7 +261,7 @@ def entangled_fidelity(channel: KrausChannel, rho):
             f"entangled fidelity came out non-real: imaginary part {imag:.3e}"
             + _where(non_real)
         )
-    return float(total.real) if rho.ndim == 2 else total.real
+    return total.real
 
 
 def environment_output(channel: KrausChannel, rho) -> np.ndarray:
@@ -284,6 +277,6 @@ def environment_output(channel: KrausChannel, rho) -> np.ndarray:
     """
     rho = _density_matrices(rho)
     k = len(channel.operators)
-    isometry = channel.stack.reshape(2 * k, 2)
+    isometry = channel.operators.reshape(2 * k, 2)
     joint = np.einsum("xa,...ab,yb->...xy", isometry, rho, isometry.conj())
     return np.einsum("...iaja->...ij", joint.reshape(rho.shape[:-2] + (k, 2, k, 2)))

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .channel import BlochVector
-from .resonance import DEFAULT_STEPS, DEFAULT_X_MAX, DEFAULT_X_MIN, detect_enhancement
-from .resonance import detect_multivalued, state_scan, sweep
+from .resonance import DEFAULT_STEPS, DEFAULT_X_MAX, DEFAULT_X_MIN, MIN_STEPS
+from .resonance import detect_enhancement, detect_multivalued, state_scan, sweep
 from .validation import run_all
 
 #: The four reference input states swept in the figure1 command.
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     swept = argparse.ArgumentParser(add_help=False)
     swept.add_argument("--x-range", default=f"{DEFAULT_X_MIN:g},{DEFAULT_X_MAX:g}",
                        help="rate range 'min,max' (default %(default)s)")
-    swept.add_argument("--steps", type=_bounded(3, MAX_STEPS), default=DEFAULT_STEPS,
+    swept.add_argument("--steps", type=_bounded(MIN_STEPS, MAX_STEPS), default=DEFAULT_STEPS,
                        help="grid points per sweep (default %(default)s)")
     swept.add_argument("--precision", type=_bounded(0, MAX_PRECISION), default=DEFAULT_PRECISION,
                        help="significant digits in the CSV (default %(default)s)")

@@ -3,7 +3,8 @@
 Covers the 1x1 to 6x6 matrices that appear in single-qubit channel
 calculations, one at a time or as a stack along a leading axis: the
 Hermitian residual and the spectrum, checked for shape, size and
-finiteness. No function mutates its arguments.
+finiteness. A stack's results carry its leading axis, as numpy's do. No
+function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ def hermitian_residual(a) -> float:
 
 
 def hermitian_eigenvalues(mat):
-    """All eigenvalues of a Hermitian matrix, sorted ascending, as a list;
-    for an ``(m, n, n)`` stack, an ``(m, n)`` array with one row per matrix.
+    """All eigenvalues of a Hermitian matrix, sorted ascending, as an
+    ``(n,)`` array; for an ``(m, n, n)`` stack, an ``(m, n)`` array with one
+    row per matrix.
 
     Solved by LAPACK (``numpy.linalg.eigvalsh``) on the exactly Hermitian
     part ``(a + a^dag) / 2`` of the input; a stack is solved in one call.
@@ -79,5 +81,4 @@ def hermitian_eigenvalues(mat):
     np.add(a.real, a.real.swapaxes(-1, -2), out=part.real)
     np.subtract(a.imag, a.imag.swapaxes(-1, -2), out=part.imag)
     part *= 0.5
-    values = np.linalg.eigvalsh(part)
-    return values.tolist() if a.ndim == 2 else values
+    return np.linalg.eigvalsh(part)

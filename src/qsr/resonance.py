@@ -3,9 +3,9 @@
 Builds parametric curves of the channel's figures of merit against its
 noise measure, estimates slopes with finite differences, and classifies
 stretches of positive dQ/dN. A stretch whose noise values lie inside a
-fold, meaning a noise interval the curve covers on two monotone branches
-around a noise extremum, is the curve doubling back on itself; that is
-reported as multivalued capacity, not as enhancement.
+fold, meaning strictly inside the noise ranges of two or more monotone
+branches around a noise extremum, is the curve doubling back on itself;
+that is reported as multivalued capacity, not as enhancement.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .two_pauli import SweepCurve, two_pauli_metrics
 DEFAULT_X_MIN = 0.0
 DEFAULT_X_MAX = 0.7
 DEFAULT_STEPS = 701
+
+#: Fewest rates a sweep may have: central differences need three.
+MIN_STEPS = 3
 
 #: |dN/dx| at or below this leaves the parametric slope dQ/dN undefined.
 SLOPE_EPSILON = 1e-6
@@ -76,7 +79,7 @@ def sweep(state, x_min: float = DEFAULT_X_MIN, x_max: float = DEFAULT_X_MAX,
     """Evaluate the two-Pauli metrics at evenly spaced x values.
 
     Endpoints are included. Requires 0 <= x_min < x_max <= 1 and at least
-    3 steps. All rates are evaluated in one array pass.
+    MIN_STEPS steps. All rates are evaluated in one array pass.
     """
     if not (0.0 <= x_min < x_max <= 1.0):
         raise ValueError(f"need 0 <= x_min < x_max <= 1, got [{x_min}, {x_max}]")
@@ -85,8 +88,8 @@ def sweep(state, x_min: float = DEFAULT_X_MIN, x_max: float = DEFAULT_X_MAX,
 
 
 def _require_steps(steps: int) -> None:
-    if steps < 3:
-        raise ValueError(f"need at least 3 steps for slope estimates, got {steps}")
+    if steps < MIN_STEPS:
+        raise ValueError(f"need at least {MIN_STEPS} steps for slope estimates, got {steps}")
 
 
 def _grid_step(x: np.ndarray) -> float:
@@ -154,15 +157,14 @@ def _folds(noise: np.ndarray, branches) -> tuple[np.ndarray, ...]:
     return first[overlap], second[overlap], lo[overlap], hi[overlap]
 
 
-def _inside_folds(noise: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Whether each noise value lies strictly inside some fold (lo, hi)."""
-    # Folds [0, k) in order of lo start below each value; it is inside one
-    # of them when the furthest of their upper ends lies above it. The
-    # -inf sentinel keeps the lookup valid when there are no folds.
-    order = np.argsort(lo, kind="stable")
-    k = np.searchsorted(lo[order], noise, side="left")
-    reach = np.maximum.accumulate(np.append(hi[order], -np.inf))
-    return (k > 0) & (reach[k - 1] > noise)
+def _fold_mask(noise: np.ndarray) -> np.ndarray:
+    """Whether each noise value lies inside a fold: strictly inside the
+    noise ranges of two or more monotone branches."""
+    ends = np.sort(noise[np.array(_monotone_runs(noise))], axis=1)
+    # Branches whose low end lies below a value, minus those whose high end
+    # does not lie above it, are the branches that hold it strictly inside.
+    return (np.searchsorted(np.sort(ends[:, 0]), noise, "left")
+            - np.searchsorted(np.sort(ends[:, 1]), noise, "right")) >= 2
 
 
 def detect_multivalued(curve: SweepCurve) -> list[tuple[float, float]]:
@@ -208,19 +210,19 @@ def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
     """Find stretches where capacity or fidelity genuinely rises with the noise.
 
     The slopes (one `estimate_slopes` call), the monotone branches and the
-    folds are worked out once for the curve and shared by both quantities.
-    A sample qualifies when its parametric slope dQ/dN is defined, exceeds
-    MIN_POSITIVE_SLOPE, and its noise value is not inside a fold (a noise
-    interval covered by two monotone branches). Positive slopes confined
-    to a fold are the curve doubling back around the noise extremum; they
-    are reported by `detect_multivalued` instead of as enhancement. A
-    segment needs at least two consecutive qualifying samples, which
-    suppresses single-point finite-difference noise.
+    fold mask are worked out once for the curve and shared by both
+    quantities. A sample qualifies when its parametric slope dQ/dN is
+    defined, exceeds MIN_POSITIVE_SLOPE, and its noise value is not inside
+    a fold (strictly inside the noise ranges of two or more monotone
+    branches). Positive slopes confined to a fold are the curve doubling
+    back around the noise extremum; they are reported by
+    `detect_multivalued` instead of as enhancement. A segment needs at
+    least two consecutive qualifying samples, which suppresses
+    single-point finite-difference noise.
     """
     noise = curve.noise
     _, _, (capacity, fidelity) = estimate_slopes(curve)
-    _, _, lo, hi = _folds(noise, _monotone_runs(noise))
-    outside = ~_inside_folds(noise, lo, hi)
+    outside = ~_fold_mask(noise)
     peak_index = int(np.argmax(noise))
     noise_peak_x = (
         float(curve.x[peak_index]) if 0 < peak_index < len(noise) - 1 else None

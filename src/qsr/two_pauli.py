@@ -29,11 +29,11 @@ from .linalg import hermitian_eigenvalues
 
 
 def _check_rate(x) -> np.ndarray:
-    """x as a 1-D float array (one rate gives length 1); every rate must be
-    in [0, 1]."""
+    """x as a non-empty 1-D float array (one rate gives length 1); every
+    rate must be in [0, 1]."""
     rates = np.atleast_1d(np.asarray(x, dtype=float))
-    if rates.ndim > 1:
-        raise ValueError(f"flipping rates must form a 1-D array, got shape {rates.shape}")
+    if rates.ndim > 1 or not rates.size:
+        raise ValueError(f"flipping rates must be a non-empty 1-D array, got shape {rates.shape}")
     bad = rates[~((rates >= 0.0) & (rates <= 1.0))]
     if bad.size:
         raise ValueError(f"flipping rate must be in [0, 1], got {float(bad[0])!r}")

@@ -93,7 +93,7 @@ def random_kraus_channel(rng, num_operators: int | None = None) -> KrausChannel:
     # an einsum contraction rounds differently, by up to 4.4e-16.
     gram = (raw.conj().swapaxes(-1, -2) @ raw).sum(axis=0)
     whitener = _inverse_sqrt_2x2(gram)
-    return KrausChannel(tuple(raw @ whitener), label=f"random(k={k})")
+    return KrausChannel(raw @ whitener, label=f"random(k={k})")
 
 
 def check_two_pauli_completeness() -> CheckResult:

@@ -32,7 +32,7 @@ class TestValidation:
 
 class TestHermitianEigenvalues:
     def test_identity(self):
-        assert hermitian_eigenvalues(I2) == [1.0, 1.0]
+        assert np.array_equal(hermitian_eigenvalues(I2), [1.0, 1.0])
 
     def test_pauli_spectrum(self):
         vals = hermitian_eigenvalues(SX)
@@ -45,7 +45,7 @@ class TestHermitianEigenvalues:
 
     def test_diagonal_is_exact(self):
         d = np.diag([-3.0, 0.5, 2.0, 7.25, -0.125]).astype(complex)
-        assert hermitian_eigenvalues(d) == [-3.0, -0.125, 0.5, 2.0, 7.25]
+        assert np.array_equal(hermitian_eigenvalues(d), [-3.0, -0.125, 0.5, 2.0, 7.25])
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -65,7 +65,7 @@ class TestHermitianEigenvalues:
         rng = np.random.default_rng(12)
         for _ in range(50):
             vals = hermitian_eigenvalues(random_hermitian(rng, 5))
-            assert vals == sorted(vals)
+            assert np.array_equal(vals, np.sort(vals))
 
     def test_invariant_under_unitary_conjugation(self):
         rng = np.random.default_rng(14)
@@ -110,18 +110,13 @@ def _random_rotation_product(rng, n):
 
 
 class TestStacks:
-    def test_single_matrix_stays_a_list(self):
-        got = hermitian_eigenvalues(I2)
-        assert isinstance(got, list)
-        assert got == [1.0, 1.0]
-
     def test_stack_matches_one_at_a_time(self):
         rng = np.random.default_rng(16)
         stack = np.array([random_hermitian(rng, 3) for _ in range(5)])
         got = hermitian_eigenvalues(stack)
         assert isinstance(got, np.ndarray) and got.shape == (5, 3)
         for row, m in zip(got, stack):
-            assert row.tolist() == hermitian_eigenvalues(m)
+            assert np.array_equal(row, hermitian_eigenvalues(m))
 
     def test_rejects_stack_with_one_non_hermitian_matrix(self):
         stack = np.array([I2, SX, np.array([[0, 1], [0, 0]], dtype=complex), SZ])

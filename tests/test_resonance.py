@@ -7,6 +7,8 @@ from qsr.resonance import (
     MULTIVALUED_TOL,
     SLOPE_EPSILON,
     SweepCurve,
+    _folds,
+    _fold_mask,
     _monotone_runs,
     bloch_ball_grid,
     detect_enhancement,
@@ -254,7 +256,7 @@ class TestStateScan:
             monkeypatch.setattr(resonance, name, counted)
         report = state_scan(3, 51)
         assert report.total_states == 7
-        assert counts == {"_folds": 7, "_monotone_runs": 7}
+        assert counts == {"_folds": 0, "_monotone_runs": 7}
 
     def test_detection_calls_estimate_slopes_once_per_curve(self, monkeypatch):
         import qsr.resonance as resonance
@@ -280,6 +282,42 @@ def test_pure_states_never_register_capacity_enhancement():
         curve = sweep(v, 0.0, 0.7, 351)
         assert detect_enhancement(curve).capacity == ()
         assert detect_multivalued(curve) == []
+
+
+def _pairwise_fold_mask(noise):
+    """Whether each noise value lies strictly inside the overlap of some
+    pair of monotone branches: the pairwise fold test that `_fold_mask`
+    replaced."""
+    _, _, lo, hi = _folds(noise, _monotone_runs(noise))
+    # Folds [0, k) in order of lo start below each value; it is inside one
+    # of them when the furthest of their upper ends lies above it. The
+    # -inf sentinel keeps the lookup valid when there are no folds.
+    order = np.argsort(lo, kind="stable")
+    k = np.searchsorted(lo[order], noise, side="left")
+    reach = np.maximum.accumulate(np.append(hi[order], -np.inf))
+    return (k > 0) & (reach[k - 1] > noise)
+
+
+@pytest.mark.parametrize("steps", [701, 20001])
+def test_fold_mask_matches_pairwise_folds_on_reference_states(steps):
+    for state in FIG1_STATES:
+        noise = sweep(state, 0.0, 0.7, steps).noise
+        mask = _fold_mask(noise)
+        assert mask.any() and not mask.all()
+        assert np.array_equal(mask, _pairwise_fold_mask(noise))
+
+
+def test_fold_mask_matches_pairwise_folds_on_random_walks():
+    # Quantised steps give ties between branch ends and flat steps.
+    rng = np.random.default_rng(53)
+    folded = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 61))
+        noise = np.cumsum(rng.integers(-2, 3, size=n) * 0.5)
+        mask = _fold_mask(noise)
+        assert np.array_equal(mask, _pairwise_fold_mask(noise))
+        folded += bool(mask.any())
+    assert folded >= 100
 
 
 def _loop_runs(noise):

@@ -63,6 +63,12 @@ class TestFactory:
         with pytest.raises(ValueError, match="flipping rate"):
             make_two_pauli(x)
 
+    def test_rejects_an_empty_rate_array(self):
+        # Every closed form shares the rate check; an empty sweep would
+        # reach detection with no samples.
+        with pytest.raises(ValueError, match="flipping rates must be a non-empty 1-D array"):
+            two_pauli_metrics((0.3, 0.4, 0.2), [])
+
 
 class TestOutputBloch:
     def test_identity_rate(self):
@@ -85,9 +91,7 @@ class TestOutputBloch:
             out = apply_channel(make_two_pauli(x), bloch_to_density(v))
             got = analytic_output_bloch(v, x)[0]
             want = density_to_bloch(out)
-            assert max(
-                abs(a - b) for a, b in zip(got.tolist(), want.as_tuple())
-            ) < 1e-14
+            assert np.abs(got - want).max() < 1e-14
 
 
 class TestExchangeMatrixClosedForm:
