@@ -10,7 +10,7 @@ that is reported as multivalued capacity, not as enhancement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -266,12 +266,19 @@ def bloch_ball_grid(resolution: int) -> list[BlochVector]:
 
 def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
                x_max: float = DEFAULT_X_MAX) -> ScanReport:
-    """Sweep every ball-grid state and report its enhancement.
+    """Sweep the ball-grid states and report their enhancement.
 
-    Evaluation order does not affect the result; entries are reported in
-    grid order (a1 outermost, a3 innermost).
+    Every two-Pauli metric depends on a state only through a1² + a2² and
+    |a3|, so each distinct exact pair is swept and detected once, on its
+    first state in grid order; the states sharing the pair share that
+    report, each with its own ``state``. Entries are reported in grid
+    order (a1 outermost, a3 innermost).
     """
-    return ScanReport(entries=tuple(
-        detect_enhancement(sweep(state, x_min, x_max, x_steps))
-        for state in bloch_ball_grid(grid_resolution)
-    ))
+    reports = {}
+    entries = []
+    for state in bloch_ball_grid(grid_resolution):
+        key = (state.a1 * state.a1 + state.a2 * state.a2, abs(state.a3))
+        if key not in reports:
+            reports[key] = detect_enhancement(sweep(state, x_min, x_max, x_steps))
+        entries.append(replace(reports[key], state=state))
+    return ScanReport(entries=tuple(entries))

@@ -271,6 +271,8 @@ RECORDED_DIGESTS = {
     "figure1/fig1d.csv": "c6ad1153859cae8f998456adad2b833fc6765d337476f7038b056c3066174e17",
     "scan stdout": "8fd5367da02374bf8dcd5155ff5ec5da77a3b0733183d98acb005ee477910f2d",
     "scan.csv": "6cd7722491faf14d61362c143cf9de17812be39fd70cea51ca7723ea7d25a139",
+    "scan default stdout": "6f7fe74ce14db15b160aea9a7e176e71e7b6462ce19d6721494837597eef5000",
+    "scan-default.csv": "7fc5dc4d783182ef1265c27483d1c1bfc7a6e8a01dcdae79574868bab9cd9e20",
     "validate stdout": "8d319bc3be4e9a1808d8621cb8853a67b2c562fb3a8d875db15279af19348d91",
     "sweep --help": "6798aeb77df47786067a07a8343b980dbb6bd775826012bb8866e4a762c62f8f",
     "figure1 --help": "a08571021cda83c226340d20271b534db002a742315a3f886d809e854291df3f",
@@ -285,14 +287,18 @@ def _sha256(data: bytes) -> str:
 def test_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     digests = {}
-    for argv in (
-        ["figure1", "--steps", "701", "--out", str(tmp_path / "figure1")],
-        ["scan", "--grid-resolution", "9", "--steps", "701", "--out", str(tmp_path / "scan.csv")],
-        ["validate"],
+    for label, argv in (
+        ("figure1", ["figure1", "--steps", "701", "--out", str(tmp_path / "figure1")]),
+        ("scan", ["scan", "--grid-resolution", "9", "--steps", "701",
+                  "--out", str(tmp_path / "scan.csv")]),
+        # The default 11^3 grid, whose 515 states share 225 distinct
+        # (a1^2 + a2^2, |a3|) pairs.
+        ("scan default", ["scan", "--steps", "701", "--out", str(tmp_path / "scan-default.csv")]),
+        ("validate", ["validate"]),
     ):
         code, stdout, _ = run(capsys, *argv)
         assert code == 0
-        digests[f"{argv[0]} stdout"] = _sha256(stdout.replace(str(tmp_path), "<out>").encode())
+        digests[f"{label} stdout"] = _sha256(stdout.replace(str(tmp_path), "<out>").encode())
     for path in sorted(tmp_path.rglob("*.csv")):
         digests[path.relative_to(tmp_path).as_posix()] = _sha256(path.read_bytes())
     for command in ("sweep", "figure1", "scan"):

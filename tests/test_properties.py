@@ -78,3 +78,25 @@ def test_swept_samples_equal_scalar_evaluation(state, n, window):
 def test_pure_states_carry_no_coherent_information(state, n, window):
     curve = sweep(state, *window, n)
     assert np.abs(curve.coherent_info).max() <= 1e-9
+
+
+#: Agreement of the eigensolved columns (noise, coherent information)
+#: between a state and its symmetric images; the worst seen over 300 random
+#: states at 201 rates in [0, 1] is 2.7e-15.
+IMAGE_TOL = 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(states, steps, windows())
+def test_metrics_depend_on_planar_weight_and_axial_magnitude(state, n, window):
+    a1, a2, a3 = state
+    curve = sweep(state, *window, n)
+    for image in ((a2, a1, a3), (-a1, a2, a3), (a1, -a2, -a3)):
+        other = sweep(image, *window, n)
+        # The closed forms see the same a1^2 + a2^2 and a3^2, bit for bit.
+        assert np.array_equal(other.output_entropy, curve.output_entropy)
+        assert np.array_equal(other.fidelity, curve.fidelity)
+        np.testing.assert_allclose(other.noise, curve.noise, rtol=0.0, atol=IMAGE_TOL)
+        np.testing.assert_allclose(
+            other.coherent_info, curve.coherent_info, rtol=0.0, atol=IMAGE_TOL
+        )
