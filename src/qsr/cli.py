@@ -126,13 +126,17 @@ def _describe(quantity: str, segments: tuple) -> str:
 
 
 def _curve_summary(curve) -> list[str]:
-    report = detect_enhancement(curve)
+    """The report lines of one curve; a curve that detection refuses is bad input."""
+    try:
+        report = detect_enhancement(curve)
+        intervals = detect_multivalued(curve)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     lines = [_describe("capacity", report.capacity), _describe("fidelity", report.fidelity)]
     if report.noise_peak_x is not None:
         lines.append(f"noise peak: x = {_format(report.noise_peak_x, 6)}")
     else:
         lines.append("noise peak: none (noise is monotone over the sweep)")
-    intervals = detect_multivalued(curve)
     if intervals:
         spans = ", ".join(f"{_format(lo, 6)}..{_format(hi, 6)}" for lo, hi in intervals)
         lines.append(f"multivalued capacity N-intervals: {spans}")
@@ -153,10 +157,11 @@ def cmd_sweep(args) -> int:
     state = _parse_state(args.state)
     x_min, x_max = _parse_range(args.x_range)
     curve = _sweep(state, x_min, x_max, args.steps)
+    summary = _curve_summary(curve)
     _write_text(args.out, _sweep_csv(curve, args.precision))
     print(f"sweep: state {args.state}, x in [{x_min:g}, {x_max:g}], {args.steps} steps")
     print(f"wrote {args.out} ({args.steps} rows)")
-    for line in _curve_summary(curve):
+    for line in summary:
         print(line)
     return 0
 
@@ -165,13 +170,14 @@ def cmd_figure1(args) -> int:
     x_min, x_max = _parse_range(args.x_range)
     for name, state in FIGURE1_STATES:
         curve = _sweep(state, x_min, x_max, args.steps)
-        # Made after a sweep has accepted the window, so bad input leaves none.
+        summary = _curve_summary(curve)
+        # Made after detection has accepted the curve, so bad input leaves none.
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{name}.csv")
         _write_text(path, _sweep_csv(curve, args.precision))
         state_text = ",".join(_format(v, 6) for v in state.as_tuple())
         print(f"{name}: state {state_text} -> {path}")
-        for line in _curve_summary(curve):
+        for line in summary:
             print(f"  {line}")
         del curve  # else the next sweep's peak memory holds this curve too
     return 0

@@ -2,10 +2,12 @@
 
 Builds parametric curves of the channel's figures of merit against its
 noise measure, estimates slopes with finite differences, and classifies
-stretches of positive dQ/dN. A stretch whose noise values lie inside a
-fold, meaning strictly inside the noise ranges of two or more monotone
-branches around a noise extremum, is the curve doubling back on itself;
-that is reported as multivalued capacity, not as enhancement.
+stretches of positive dQ/dN. The noise of a two-Pauli sweep rises to one
+peak and falls after it, so it has at most two monotone branches, and
+detection refuses a curve with more. Both branches cover the fold, the
+noise interval between the larger end value and the peak; a positive-slope
+stretch inside it is the curve doubling back on itself and is reported as
+multivalued capacity, not as enhancement.
 """
 
 from __future__ import annotations
@@ -127,106 +129,72 @@ def estimate_slopes(curve: SweepCurve) -> tuple[np.ndarray, tuple, tuple]:
     return d_noise, d_values, ratios
 
 
-def _monotone_runs(values: np.ndarray) -> list[tuple[int, int]]:
-    """Split the sample indices into maximal runs of monotone values.
+def _noise_peak(noise: np.ndarray) -> int:
+    """Index of the noise maximum (its first sample, on a flat top).
 
-    Returns inclusive (start, end) index pairs; consecutive runs share the
-    extremum sample that separates them. Flat steps keep the current
-    direction; a run ends at the sample before the first step against it.
+    A two-Pauli noise curve has at most two monotone branches: the noise
+    rises to one peak and falls after it. Raises ValueError when the noise
+    falls before the peak or rises after it, which rounding can cause on a
+    very narrow window.
     """
-    diff = np.diff(values)
-    steps = np.flatnonzero(diff)
-    signs = np.sign(diff[steps])
-    turns = steps[1:][signs[1:] != signs[:-1]]
-    cuts = [0, *turns.tolist(), len(values) - 1]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _folds(noise: np.ndarray, branches) -> tuple[np.ndarray, ...]:
-    """Pairs of monotone branches that cover a common noise interval.
-
-    Returns the arrays ``(first, second, lo, hi)``: the indices into
-    ``branches`` of each overlapping pair (first < second, in pair order)
-    and the noise interval (lo, hi) that both cover, with hi > lo.
-    """
-    ends = np.sort(noise[np.array(branches)], axis=1)
-    first, second = np.triu_indices(len(branches), 1)
-    lo = np.maximum(ends[first, 0], ends[second, 0])
-    hi = np.minimum(ends[first, 1], ends[second, 1])
-    overlap = hi > lo
-    return first[overlap], second[overlap], lo[overlap], hi[overlap]
-
-
-def _fold_mask(noise: np.ndarray) -> np.ndarray:
-    """Whether each noise value lies inside a fold: strictly inside the
-    noise ranges of two or more monotone branches."""
-    ends = np.sort(noise[np.array(_monotone_runs(noise))], axis=1)
-    # Branches whose low end lies below a value, minus those whose high end
-    # does not lie above it, are the branches that hold it strictly inside.
-    return (np.searchsorted(np.sort(ends[:, 0]), noise, "left")
-            - np.searchsorted(np.sort(ends[:, 1]), noise, "right")) >= 2
+    peak = int(np.argmax(noise))
+    steps = np.diff(noise)
+    if not ((steps[:peak] >= 0.0).all() and (steps[peak:] <= 0.0).all()):
+        raise ValueError(
+            "the noise must rise to one peak and fall after it, but over this "
+            "window it turns more often (rounding can do that on a very narrow window)"
+        )
+    return peak
 
 
 def detect_multivalued(curve: SweepCurve) -> list[tuple[float, float]]:
-    """Noise intervals where two monotone branches disagree on capacity.
+    """The noise interval where the two branches disagree on capacity.
 
-    Each pair of branches that covers a common noise interval (a fold) is
-    compared there: both are oriented by increasing noise and their
-    capacities are compared at matched noise values (every sampled noise
-    value of either branch inside the interval, by linear interpolation
-    within the other branch). The interval is reported when the branches
-    differ by more than MULTIVALUED_TOL bits somewhere inside it. Strictly
-    monotone curves, and pure states whose capacity is identically zero,
-    give an empty list.
+    The rising branch (up to the noise peak) and the falling branch (from
+    it) both cover the fold, the noise interval (lo, hi) from the larger
+    end value max(N[0], N[-1]) to the peak value. Their capacities are
+    compared at every sampled noise value in [lo, hi], each by linear
+    interpolation along its branch oriented by increasing noise. Returns
+    ``[(lo, hi)]`` when they differ by more than MULTIVALUED_TOL bits
+    somewhere, else ``[]``: monotone curves, and pure states whose
+    capacity is identically zero, give an empty list. Raises ValueError
+    when the noise has more than two monotone branches.
     """
     noise = curve.noise
     capacity = curve.coherent_info
-    branches = _monotone_runs(noise)
-    first, second, lows, highs = _folds(noise, branches)
-    found = []
-    for i, j, lo, hi in zip(first.tolist(), second.tolist(), lows.tolist(), highs.tolist()):
-        n1, c1 = _oriented(noise, capacity, branches[i])
-        n2, c2 = _oriented(noise, capacity, branches[j])
-        # lo is where one of the two branches starts, so there is a probe.
-        probes = np.concatenate(
-            [n1[(n1 >= lo) & (n1 <= hi)], n2[(n2 >= lo) & (n2 <= hi)]]
-        )
-        gap = np.abs(np.interp(probes, n1, c1) - np.interp(probes, n2, c2))
-        if gap.max() > MULTIVALUED_TOL:
-            found.append((lo, hi))
-    return sorted(found)
-
-
-def _oriented(noise, capacity, branch):
-    lo, hi = branch
-    n = noise[lo : hi + 1]
-    c = capacity[lo : hi + 1]
-    if n[0] > n[-1]:
-        return n[::-1], c[::-1]
-    return n, c
+    peak = _noise_peak(noise)
+    lo, hi = max(noise[0], noise[-1]), noise[peak]
+    if hi <= lo:
+        return []
+    probes = noise[(noise >= lo) & (noise <= hi)]
+    rising = np.interp(probes, noise[: peak + 1], capacity[: peak + 1])
+    falling = np.interp(probes, noise[peak:][::-1], capacity[peak:][::-1])
+    if np.abs(rising - falling).max() > MULTIVALUED_TOL:
+        return [(float(lo), float(hi))]
+    return []
 
 
 def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
     """Find stretches where capacity or fidelity genuinely rises with the noise.
 
-    The slopes (one `estimate_slopes` call), the monotone branches and the
-    fold mask are worked out once for the curve and shared by both
-    quantities. A sample qualifies when its parametric slope dQ/dN is
-    defined, exceeds MIN_POSITIVE_SLOPE, and its noise value is not inside
-    a fold (strictly inside the noise ranges of two or more monotone
-    branches). Positive slopes confined to a fold are the curve doubling
-    back around the noise extremum; they are reported by
-    `detect_multivalued` instead of as enhancement. A segment needs at
-    least two consecutive qualifying samples, which suppresses
-    single-point finite-difference noise.
+    The slopes (one `estimate_slopes` call), the noise peak and the fold
+    are worked out once for the curve and shared by both quantities. A
+    sample qualifies when its parametric slope dQ/dN is defined, exceeds
+    MIN_POSITIVE_SLOPE, and its noise value is not inside the fold: the
+    open interval from max(N[0], N[-1]) to the peak noise, which both the
+    rising and the falling branch cover. Positive slopes confined to the
+    fold are the curve doubling back around the noise peak; they are
+    reported by `detect_multivalued` instead of as enhancement. A segment
+    needs at least two consecutive qualifying samples, which suppresses
+    single-point finite-difference noise. Raises ValueError when the
+    noise has more than two monotone branches.
     """
     noise = curve.noise
     _, _, (capacity, fidelity) = estimate_slopes(curve)
-    outside = ~_fold_mask(noise)
-    peak_index = int(np.argmax(noise))
-    noise_peak_x = (
-        float(curve.x[peak_index]) if 0 < peak_index < len(noise) - 1 else None
-    )
+    peak = _noise_peak(noise)
+    lo, hi = max(noise[0], noise[-1]), noise[peak]
+    outside = ~((noise > lo) & (noise < hi))
+    noise_peak_x = float(curve.x[peak]) if 0 < peak < len(noise) - 1 else None
     return EnhancementReport(
         state=curve.state,
         capacity=_segments(curve.x, capacity, outside),
@@ -237,7 +205,7 @@ def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
 
 def _segments(x: np.ndarray, ratio: np.ndarray, outside: np.ndarray) -> tuple:
     """(x_start, x_end, max dQ/dN) of each run of two or more samples whose
-    dQ/dN (``ratio``) exceeds MIN_POSITIVE_SLOPE outside every fold."""
+    dQ/dN (``ratio``) exceeds MIN_POSITIVE_SLOPE outside the fold."""
     # An undefined (NaN) slope compares False, so it never qualifies.
     qualifying = (ratio > MIN_POSITIVE_SLOPE) & outside
     edges = np.diff(qualifying.astype(np.int8), prepend=0, append=0)
@@ -254,7 +222,9 @@ def bloch_ball_grid(resolution: int) -> list[BlochVector]:
     """Uniform grid over [-1, 1]^3 clipped to the closed unit ball."""
     if resolution < 2:
         raise ValueError(f"grid resolution must be at least 2, got {resolution}")
-    axis = np.linspace(-1.0, 1.0, resolution)
+    # Integer numerators make the axis exactly mirror-symmetric, so that
+    # mirrored states share their exact (a1² + a2², |a3|) key.
+    axis = (2 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
     grid = []
     for a1 in axis:
         for a2 in axis:

@@ -185,6 +185,21 @@ def test_rejects_reversed_range_without_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--state=-1,0,0", "--x-range", "0,1e-12", "--steps", "701"),
+    ("figure1", "--x-range", "0,1e-15"),
+    ("scan", "--grid-resolution", "3", "--x-range", "0,1e-12"),
+])
+def test_refuses_noise_with_more_than_two_branches(tmp_path, capsys, argv):
+    # Rounding makes the noise wander over these windows.
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert stderr.startswith("error: ") and "one peak" in stderr
+    assert "Traceback" not in stderr and "noise is monotone" not in stdout
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, option", [
     (("sweep", "--state", "0,0,0", "--steps", str(MAX_STEPS + 1)), "--steps"),
     (("figure1", "--steps", str(MAX_STEPS + 1)), "--steps"),
@@ -273,7 +288,7 @@ RECORDED_DIGESTS = {
     "scan.csv": "6cd7722491faf14d61362c143cf9de17812be39fd70cea51ca7723ea7d25a139",
     "scan default stdout": "6f7fe74ce14db15b160aea9a7e176e71e7b6462ce19d6721494837597eef5000",
     "scan-default.csv": "7fc5dc4d783182ef1265c27483d1c1bfc7a6e8a01dcdae79574868bab9cd9e20",
-    "validate stdout": "8d319bc3be4e9a1808d8621cb8853a67b2c562fb3a8d875db15279af19348d91",
+    "validate stdout": "ac2e3b1dafbded816e81171c9eb7531022b38ebc8acfea030ae8374e7ace1811",
     "sweep --help": "6798aeb77df47786067a07a8343b980dbb6bd775826012bb8866e4a762c62f8f",
     "figure1 --help": "a08571021cda83c226340d20271b534db002a742315a3f886d809e854291df3f",
     "scan --help": "a3660081d72db67f00b016ce017176606c17efce45fb47ed24c5887c06dd983c",
@@ -291,7 +306,7 @@ def test_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch):
         ("figure1", ["figure1", "--steps", "701", "--out", str(tmp_path / "figure1")]),
         ("scan", ["scan", "--grid-resolution", "9", "--steps", "701",
                   "--out", str(tmp_path / "scan.csv")]),
-        # The default 11^3 grid, whose 515 states share 225 distinct
+        # The default 11^3 grid, whose 515 states share 58 distinct
         # (a1^2 + a2^2, |a3|) pairs.
         ("scan default", ["scan", "--steps", "701", "--out", str(tmp_path / "scan-default.csv")]),
         ("validate", ["validate"]),

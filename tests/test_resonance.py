@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from qsr.channel import BlochVector
+from qsr.cli import MAX_STEPS
 from qsr.resonance import (
     MIN_POSITIVE_SLOPE,
     MULTIVALUED_TOL,
     SLOPE_EPSILON,
     SweepCurve,
-    _folds,
-    _fold_mask,
-    _monotone_runs,
+    _noise_peak,
     bloch_ball_grid,
     detect_enhancement,
     detect_multivalued,
@@ -125,27 +124,50 @@ class TestEstimateSlopes:
 
 
 class TestMonotoneBranches:
-    def test_partition_covers_interior_samples_once(self, fig1_curves):
+    """`_noise_peak` splits the noise into a rising and a falling branch."""
+
+    def test_peak_is_the_first_noise_maximum(self, fig1_curves):
         for curve in fig1_curves.values():
-            branches = _monotone_runs(curve.noise)
-            boundaries = {b[0] for b in branches} | {b[1] for b in branches}
-            count = [0] * len(curve.x)
-            for lo, hi in branches:
-                for i in range(lo, hi + 1):
-                    count[i] += 1
-            for i, c in enumerate(count):
-                assert c == (2 if i in boundaries and 0 < i < len(count) - 1 else 1)
+            peak = _noise_peak(curve.noise)
+            assert peak == int(np.argmax(curve.noise))
+            assert 0 < peak < len(curve.noise) - 1
+        # A flat top belongs to the falling branch; flat steps keep a branch.
+        assert _noise_peak(np.array([0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 0.5, 0.5])) == 3
+        assert _noise_peak(np.array([1.0, 1.0, 1.0])) == 0
 
     def test_monotone_curve_is_single_branch(self):
-        curve = sweep((0, 0, 0), 0.5, 0.7, 51)
-        assert _monotone_runs(curve.noise) == [(0, 50)]
+        # The (0,0,0) noise peaks at x = 1/3.
+        assert _noise_peak(sweep((0, 0, 0), 0.5, 0.7, 51).noise) == 0
+        assert _noise_peak(sweep((0, 0, 0), 0.05, 0.3, 51).noise) == 50
 
     def test_branches_are_noise_monotone(self, fig1_curves):
         for curve in fig1_curves.values():
             noise = curve.noise
-            for lo, hi in _monotone_runs(curve.noise):
-                diffs = np.diff(noise[lo : hi + 1])
-                assert (diffs >= 0).all() or (diffs <= 0).all()
+            peak = _noise_peak(noise)
+            assert (np.diff(noise[: peak + 1]) >= 0).all()
+            assert (np.diff(noise[peak:]) <= 0).all()
+
+    @pytest.mark.parametrize("noise", [
+        [1.0, 0.0, 1.0],
+        [0.0, 2.0, 1.0, 2.0, 0.0],
+        [0.0, 1.0, 0.0, 0.5],
+        [0.0, 0.5, 0.5, 0.0, 0.5, 0.5],
+        [0.0, np.nan, 1.0],
+    ])
+    def test_refuses_more_than_two_branches(self, noise):
+        with pytest.raises(ValueError, match="one peak"):
+            _noise_peak(np.array(noise))
+
+    def test_guard_accepts_the_physics(self):
+        # Every distinct (a1^2 + a2^2, |a3|) pair of the default 11^3 grid
+        # at 20001 steps on both windows (state_scan detects each once and
+        # raises on a refusal), and the reference states at the CLI's
+        # largest step count.
+        for window in ((0.0, 0.7), (0.0, 1.0)):
+            assert state_scan(11, 20001, *window).total_states == 515
+        for state in FIG1_STATES:
+            noise = sweep(state, 0.0, 0.7, MAX_STEPS).noise
+            assert 0 < _noise_peak(noise) < MAX_STEPS - 1
 
 
 class TestDetectEnhancement:
@@ -242,6 +264,15 @@ class TestStateScan:
         assert len(grid) == 7  # center plus the six axis poles
         assert all(v.norm_squared <= 1.0 + 1e-12 for v in grid)
 
+    def test_grid_is_mirror_symmetric(self):
+        # Mirrored states must share their exact (a1^2 + a2^2, |a3|) key.
+        for resolution in (3, 4, 9, 11, 21):
+            points = {state.as_tuple() for state in bloch_ball_grid(resolution)}
+            for sign in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)):
+                assert {tuple(s * a for s, a in zip(sign, p)) for p in points} == points
+        keys = {(s.a1 * s.a1 + s.a2 * s.a2, abs(s.a3)) for s in bloch_ball_grid(11)}
+        assert len(keys) == 58
+
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError, match="resolution"):
             state_scan(1, 101)
@@ -249,19 +280,18 @@ class TestStateScan:
     def test_detection_runs_once_per_curve(self, monkeypatch):
         import qsr.resonance as resonance
 
-        counts = {"_folds": 0, "_monotone_runs": 0}
-        for name in counts:
-            original = getattr(resonance, name)
+        calls = []
+        original = resonance._noise_peak
 
-            def counted(*args, _original=original, _name=name):
-                counts[_name] += 1
-                return _original(*args)
+        def counted(noise):
+            calls.append(noise)
+            return original(noise)
 
-            monkeypatch.setattr(resonance, name, counted)
+        monkeypatch.setattr(resonance, "_noise_peak", counted)
         report = state_scan(3, 51)
         # 7 states, 3 distinct (a1^2 + a2^2, |a3|) pairs: one curve each.
         assert report.total_states == 7
-        assert counts == {"_folds": 0, "_monotone_runs": 3}
+        assert len(calls) == 3
 
     def test_detection_calls_estimate_slopes_once_per_curve(self, monkeypatch):
         import qsr.resonance as resonance
@@ -336,42 +366,6 @@ def test_pure_states_never_register_capacity_enhancement():
         assert detect_multivalued(curve) == []
 
 
-def _pairwise_fold_mask(noise):
-    """Whether each noise value lies strictly inside the overlap of some
-    pair of monotone branches: the pairwise fold test that `_fold_mask`
-    replaced."""
-    _, _, lo, hi = _folds(noise, _monotone_runs(noise))
-    # Folds [0, k) in order of lo start below each value; it is inside one
-    # of them when the furthest of their upper ends lies above it. The
-    # -inf sentinel keeps the lookup valid when there are no folds.
-    order = np.argsort(lo, kind="stable")
-    k = np.searchsorted(lo[order], noise, side="left")
-    reach = np.maximum.accumulate(np.append(hi[order], -np.inf))
-    return (k > 0) & (reach[k - 1] > noise)
-
-
-@pytest.mark.parametrize("steps", [701, 20001])
-def test_fold_mask_matches_pairwise_folds_on_reference_states(steps):
-    for state in FIG1_STATES:
-        noise = sweep(state, 0.0, 0.7, steps).noise
-        mask = _fold_mask(noise)
-        assert mask.any() and not mask.all()
-        assert np.array_equal(mask, _pairwise_fold_mask(noise))
-
-
-def test_fold_mask_matches_pairwise_folds_on_random_walks():
-    # Quantised steps give ties between branch ends and flat steps.
-    rng = np.random.default_rng(53)
-    folded = 0
-    for _ in range(500):
-        n = int(rng.integers(1, 61))
-        noise = np.cumsum(rng.integers(-2, 3, size=n) * 0.5)
-        mask = _fold_mask(noise)
-        assert np.array_equal(mask, _pairwise_fold_mask(noise))
-        folded += bool(mask.any())
-    assert folded >= 100
-
-
 def _loop_runs(noise):
     """Monotone runs by the per-sample loop the array code replaced."""
     cuts, direction = [0], 0
@@ -444,33 +438,91 @@ def _loop_multivalued(curve):
     return sorted(found)
 
 
+def _walk_curve(noise, rng):
+    """A record around a synthetic noise column, with random capacity and
+    fidelity columns."""
+    n = len(noise)
+    values = np.cumsum(rng.normal(size=n))
+    return SweepCurve(BlochVector(0, 0, 0), np.linspace(0.0, 1.0, n), noise, values,
+                      values[::-1], np.zeros(n), np.zeros((n, 3)))
+
+
+def _unimodal_walk(rng, n, steps):
+    """Noise that rises to one peak and falls after it, with step sizes
+    drawn from ``steps`` (zero among them gives flat steps and flat tops)."""
+    peak = int(rng.integers(0, n))
+    up = rng.choice(steps, size=peak)
+    down = -rng.choice(steps, size=n - 1 - peak)
+    return np.cumsum(np.concatenate([[0.0], up, down]))
+
+
+def _matches_loop_reference(curve):
+    """Assert that detection reports what the loop references report, and
+    return the multivalued intervals."""
+    report = detect_enhancement(curve)
+    assert report.capacity == _loop_segments(curve, curve.coherent_info)
+    assert report.fidelity == _loop_segments(curve, curve.fidelity)
+    intervals = detect_multivalued(curve)
+    assert intervals == _loop_multivalued(curve)
+    return intervals
+
+
+@pytest.mark.parametrize("steps", [701, 20001])
+def test_fold_mask_matches_pairwise_folds_on_reference_states(steps):
+    # The one fold between the two branches against the pairwise folds of
+    # the loop reference.
+    for state in FIG1_STATES:
+        curve = sweep(state, 0.0, 0.7, steps)
+        assert len(_loop_runs(curve.noise.tolist())) == 2
+        assert _matches_loop_reference(curve)
+
+
+def test_fold_mask_matches_pairwise_folds_on_random_walks():
+    # Quantised steps give ties between branch ends, flat steps and flat tops.
+    rng = np.random.default_rng(53)
+    folded = refused = 0
+    for _ in range(500):
+        n = int(rng.integers(3, 61))
+        folded += bool(_matches_loop_reference(
+            _walk_curve(_unimodal_walk(rng, n, [0.0, 0.5, 1.0]), rng)))
+        # A walk that turns more than once, or falls before it rises, has
+        # more than two monotone branches.
+        noise = np.cumsum(rng.integers(-2, 3, size=n) * 0.5)
+        runs = _loop_runs(noise.tolist())
+        if len(runs) > 2 or (len(runs) == 2 and noise[runs[0][1]] < noise[0]):
+            curve = _walk_curve(noise, rng)
+            for detect in (detect_enhancement, detect_multivalued):
+                with pytest.raises(ValueError, match="one peak"):
+                    detect(curve)
+            refused += 1
+    assert folded >= 100 and refused >= 100
+
+
 def test_array_detection_matches_loop_reference(fig1_curves):
-    # Random walks with flat steps exercise ties, turns and many folds.
     rng = np.random.default_rng(52)
     curves = list(fig1_curves.values())
     for _ in range(40):
         n = int(rng.integers(3, 300))
-        x = np.linspace(0.0, 1.0, n)
-        noise = np.cumsum(rng.choice([-1.0, 0.0, 1.0], size=n) * rng.uniform(size=n))
-        values = np.cumsum(rng.normal(size=n))
-        curves.append(SweepCurve(BlochVector(0, 0, 0), x, noise, values, values[::-1],
-                                 np.zeros(n), np.zeros((n, 3))))
-    # The first and last branches meet only at N = 1, which is no fold.
-    touching = np.array([0.0, 1.0, 0.5, 2.0, 1.0])
-    values = np.arange(5.0) ** 2
-    curves.append(SweepCurve(BlochVector(0, 0, 0), np.linspace(0.0, 1.0, 5), touching, values,
-                             values, np.zeros(5), np.zeros((5, 3))))
-    multivalued = 0
-    for curve in curves:
-        assert _monotone_runs(curve.noise) == _loop_runs(curve.noise.tolist())
-        report = detect_enhancement(curve)
-        assert report.capacity == _loop_segments(curve, curve.coherent_info)
-        assert report.fidelity == _loop_segments(curve, curve.fidelity)
-        intervals = detect_multivalued(curve)
-        assert intervals == _loop_multivalued(curve)
-        multivalued += bool(intervals)
+        steps = rng.choice([0.0, 1.0], size=n) * rng.uniform(size=n)
+        curves.append(_walk_curve(_unimodal_walk(rng, n, steps), rng))
+    # The falling branch stays at the peak value: the fold (N[-1], N[peak])
+    # is empty.
+    values = np.arange(3.0) ** 2
+    curves.append(SweepCurve(BlochVector(0, 0, 0), np.linspace(0.0, 1.0, 3),
+                             np.array([0.0, 1.0, 1.0]), values, values, np.zeros(3),
+                             np.zeros((3, 3))))
+    multivalued = sum(bool(_matches_loop_reference(curve)) for curve in curves)
     # The comparison covers curves that do have multivalued intervals.
     assert multivalued >= 10
+
+
+def test_rounding_level_window_is_refused():
+    # Rounding makes the noise of this pure state wander over the window.
+    curve = sweep((-1, 0, 0), 0.0, 1e-12, 701)
+    assert len(_loop_runs(curve.noise.tolist())) > 2
+    for detect in (detect_enhancement, detect_multivalued):
+        with pytest.raises(ValueError, match="one peak"):
+            detect(curve)
 
 
 def test_reports_are_deterministic():
