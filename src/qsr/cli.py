@@ -8,6 +8,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import os
 import sys
 
@@ -16,6 +18,7 @@ import numpy as np
 from .channel import BlochVector
 from .resonance import DEFAULT_STEPS, DEFAULT_X_MAX, DEFAULT_X_MIN, MIN_STEPS
 from .resonance import detect_enhancement, detect_multivalued, state_scan, sweep
+from .two_pauli import _BLOCK
 from .validation import run_all
 
 #: The four reference input states swept in the figure1 command.
@@ -31,8 +34,8 @@ DEFAULT_PRECISION = 12
 #: Largest --precision accepted: 17 significant digits round-trip any double.
 MAX_PRECISION = 17
 
-#: Largest --steps accepted: a sweep holds a (steps, 3, 3) complex stack
-#: and its temporaries, about 100 MB at this size.
+#: Largest --steps accepted: a sweep holds its eight columns and blocks of
+#: fixed size, about 42 MB peak process memory at this size.
 MAX_STEPS = 100_001
 
 #: Largest --grid-resolution accepted: about 69,000 ball states.
@@ -98,19 +101,36 @@ def _format(value: float, precision: int) -> str:
     return f"{value + 0.0:.{precision}g}"
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_lines(path: str, lines) -> None:
+    """Write newline-terminated lines to ``path``, _BLOCK lines per write,
+    so that a file's text is never held whole."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        while block := "".join(itertools.islice(lines, _BLOCK)):
+            handle.write(block)
 
 
-def _sweep_csv(curve, precision: int) -> str:
-    rows = np.column_stack((curve.x, curve.noise, curve.coherent_info, curve.fidelity,
-                            curve.output_entropy, curve.output_bloch))
+def _sweep_lines(curve, precision: int):
+    """The lines of a sweep CSV: a header, then one row per rate, formatted
+    one block of _BLOCK rows at a time."""
+    yield "x,N,C,F,H_out,b1,b2,b3\n"
+    columns = (curve.x, curve.noise, curve.coherent_info, curve.fidelity,
+               curve.output_entropy, curve.output_bloch)
     # One %-template per row writes what _format writes for each value.
-    template = ",".join([f"%.{precision}g"] * 8)
-    lines = ["x,N,C,F,H_out,b1,b2,b3"]
-    lines += [template % tuple(row) for row in (rows + 0.0).tolist()]
-    return "\n".join(lines) + "\n"
+    template = ",".join([f"%.{precision}g"] * 8) + "\n"
+    for start in range(0, len(curve.x), _BLOCK):
+        rows = np.column_stack([column[start : start + _BLOCK] for column in columns])
+        yield from (template % tuple(row) for row in (rows + 0.0).tolist())
+
+
+def _scan_lines(report, precision: int):
+    """The lines of a scan CSV: a header, then one row per grid state."""
+    yield "a1,a2,a3,cap_enh,fid_enh,noise_peak_x\n"
+    for entry in report.entries:
+        fields = [_format(a, precision) for a in entry.state.as_tuple()]
+        fields += [str(len(entry.capacity)), str(len(entry.fidelity))]
+        peak = "" if entry.noise_peak_x is None else _format(entry.noise_peak_x, precision)
+        yield ",".join(fields + [peak]) + "\n"
 
 
 def _describe(quantity: str, segments: tuple) -> str:
@@ -158,7 +178,7 @@ def cmd_sweep(args) -> int:
     x_min, x_max = _parse_range(args.x_range)
     curve = _sweep(state, x_min, x_max, args.steps)
     summary = _curve_summary(curve)
-    _write_text(args.out, _sweep_csv(curve, args.precision))
+    _write_lines(args.out, _sweep_lines(curve, args.precision))
     print(f"sweep: state {args.state}, x in [{x_min:g}, {x_max:g}], {args.steps} steps")
     print(f"wrote {args.out} ({args.steps} rows)")
     for line in summary:
@@ -167,19 +187,42 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure1(args) -> int:
+    """Sweep the four states one at a time and write each CSV under a
+    temporary name. Only once the last curve is accepted are all four
+    renamed and their reports printed, so a refused curve leaves no CSV."""
     x_min, x_max = _parse_range(args.x_range)
-    for name, state in FIGURE1_STATES:
-        curve = _sweep(state, x_min, x_max, args.steps)
-        summary = _curve_summary(curve)
-        # Made after detection has accepted the curve, so bad input leaves none.
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{name}.csv")
-        _write_text(path, _sweep_csv(curve, args.precision))
-        state_text = ",".join(_format(v, 6) for v in state.as_tuple())
-        print(f"{name}: state {state_text} -> {path}")
-        for line in summary:
-            print(f"  {line}")
-        del curve  # else the next sweep's peak memory holds this curve too
+    made_dir = False
+    written = []  # (temporary path, path) of each CSV begun so far
+    report = []
+    try:
+        for name, state in FIGURE1_STATES:
+            curve = _sweep(state, x_min, x_max, args.steps)
+            try:
+                summary = _curve_summary(curve)
+            except _CliError as exc:
+                raise _CliError(f"{name}: {exc}") from None
+            # Made after detection has accepted a curve, so bad input leaves none.
+            if not made_dir and not os.path.isdir(args.out):
+                os.makedirs(args.out)
+                made_dir = True
+            path = os.path.join(args.out, f"{name}.csv")
+            written.append((os.path.join(args.out, f".{name}.csv.tmp"), path))
+            _write_lines(written[-1][0], _sweep_lines(curve, args.precision))
+            state_text = ",".join(_format(v, 6) for v in state.as_tuple())
+            report.append(f"{name}: state {state_text} -> {path}")
+            report += [f"  {line}" for line in summary]
+            del curve  # else the next sweep's peak memory holds this curve too
+    except BaseException:
+        for temporary, _ in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
+        if made_dir:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
+        raise
+    for temporary, path in written:
+        os.replace(temporary, path)
+    print("\n".join(report))
     return 0
 
 
@@ -188,13 +231,7 @@ def cmd_scan(args) -> int:
         report = state_scan(args.grid_resolution, args.steps, *_parse_range(args.x_range))
     except ValueError as exc:
         raise _CliError(str(exc)) from None
-    lines = ["a1,a2,a3,cap_enh,fid_enh,noise_peak_x"]
-    for entry in report.entries:
-        fields = [_format(a, args.precision) for a in entry.state.as_tuple()]
-        fields += [str(len(entry.capacity)), str(len(entry.fidelity))]
-        peak = "" if entry.noise_peak_x is None else _format(entry.noise_peak_x, args.precision)
-        lines.append(",".join(fields + [peak]))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_lines(args.out, _scan_lines(report, args.precision))
     print(f"scan: {report.total_states} states, grid resolution {args.grid_resolution}")
     print(f"wrote {args.out}")
     print(f"states with capacity enhancement: {report.capacity_enhanced_states}")

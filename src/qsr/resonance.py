@@ -242,13 +242,20 @@ def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
     |a3|, so each distinct exact pair is swept and detected once, on its
     first state in grid order; the states sharing the pair share that
     report, each with its own ``state``. Entries are reported in grid
-    order (a1 outermost, a3 innermost).
+    order (a1 outermost, a3 innermost). A curve that detection refuses
+    raises ValueError naming its state and pair.
     """
     reports = {}
     entries = []
     for state in bloch_ball_grid(grid_resolution):
         key = (state.a1 * state.a1 + state.a2 * state.a2, abs(state.a3))
         if key not in reports:
-            reports[key] = detect_enhancement(sweep(state, x_min, x_max, x_steps))
+            curve = sweep(state, x_min, x_max, x_steps)
+            try:
+                reports[key] = detect_enhancement(curve)
+            except ValueError as exc:
+                raise ValueError(
+                    f"state {state.as_tuple()} with (a1^2 + a2^2, |a3|) = {key}: {exc}"
+                ) from exc
         entries.append(replace(reports[key], state=state))
     return ScanReport(entries=tuple(entries))

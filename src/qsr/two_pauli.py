@@ -7,6 +7,9 @@ through `qsr.channel`, so the two paths can cross-validate each other.
 The closed forms take a 1-D array of rates, or one rate as an array of
 length 1, and evaluate every rate in one pass; `two_pauli_metrics`
 gathers them into one `SweepCurve`, which is how a sweep is computed.
+It solves the exchange-matrix spectra in fixed blocks of rates, so the
+memory a sweep needs beyond its own columns does not grow with its
+length.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ from .channel import (
     spectrum_entropy,
 )
 from .linalg import hermitian_eigenvalues
+
+#: Rates per block of exchange matrices solved at once in `two_pauli_metrics`,
+#: and rows per write of the CLI's CSV files: large enough that the
+#: per-block overhead does not show, small enough that a block's (3, 3)
+#: complex stack and its temporaries stay under a megabyte.
+_BLOCK = 2048
 
 
 def _check_rate(x) -> np.ndarray:
@@ -141,14 +150,22 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     """All figures of merit as columns over a 1-D array of rates (one rate
     gives columns of length 1).
 
-    The noise is the entropy of the closed-form exchange matrix spectrum;
-    all spectra come from one eigensolve of the stacked matrices. Output
+    The noise is the entropy of the closed-form exchange matrix spectrum.
+    The matrices are built and solved one block of _BLOCK rates at a
+    time, each block in one eigensolve with every check of the one-pass
+    route, so the memory this needs beyond the returned columns is fixed
+    by the block, not by the number of rates. Each 3x3 matrix is solved
+    on its own, so the noise does not depend on the block size. Output
     entropy, fidelity and the output state come from their closed forms;
     coherent information is stored as output entropy minus noise.
     """
     state = as_bloch(state)
     x = _check_rate(x)
-    noise = spectrum_entropy(hermitian_eigenvalues(analytic_exchange_matrix(state, x)))
+    noise = np.empty_like(x)
+    for start in range(0, len(x), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        noise[block] = spectrum_entropy(
+            hermitian_eigenvalues(analytic_exchange_matrix(state, x[block])))
     output_entropy = analytic_output_entropy(state, x)
     return SweepCurve(
         state=state,

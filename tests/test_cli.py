@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from qsr import cli
 from qsr.cli import MAX_GRID_RESOLUTION, MAX_PRECISION, MAX_STEPS, main
+from qsr.two_pauli import _BLOCK, two_pauli_metrics
 
 
 def run(capsys, *argv):
@@ -185,6 +187,14 @@ def test_rejects_reversed_range_without_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+#: How each command names the curve it refuses; a sweep has only one.
+REFUSED_CURVE = {
+    "sweep": "",
+    "figure1": "fig1a: ",
+    "scan": "state (-1.0, 0.0, 0.0) with (a1^2 + a2^2, |a3|) = (1.0, 0.0): ",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--state=-1,0,0", "--x-range", "0,1e-12", "--steps", "701"),
     ("figure1", "--x-range", "0,1e-15"),
@@ -195,9 +205,26 @@ def test_refuses_noise_with_more_than_two_branches(tmp_path, capsys, argv):
     out = tmp_path / "out"
     code, stdout, stderr = run(capsys, *argv, "--out", str(out))
     assert code == 1
-    assert stderr.startswith("error: ") and "one peak" in stderr
+    assert stderr.startswith("error: " + REFUSED_CURVE[argv[0]]) and "one peak" in stderr
     assert "Traceback" not in stderr and "noise is monotone" not in stdout
     assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_figure1_refusing_a_later_curve_leaves_no_csv(tmp_path, capsys, existing):
+    # fig1a and fig1b are accepted over this window; fig1c's noise turns twice.
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+    code, stdout, stderr = run(
+        capsys, "figure1", "--x-range", "0.35,0.35000000001", "--out", str(out))
+    assert code == 1
+    assert stderr.startswith("error: fig1c: ") and "one peak" in stderr
+    assert stdout == ""
+    # a directory made by this call is removed; one that was there is kept, empty
+    assert out.exists() == existing
+    if existing:
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -253,25 +280,45 @@ class TestValidateCommand:
         assert "completeness violation detected" in stdout
 
 
-def test_sweep_csv_rows_match_per_value_format():
+def test_sweep_csv_rows_match_per_value_format(tmp_path):
     # -0, subnormals, huge values and values that round up at some precision
-    values = np.array([
+    edge_values = np.array([
         -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300,
         0.999999999999999, 9.9999999999995, 0.5, 2.5, 1.0 / 3.0, -0.95, 123456.5,
         float(np.nextafter(1.0, 2.0)), 0.1, 7.0, -12345678901234567.0,
     ])
-    curve = SimpleNamespace(
-        x=values, noise=values[::-1], coherent_info=np.roll(values, 3),
-        fidelity=np.roll(values, 5), output_entropy=np.roll(values, 7),
-        output_bloch=np.column_stack((np.roll(values, 1), -values, np.roll(values, 11))),
-    )
-    rows = np.column_stack((curve.x, curve.noise, curve.coherent_info, curve.fidelity,
-                            curve.output_entropy, curve.output_bloch))
-    for precision in range(MAX_PRECISION + 1):
-        lines = cli._sweep_csv(curve, precision).splitlines()
-        assert lines[0] == "x,N,C,F,H_out,b1,b2,b3"
-        want = [",".join(cli._format(v, precision) for v in row) for row in rows.tolist()]
-        assert lines[1:] == want
+    out = tmp_path / "sweep.csv"
+    # The edge values repeat down each column; _BLOCK + 1 rows cross a block edge.
+    for rows in (len(edge_values), _BLOCK + 1):
+        values = np.resize(edge_values, rows)
+        curve = SimpleNamespace(
+            x=values, noise=values[::-1], coherent_info=np.roll(values, 3),
+            fidelity=np.roll(values, 5), output_entropy=np.roll(values, 7),
+            output_bloch=np.column_stack((np.roll(values, 1), -values, np.roll(values, 11))),
+        )
+        table = np.column_stack((curve.x, curve.noise, curve.coherent_info, curve.fidelity,
+                                 curve.output_entropy, curve.output_bloch))
+        for precision in range(MAX_PRECISION + 1):
+            cli._write_lines(out, cli._sweep_lines(curve, precision))
+            lines = out.read_text(encoding="utf-8").split("\n")
+            assert lines[0] == "x,N,C,F,H_out,b1,b2,b3"
+            want = [",".join(cli._format(v, precision) for v in row) for row in table.tolist()]
+            assert lines[1:] == want + [""]
+
+
+def test_sweep_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    # Formatting every row at once makes the traced peak grow with the rows,
+    # about 4x from the first size to the second.
+    peaks = []
+    for rows in (_BLOCK + 1, 4 * _BLOCK + 1):
+        curve = two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, rows))
+        tracemalloc.start()
+        try:
+            cli._write_lines(tmp_path / "sweep.csv", cli._sweep_lines(curve, 12))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 #: SHA-256 of the CLI's outputs, output paths in stdout replaced by "<out>".
