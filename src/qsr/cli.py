@@ -1,15 +1,14 @@
 """Command-line front end: sweeps, the four reference figures, the state
 scan, and the validation suite, all emitting CSV plus a short report.
 
-Exit codes: 0 success, 1 bad arguments, 2 I/O failure, 3 validation
-failure.
+Exit codes: 0 success, 1 bad arguments or any input the library refuses
+(a ``ValueError``), 2 I/O failure, 3 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import sys
 
@@ -38,41 +37,22 @@ MAX_PRECISION = 17
 #: fixed size, about 42 MB peak process memory at this size.
 MAX_STEPS = 100_001
 
-#: Largest --grid-resolution accepted: about 69,000 ball states.
+#: Largest --grid-resolution accepted: 65,267 ball states.
 MAX_GRID_RESOLUTION = 51
-
-
-class _CliError(Exception):
-    """Bad command-line input; maps to exit code 1."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliError(message)
+        raise ValueError(message)
 
 
-def _parse_state(text: str) -> BlochVector:
+def _numbers(text: str, option: str, form: str) -> list[float]:
+    """The numbers of a comma-separated option value, as many as ``form`` names."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise _CliError(f"--state expects 'a1,a2,a3', got {text!r}")
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise _CliError(f"--state components must be numbers, got {text!r}") from None
-    try:
-        return BlochVector(*values)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-
-
-def _parse_range(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise _CliError(f"--x-range expects 'min,max', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise _CliError(f"--x-range bounds must be numbers, got {text!r}") from None
+    if len(parts) == len(form.split(",")):
+        with contextlib.suppress(ValueError):
+            return [float(part) for part in parts]
+    raise ValueError(f"{option} expects numbers {form!r}, got {text!r}")
 
 
 def _bounded(low: int, high: int):
@@ -101,18 +81,16 @@ def _format(value: float, precision: int) -> str:
     return f"{value + 0.0:.{precision}g}"
 
 
-def _write_lines(path: str, lines) -> None:
-    """Write newline-terminated lines to ``path``, _BLOCK lines per write,
-    so that a file's text is never held whole."""
-    lines = iter(lines)
+def _write_lines(path: str, chunks) -> None:
+    """Write the text chunks to ``path`` as they come, so that a file's text
+    is never held whole."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        while block := "".join(itertools.islice(lines, _BLOCK)):
-            handle.write(block)
+        handle.writelines(chunks)
 
 
 def _sweep_lines(curve, precision: int):
-    """The lines of a sweep CSV: a header, then one row per rate, formatted
-    one block of _BLOCK rows at a time."""
+    """The text of a sweep CSV: a header, then one row per rate, one string
+    per block of _BLOCK rows."""
     yield "x,N,C,F,H_out,b1,b2,b3\n"
     columns = (curve.x, curve.noise, curve.coherent_info, curve.fidelity,
                curve.output_entropy, curve.output_bloch)
@@ -120,17 +98,21 @@ def _sweep_lines(curve, precision: int):
     template = ",".join([f"%.{precision}g"] * 8) + "\n"
     for start in range(0, len(curve.x), _BLOCK):
         rows = np.column_stack([column[start : start + _BLOCK] for column in columns])
-        yield from (template % tuple(row) for row in (rows + 0.0).tolist())
+        yield "".join(template % tuple(row) for row in (rows + 0.0).tolist())
 
 
 def _scan_lines(report, precision: int):
-    """The lines of a scan CSV: a header, then one row per grid state."""
+    """The text of a scan CSV: a header, then one row per grid state, one
+    string per block of _BLOCK rows."""
     yield "a1,a2,a3,cap_enh,fid_enh,noise_peak_x\n"
-    for entry in report.entries:
-        fields = [_format(a, precision) for a in entry.state.as_tuple()]
-        fields += [str(len(entry.capacity)), str(len(entry.fidelity))]
-        peak = "" if entry.noise_peak_x is None else _format(entry.noise_peak_x, precision)
-        yield ",".join(fields + [peak]) + "\n"
+    for start in range(0, len(report.entries), _BLOCK):
+        rows = []
+        for entry in report.entries[start : start + _BLOCK]:
+            fields = [_format(a, precision) for a in entry.state.as_tuple()]
+            fields += [str(len(entry.capacity)), str(len(entry.fidelity))]
+            peak = "" if entry.noise_peak_x is None else _format(entry.noise_peak_x, precision)
+            rows.append(",".join(fields + [peak]) + "\n")
+        yield "".join(rows)
 
 
 def _describe(quantity: str, segments: tuple) -> str:
@@ -146,12 +128,9 @@ def _describe(quantity: str, segments: tuple) -> str:
 
 
 def _curve_summary(curve) -> list[str]:
-    """The report lines of one curve; a curve that detection refuses is bad input."""
-    try:
-        report = detect_enhancement(curve)
-        intervals = detect_multivalued(curve)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    """The report lines of one curve."""
+    report = detect_enhancement(curve)
+    intervals = detect_multivalued(curve)
     lines = [_describe("capacity", report.capacity), _describe("fidelity", report.fidelity)]
     if report.noise_peak_x is not None:
         lines.append(f"noise peak: x = {_format(report.noise_peak_x, 6)}")
@@ -165,18 +144,10 @@ def _curve_summary(curve) -> list[str]:
     return lines
 
 
-def _sweep(state, x_min: float, x_max: float, steps: int):
-    """Sweep one state; a window or step count the library rejects is bad input."""
-    try:
-        return sweep(state, x_min, x_max, steps)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-
-
 def cmd_sweep(args) -> int:
-    state = _parse_state(args.state)
-    x_min, x_max = _parse_range(args.x_range)
-    curve = _sweep(state, x_min, x_max, args.steps)
+    state = BlochVector(*_numbers(args.state, "--state", "a1,a2,a3"))
+    x_min, x_max = _numbers(args.x_range, "--x-range", "min,max")
+    curve = sweep(state, x_min, x_max, args.steps)
     summary = _curve_summary(curve)
     _write_lines(args.out, _sweep_lines(curve, args.precision))
     print(f"sweep: state {args.state}, x in [{x_min:g}, {x_max:g}], {args.steps} steps")
@@ -189,18 +160,19 @@ def cmd_sweep(args) -> int:
 def cmd_figure1(args) -> int:
     """Sweep the four states one at a time and write each CSV under a
     temporary name. Only once the last curve is accepted are all four
-    renamed and their reports printed, so a refused curve leaves no CSV."""
-    x_min, x_max = _parse_range(args.x_range)
+    renamed and their reports printed, so a refused curve leaves no CSV and
+    a failed rename leaves no temporary."""
+    x_min, x_max = _numbers(args.x_range, "--x-range", "min,max")
     made_dir = False
     written = []  # (temporary path, path) of each CSV begun so far
     report = []
     try:
         for name, state in FIGURE1_STATES:
-            curve = _sweep(state, x_min, x_max, args.steps)
+            curve = sweep(state, x_min, x_max, args.steps)
             try:
                 summary = _curve_summary(curve)
-            except _CliError as exc:
-                raise _CliError(f"{name}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
             # Made after detection has accepted a curve, so bad input leaves none.
             if not made_dir and not os.path.isdir(args.out):
                 os.makedirs(args.out)
@@ -212,6 +184,8 @@ def cmd_figure1(args) -> int:
             report.append(f"{name}: state {state_text} -> {path}")
             report += [f"  {line}" for line in summary]
             del curve  # else the next sweep's peak memory holds this curve too
+        for temporary, path in written:
+            os.replace(temporary, path)
     except BaseException:
         for temporary, _ in written:
             with contextlib.suppress(FileNotFoundError):
@@ -220,17 +194,13 @@ def cmd_figure1(args) -> int:
             with contextlib.suppress(OSError):
                 os.rmdir(args.out)
         raise
-    for temporary, path in written:
-        os.replace(temporary, path)
     print("\n".join(report))
     return 0
 
 
 def cmd_scan(args) -> int:
-    try:
-        report = state_scan(args.grid_resolution, args.steps, *_parse_range(args.x_range))
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    x_range = _numbers(args.x_range, "--x-range", "min,max")
+    report = state_scan(args.grid_resolution, args.steps, *x_range)
     _write_lines(args.out, _scan_lines(report, args.precision))
     print(f"scan: {report.total_states} states, grid resolution {args.grid_resolution}")
     print(f"wrote {args.out}")
@@ -296,7 +266,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

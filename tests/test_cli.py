@@ -187,6 +187,42 @@ def test_rejects_reversed_range_without_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, option, form, text", [
+    (("sweep",), "--state", "a1,a2,a3", "0,0,x"),
+    (("sweep", "--state", "0,0,0"), "--x-range", "min,max", "0,0.5,0.7"),
+    (("sweep", "--state", "0,0,0"), "--x-range", "min,max", "0,a"),
+    (("figure1",), "--x-range", "min,max", "0,0.5,0.7"),
+    (("figure1",), "--x-range", "min,max", "0,a"),
+    (("scan", "--grid-resolution", "3"), "--x-range", "min,max", "0,0.5,0.7"),
+    (("scan", "--grid-resolution", "3"), "--x-range", "min,max", "0,a"),
+])
+def test_rejects_malformed_comma_lists(tmp_path, capsys, argv, option, form, text):
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, *argv, option, text, "--out", str(out))
+    assert code == 1
+    assert stderr == f"error: {option} expects numbers '{form}', got '{text}'\n"
+    assert stdout == "" and "Traceback" not in stderr
+    assert not out.exists()
+
+
+def test_figure1_failed_rename_leaves_no_temporary(tmp_path, capsys, monkeypatch):
+    replace = cli.os.replace
+    calls = []
+
+    def fail_second_call(source, target):
+        calls.append(source)
+        if len(calls) == 2:
+            raise OSError("rename refused")
+        replace(source, target)
+
+    monkeypatch.setattr(cli.os, "replace", fail_second_call)
+    out = tmp_path / "out"
+    code, _, stderr = run(capsys, "figure1", "--steps", "51", "--out", str(out))
+    assert code == 2 and "rename refused" in stderr
+    # the file renamed before the failure stays; no temporary is left
+    assert sorted(path.name for path in out.iterdir()) == ["fig1a.csv"]
+
+
 #: How each command names the curve it refuses; a sweep has only one.
 REFUSED_CURVE = {
     "sweep": "",
@@ -304,6 +340,19 @@ def test_sweep_csv_rows_match_per_value_format(tmp_path):
             assert lines[0] == "x,N,C,F,H_out,b1,b2,b3"
             want = [",".join(cli._format(v, precision) for v in row) for row in table.tolist()]
             assert lines[1:] == want + [""]
+
+
+def test_scan_csv_is_written_in_blocks_of_rows():
+    # _BLOCK + 1 states give one full block and one single-row block.
+    entries = [
+        SimpleNamespace(state=SimpleNamespace(as_tuple=lambda i=i: (i, 0.0, -0.5)),
+                        capacity=(), fidelity=((0.0, 0.1, 2.0),), noise_peak_x=None)
+        for i in range(_BLOCK + 1)
+    ]
+    chunks = list(cli._scan_lines(SimpleNamespace(entries=entries), 12))
+    assert chunks[0] == "a1,a2,a3,cap_enh,fid_enh,noise_peak_x\n"
+    assert [chunk.count("\n") for chunk in chunks[1:]] == [_BLOCK, 1]
+    assert "".join(chunks[1:]) == "".join(f"{i},0,-0.5,0,1,\n" for i in range(_BLOCK + 1))
 
 
 def test_sweep_csv_memory_does_not_grow_with_the_rows(tmp_path):

@@ -468,7 +468,7 @@ def _matches_loop_reference(curve):
 
 
 @pytest.mark.parametrize("steps", [701, 20001])
-def test_fold_mask_matches_pairwise_folds_on_reference_states(steps):
+def test_detection_matches_loop_reference_on_reference_states(steps):
     # The one fold between the two branches against the pairwise folds of
     # the loop reference.
     for state in FIG1_STATES:
@@ -477,7 +477,7 @@ def test_fold_mask_matches_pairwise_folds_on_reference_states(steps):
         assert _matches_loop_reference(curve)
 
 
-def test_fold_mask_matches_pairwise_folds_on_random_walks():
+def test_detection_matches_loop_reference_on_random_walks():
     # Quantised steps give ties between branch ends, flat steps and flat tops.
     rng = np.random.default_rng(53)
     folded = refused = 0
