@@ -25,16 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _as_complex_matrices, _where, hermitian_eigenvalues
+from .linalg import MAX_DIM, _as_complex_matrices, _where, hermitian_eigenvalues
 
 IDENTITY = np.array([[1, 0], [0, 1]], dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI_STACK = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
-
-#: Most Kraus operators a channel may carry (keeps the eigensolver small).
-MAX_OPERATORS = 6
 
 COMPLETENESS_TOL = 1e-10
 BLOCH_NORM_TOL = 1e-12
@@ -100,9 +97,10 @@ class KrausChannel:
     label: str = ""
 
     def __post_init__(self):
-        if not 1 <= len(self.operators) <= MAX_OPERATORS:
+        # k operators give a k x k exchange matrix, which the eigensolver must take.
+        if not 1 <= len(self.operators) <= MAX_DIM:
             raise ValueError(
-                f"channel needs 1..{MAX_OPERATORS} Kraus operators, got {len(self.operators)}"
+                f"channel needs 1..{MAX_DIM} Kraus operators, got {len(self.operators)}"
             )
         stack = _as_complex_matrices(self.operators)
         if stack.shape[1:] != (2, 2):

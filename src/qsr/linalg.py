@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Largest dimension accepted; it also bounds a channel's Kraus operators.
 MAX_DIM = 6
 
 #: Largest Hermitian residual `hermitian_eigenvalues` accepts in a matrix.

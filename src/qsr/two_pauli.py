@@ -7,9 +7,9 @@ through `qsr.channel`, so the two paths can cross-validate each other.
 The closed forms take a 1-D array of rates, or one rate as an array of
 length 1, and evaluate every rate in one pass; `two_pauli_metrics`
 gathers them into one `SweepCurve`, which is how a sweep is computed.
-It solves the exchange-matrix spectra in fixed blocks of rates, so the
-memory a sweep needs beyond its own columns does not grow with its
-length.
+Only its exchange-matrix spectra are solved in fixed blocks of rates;
+the output entropy, fidelity and output state run over all rates at
+once, so their temporaries grow with the sweep's length.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ def make_two_pauli(x: float) -> KrausChannel:
     return KrausChannel(ops, label=f"two-pauli(x={x:g})")
 
 
-def analytic_output_bloch(state, x) -> np.ndarray:
-    """Channel action on the Bloch vector: (a1 x, a2 x, a3 (2x - 1)), as an
-    (n, 3) array with one row per rate."""
-    state = as_bloch(state)
-    x = _check_rate(x)
-    components = (state.a1 * x, state.a2 * x, state.a3 * (2.0 * x - 1.0))
-    return np.stack(components, axis=-1)
-
-
 def analytic_exchange_matrix(state, x) -> np.ndarray:
     """Closed-form 3x3 exchange matrix for the two-Pauli channel.
 
@@ -113,14 +104,6 @@ def analytic_output_entropy(state, x) -> np.ndarray:
     return spectrum_entropy(np.stack((0.5 * (1.0 + r), 0.5 * (1.0 - r)), axis=-1))
 
 
-def analytic_fidelity(state, x) -> np.ndarray:
-    """Entangled fidelity (a1^2 + a2^2)(1 - x)/2 + x."""
-    state = as_bloch(state)
-    x = _check_rate(x)
-    planar = state.a1 * state.a1 + state.a2 * state.a2
-    return 0.5 * planar * (1.0 - x) + x
-
-
 @dataclass(frozen=True, eq=False)
 class SweepCurve:
     """The two-Pauli figures of merit of one input state as columns over a
@@ -153,11 +136,12 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     The noise is the entropy of the closed-form exchange matrix spectrum.
     The matrices are built and solved one block of _BLOCK rates at a
     time, each block in one eigensolve with every check of the one-pass
-    route, so the memory this needs beyond the returned columns is fixed
-    by the block, not by the number of rates. Each 3x3 matrix is solved
-    on its own, so the noise does not depend on the block size. Output
-    entropy, fidelity and the output state come from their closed forms;
-    coherent information is stored as output entropy minus noise.
+    route, so the exchange-matrix stack never holds more than one block.
+    Each 3x3 matrix is solved on its own, so the noise does not depend on
+    the block size. Output entropy comes from its closed form, over all
+    rates at once; coherent information is stored as output entropy minus
+    noise. The entangled fidelity is (a1^2 + a2^2)(1 - x)/2 + x and the
+    output Bloch vector is (a1 x, a2 x, a3 (2x - 1)), one row per rate.
     """
     state = as_bloch(state)
     x = _check_rate(x)
@@ -167,12 +151,13 @@ def two_pauli_metrics(state, x) -> SweepCurve:
         noise[block] = spectrum_entropy(
             hermitian_eigenvalues(analytic_exchange_matrix(state, x[block])))
     output_entropy = analytic_output_entropy(state, x)
+    planar = state.a1 * state.a1 + state.a2 * state.a2
     return SweepCurve(
         state=state,
         x=x,
         noise=noise,
         output_entropy=output_entropy,
         coherent_info=output_entropy - noise,
-        fidelity=analytic_fidelity(state, x),
-        output_bloch=analytic_output_bloch(state, x),
+        fidelity=0.5 * planar * (1.0 - x) + x,
+        output_bloch=np.stack((state.a1 * x, state.a2 * x, state.a3 * (2.0 * x - 1.0)), axis=-1),
     )

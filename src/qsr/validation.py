@@ -28,7 +28,7 @@ from .channel import (
     exchange_matrix,
     von_neumann_entropy,
 )
-from .linalg import hermitian_eigenvalues, hermitian_residual
+from .linalg import MAX_DIM, hermitian_eigenvalues, hermitian_residual
 from .resonance import bloch_ball_grid
 from .two_pauli import analytic_exchange_matrix, make_two_pauli, two_pauli_metrics
 
@@ -85,7 +85,7 @@ def random_kraus_channel(rng, num_operators: int | None = None) -> KrausChannel:
     square root of their Gram sum, which enforces completeness exactly
     (up to rounding).
     """
-    k = int(num_operators) if num_operators is not None else int(rng.integers(1, 7))
+    k = int(num_operators) if num_operators is not None else int(rng.integers(1, MAX_DIM + 1))
     # One draw: per operator, the real then the imaginary 2x2 part.
     draws = rng.normal(size=(k, 2, 2, 2))
     raw = draws[:, 0] + 1j * draws[:, 1]

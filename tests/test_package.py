@@ -22,8 +22,7 @@ PUBLIC = {
 MODULE_ONLY = {
     "qsr.channel": ("exchange_matrix", "environment_output", "spectrum_entropy",
                     "completeness_residual", "apply_channel", "density_to_bloch"),
-    "qsr.two_pauli": ("analytic_exchange_matrix", "analytic_output_bloch",
-                      "analytic_output_entropy", "analytic_fidelity"),
+    "qsr.two_pauli": ("analytic_exchange_matrix", "analytic_output_entropy"),
     "qsr.resonance": ("estimate_slopes",),
 }
 

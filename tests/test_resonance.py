@@ -123,7 +123,7 @@ class TestEstimateSlopes:
         assert defined.size and np.abs(defined).max() < 1e-6
 
 
-class TestMonotoneBranches:
+class TestNoisePeak:
     """`_noise_peak` splits the noise into a rising and a falling branch."""
 
     def test_peak_is_the_first_noise_maximum(self, fig1_curves):

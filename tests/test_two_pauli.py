@@ -1,9 +1,11 @@
+import collections
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qsr import two_pauli
 from qsr.channel import (
     IDENTITY,
     PAULI_X,
@@ -20,8 +22,6 @@ from qsr.linalg import hermitian_eigenvalues
 from qsr.two_pauli import (
     _BLOCK,
     analytic_exchange_matrix,
-    analytic_fidelity,
-    analytic_output_bloch,
     analytic_output_entropy,
     make_two_pauli,
     two_pauli_metrics,
@@ -75,16 +75,16 @@ class TestFactory:
 
 class TestOutputBloch:
     def test_identity_rate(self):
-        got = analytic_output_bloch((0.1, 0.2, 0.9), 1.0)
+        got = two_pauli_metrics((0.1, 0.2, 0.9), 1.0).output_bloch
         assert got.shape == (1, 3)
         assert tuple(got[0].tolist()) == (0.1, 0.2, 0.9)
 
     def test_half_rate(self):
-        got = analytic_output_bloch((0.1, 0.2, 0.9), 0.5)[0]
+        got = two_pauli_metrics((0.1, 0.2, 0.9), 0.5).output_bloch[0]
         assert tuple(got.tolist()) == pytest.approx((0.05, 0.1, 0.0), abs=1e-16)
 
     def test_zero_rate_flips_z(self):
-        assert analytic_output_bloch((0, 0, 1), 0.0)[0].tolist() == [0.0, 0.0, -1.0]
+        assert two_pauli_metrics((0, 0, 1), 0.0).output_bloch[0].tolist() == [0.0, 0.0, -1.0]
 
     def test_matches_generic_route(self):
         rng = np.random.default_rng(41)
@@ -92,7 +92,7 @@ class TestOutputBloch:
             v = random_bloch_vector(rng)
             x = float(rng.uniform())
             out = apply_channel(make_two_pauli(x), bloch_to_density(v))
-            got = analytic_output_bloch(v, x)[0]
+            got = two_pauli_metrics(v, x).output_bloch[0]
             want = density_to_bloch(out)
             assert np.abs(got - want).max() < 1e-14
 
@@ -143,14 +143,14 @@ class TestFidelityClosedForm:
     def test_identity_rate(self):
         rng = np.random.default_rng(44)
         for _ in range(10):
-            assert analytic_fidelity(random_bloch_vector(rng), 1.0) == 1.0
+            assert two_pauli_metrics(random_bloch_vector(rng), 1.0).fidelity == 1.0
 
     def test_z_pole_fully_noisy(self):
-        assert analytic_fidelity((0, 0, 1), 0.0) == 0.0
+        assert two_pauli_metrics((0, 0, 1), 0.0).fidelity == 0.0
 
     def test_spot_value(self):
         # 0.5 * (0.09 + 0.16) * 0.5 + 0.5
-        assert analytic_fidelity((0.3, 0.4, 0.2), 0.5) == pytest.approx(
+        assert two_pauli_metrics((0.3, 0.4, 0.2), 0.5).fidelity == pytest.approx(
             0.5625, abs=1e-16
         )
 
@@ -159,7 +159,7 @@ class TestFidelityClosedForm:
         for _ in range(20):
             v = random_bloch_vector(rng)
             xs = np.linspace(0.0, 1.0, 11)
-            vals = [analytic_fidelity(v, float(x)) for x in xs]
+            vals = two_pauli_metrics(v, xs).fidelity
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -210,18 +210,33 @@ def test_blocked_metrics_match_one_pass(state, rates):
     x = np.linspace(0.0, 1.0, rates)
     noise = spectrum_entropy(hermitian_eigenvalues(analytic_exchange_matrix(state, x)))
     output_entropy = analytic_output_entropy(state, x)
+    a1, a2, a3 = state
     want = {
         "noise": noise,
         "coherent_info": output_entropy - noise,
-        "fidelity": analytic_fidelity(state, x),
+        "fidelity": 0.5 * (a1 * a1 + a2 * a2) * (1.0 - x) + x,
         "output_entropy": output_entropy,
-        "output_bloch": analytic_output_bloch(state, x),
+        "output_bloch": np.stack((a1 * x, a2 * x, a3 * (2.0 * x - 1.0)), axis=-1),
     }
     curve = two_pauli_metrics(state, x)
     for name, column in want.items():
         got = getattr(curve, name)
         assert got.shape == column.shape, name
         assert got.tobytes() == column.tobytes(), name
+
+
+@pytest.mark.parametrize("rates, checks", [(701, 3), (2 * _BLOCK + 1, 5)])
+def test_metrics_check_their_inputs_once_per_closed_form(monkeypatch, rates, checks):
+    # One check in two_pauli_metrics, one in analytic_output_entropy and one
+    # per block of the exchange-matrix solve.
+    calls = collections.Counter()
+    for name in ("_check_rate", "as_bloch"):
+        def counted(value, _name=name, _original=getattr(two_pauli, name)):
+            calls[_name] += 1
+            return _original(value)
+        monkeypatch.setattr(two_pauli, name, counted)
+    two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, rates))
+    assert calls == {"_check_rate": checks, "as_bloch": checks}
 
 
 def test_metrics_memory_does_not_grow_with_the_rates():
