@@ -115,13 +115,28 @@ def _scan_lines(report, precision: int):
         yield "".join(rows)
 
 
+def _digits(lo: float, hi: float) -> int:
+    """The fewest significant digits, at least 6, that print two ends of a
+    range apart (6 when none do, as for equal values)."""
+    for digits in range(6, MAX_PRECISION + 1):
+        if _format(lo, digits) != _format(hi, digits):
+            return digits
+    return 6
+
+
+def _span(lo: float, hi: float) -> str:
+    """'lo..hi' with 6 significant digits, or as many more as the two ends
+    need to print apart."""
+    digits = _digits(lo, hi)
+    return f"{_format(lo, digits)}..{_format(hi, digits)}"
+
+
 def _describe(quantity: str, segments: tuple) -> str:
-    """Human-readable line for one quantity's segments (6 digits suffice)."""
+    """Human-readable line for one quantity's segments."""
     if not segments:
         return f"{quantity} enhancement: none"
     parts = ", ".join(
-        f"x {_format(lo, 6)}..{_format(hi, 6)} (max dQ/dN {_format(top, 6)})"
-        for lo, hi, top in segments
+        f"x {_span(lo, hi)} (max dQ/dN {_format(top, 6)})" for lo, hi, top in segments
     )
     word = "segment" if len(segments) == 1 else "segments"
     return f"{quantity} enhancement: present ({len(segments)} {word}: {parts})"
@@ -137,7 +152,7 @@ def _curve_summary(curve) -> list[str]:
     else:
         lines.append("noise peak: none (noise is monotone over the sweep)")
     if intervals:
-        spans = ", ".join(f"{_format(lo, 6)}..{_format(hi, 6)}" for lo, hi in intervals)
+        spans = ", ".join(_span(lo, hi) for lo, hi in intervals)
         lines.append(f"multivalued capacity N-intervals: {spans}")
     else:
         lines.append("multivalued capacity N-intervals: none")
@@ -150,7 +165,9 @@ def cmd_sweep(args) -> int:
     curve = sweep(state, x_min, x_max, args.steps)
     summary = _curve_summary(curve)
     _write_lines(args.out, _sweep_lines(curve, args.precision))
-    print(f"sweep: state {args.state}, x in [{x_min:g}, {x_max:g}], {args.steps} steps")
+    digits = _digits(x_min, x_max)
+    print(f"sweep: state {args.state}, x in [{x_min:.{digits}g}, {x_max:.{digits}g}], "
+          f"{args.steps} steps")
     print(f"wrote {args.out} ({args.steps} rows)")
     for line in summary:
         print(line)

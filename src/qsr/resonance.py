@@ -94,6 +94,12 @@ def _require_steps(steps: int) -> None:
         raise ValueError(f"need at least {MIN_STEPS} steps for slope estimates, got {steps}")
 
 
+def _require_one_state(curve: SweepCurve) -> None:
+    if not isinstance(curve.state, BlochVector):
+        raise ValueError(
+            f"detection takes the curve of one state, got a stack of {len(curve.state)}")
+
+
 def _grid_step(x: np.ndarray) -> float:
     """The spacing of a sweep's rates, which must number at least 3, be
     strictly increasing and be uniformly spaced within _GRID_TOL."""
@@ -116,8 +122,10 @@ def estimate_slopes(curve: SweepCurve) -> tuple[np.ndarray, tuple, tuple]:
     two ends, so the rates must form a uniform, strictly increasing grid
     of at least 3 samples. dQ/dN is their ratio, left undefined (NaN)
     wherever |dN/dx| <= SLOPE_EPSILON: near a noise extremum the
-    parametric slope is singular.
+    parametric slope is singular. Raises ValueError on the curve of a
+    stack of states.
     """
+    _require_one_state(curve)
     step = _grid_step(curve.x)
     d_noise = np.gradient(curve.noise, step)
     defined = np.abs(d_noise) > SLOPE_EPSILON
@@ -158,8 +166,10 @@ def detect_multivalued(curve: SweepCurve) -> list[tuple[float, float]]:
     ``[(lo, hi)]`` when they differ by more than MULTIVALUED_TOL bits
     somewhere, else ``[]``: monotone curves, and pure states whose
     capacity is identically zero, give an empty list. Raises ValueError
-    when the noise has more than two monotone branches.
+    when the noise has more than two monotone branches, or on the curve
+    of a stack of states.
     """
+    _require_one_state(curve)
     noise = curve.noise
     capacity = curve.coherent_info
     peak = _noise_peak(noise)
@@ -187,7 +197,8 @@ def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
     reported by `detect_multivalued` instead of as enhancement. A segment
     needs at least two consecutive qualifying samples, which suppresses
     single-point finite-difference noise. Raises ValueError when the
-    noise has more than two monotone branches.
+    noise has more than two monotone branches, or on the curve of a stack
+    of states.
     """
     noise = curve.noise
     _, _, (capacity, fidelity) = estimate_slopes(curve)

@@ -7,9 +7,20 @@ through `qsr.channel`, so the two paths can cross-validate each other.
 The closed forms take a 1-D array of rates, or one rate as an array of
 length 1, and evaluate every rate in one pass; `two_pauli_metrics`
 gathers them into one `SweepCurve`, which is how a sweep is computed.
-Only its exchange-matrix spectra are solved in fixed blocks of rates;
-the output entropy, fidelity and output state run over all rates at
-once, so their temporaries grow with the sweep's length.
+
+The state is one Bloch vector (a `BlochVector` or three reals) or an
+``(m, 3)`` stack of them, one state per row; each row is checked as one
+state is, and an error names the first row that fails. Results follow
+numpy's leading-axis rule: a stack puts a leading axis of length m in
+front of the one-state shape, so row i equals the call on state i alone,
+bit for bit.
+
+Only the exchange-matrix spectra are solved in fixed blocks of at most
+_BLOCK matrices: whole rows of ``max(1, _BLOCK // n)`` states by
+``min(n, _BLOCK)`` of the n rates, so one state is solved in runs of
+_BLOCK rates. The output entropy, fidelity and output state run over all
+states and rates at once, so their temporaries grow with the stack and
+the sweep's length.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from .channel import (
 )
 from .linalg import hermitian_eigenvalues
 
-#: Rates per block of exchange matrices solved at once in `two_pauli_metrics`,
+#: Exchange matrices per block solved at once in `two_pauli_metrics`,
 #: and rows per write of the CLI's CSV files: large enough that the
 #: per-block overhead does not show, small enough that a block's (3, 3)
 #: complex stack and its temporaries stay under a megabyte.
@@ -47,6 +58,30 @@ def _check_rate(x) -> np.ndarray:
     if bad.size:
         raise ValueError(f"flipping rate must be in [0, 1], got {float(bad[0])!r}")
     return rates
+
+
+def _as_states(state):
+    """``(state, lead, (a1, a2, a3))`` for one state or an (m, 3) stack.
+
+    One state becomes a BlochVector with float components and the leading
+    shape (). A stack (any 2-D input) becomes a tuple of m BlochVectors,
+    each row through `as_bloch`, with the leading shape (m,) and (m, 1)
+    component columns that broadcast against the rates.
+    """
+    if isinstance(state, BlochVector) or np.ndim(state) != 2:
+        state = as_bloch(state)
+        return state, (), state.as_tuple()
+    rows = np.asarray(state, dtype=float)
+    if not len(rows):
+        raise ValueError("a stack of states needs at least one row")
+    states = []
+    for i, row in enumerate(rows):
+        try:
+            states.append(as_bloch(row))
+        except ValueError as exc:
+            raise ValueError(f"state {i} of the stack: {exc}") from None
+    columns = tuple(np.array([s.as_tuple() for s in states]).T[..., None])
+    return tuple(states), (len(states),), columns
 
 
 def make_two_pauli(x: float) -> KrausChannel:
@@ -74,19 +109,19 @@ def analytic_exchange_matrix(state, x) -> np.ndarray:
     Matches `qsr.channel.exchange_matrix` on the channel from
     `make_two_pauli` entrywise, including the off-diagonal phases that the
     -i convention on the sigma_y operator produces. Returns an (n, 3, 3)
-    stack, one matrix per rate.
+    stack, one matrix per rate; an (m, n, 3, 3) one for m states.
     """
-    state = as_bloch(state)
+    _, lead, (a1, a2, a3) = _as_states(state)
     x = _check_rate(x)
     root = np.sqrt(0.5 * x * (1.0 - x))
     half = 0.5 * (1.0 - x)
-    w = np.zeros(x.shape + (3, 3), dtype=complex)
+    w = np.zeros(lead + x.shape + (3, 3), dtype=complex)
     w[..., 0, 0] = x
-    w[..., 0, 1] = w[..., 1, 0] = state.a1 * root
-    w[..., 0, 2] = 1j * state.a2 * root
-    w[..., 2, 0] = -1j * state.a2 * root
+    w[..., 0, 1] = w[..., 1, 0] = a1 * root
+    w[..., 0, 2] = 1j * a2 * root
+    w[..., 2, 0] = -1j * a2 * root
     w[..., 1, 1] = w[..., 2, 2] = half
-    w[..., 1, 2] = w[..., 2, 1] = state.a3 * half
+    w[..., 1, 2] = w[..., 2, 1] = a3 * half
     return w
 
 
@@ -94,13 +129,14 @@ def analytic_output_entropy(state, x) -> np.ndarray:
     """Output entropy in bits from the output Bloch length |b|.
 
     The output eigenvalues are (1 +- |b|)/2 with
-    |b|^2 = (a1^2 + a2^2) x^2 + a3^2 (1 - 2x)^2.
+    |b|^2 = (a1^2 + a2^2) x^2 + a3^2 (1 - 2x)^2. One entropy per rate; an
+    (m, n) array for m states.
     """
-    state = as_bloch(state)
+    _, _, (a1, a2, a3) = _as_states(state)
     x = _check_rate(x)
-    planar = state.a1 * state.a1 + state.a2 * state.a2
+    planar = a1 * a1 + a2 * a2
     axial = 1.0 - 2.0 * x
-    r = np.sqrt(planar * x * x + state.a3 * state.a3 * axial * axial)
+    r = np.sqrt(planar * x * x + a3 * a3 * axial * axial)
     return spectrum_entropy(np.stack((0.5 * (1.0 + r), 0.5 * (1.0 - r)), axis=-1))
 
 
@@ -111,10 +147,12 @@ class SweepCurve:
 
     Every column holds one entry per rate; ``output_bloch`` is an (n, 3)
     array, one output Bloch vector per rate. Entropies are in bits and
-    ``coherent_info`` is exactly ``output_entropy - noise``.
+    ``coherent_info`` is exactly ``output_entropy - noise``. For a stack
+    of m states, ``state`` is the tuple of their BlochVectors and every
+    column gains a leading axis of length m.
     """
 
-    state: BlochVector
+    state: BlochVector | tuple
     x: np.ndarray
     noise: np.ndarray
     coherent_info: np.ndarray
@@ -123,35 +161,47 @@ class SweepCurve:
     output_bloch: np.ndarray
 
     def __post_init__(self):
-        n = len(self.x)
+        shape = (len(self.x),)
+        if not isinstance(self.state, BlochVector):
+            shape = (len(self.state),) + shape
         columns = (self.noise, self.coherent_info, self.fidelity, self.output_entropy)
-        if any(len(c) != n for c in columns) or np.shape(self.output_bloch) != (n, 3):
-            raise ValueError("every sweep column needs one entry per rate")
+        if any(np.shape(c) != shape for c in columns) or np.shape(self.output_bloch) != shape + (3,):
+            raise ValueError("every sweep column needs one entry per rate (and per state)")
 
 
 def two_pauli_metrics(state, x) -> SweepCurve:
     """All figures of merit as columns over a 1-D array of rates (one rate
-    gives columns of length 1).
+    gives columns of length 1), for one state or, with a leading axis, for
+    each state of an (m, 3) stack.
 
     The noise is the entropy of the closed-form exchange matrix spectrum.
-    The matrices are built and solved one block of _BLOCK rates at a
-    time, each block in one eigensolve with every check of the one-pass
-    route, so the exchange-matrix stack never holds more than one block.
-    Each 3x3 matrix is solved on its own, so the noise does not depend on
-    the block size. Output entropy comes from its closed form, over all
-    rates at once; coherent information is stored as output entropy minus
-    noise. The entangled fidelity is (a1^2 + a2^2)(1 - x)/2 + x and the
-    output Bloch vector is (a1 x, a2 x, a3 (2x - 1)), one row per rate.
+    The matrices are built and solved one block at a time, each block in
+    one eigensolve with every check of the one-pass route: whole rows of
+    ``max(1, _BLOCK // n)`` states by ``min(n, _BLOCK)`` rates, so no block
+    holds more than _BLOCK matrices. Each 3x3 matrix is solved on its own,
+    so the noise does not depend on the block size. Output entropy comes
+    from its closed form, over all states and rates at once; coherent
+    information is stored as output entropy minus noise. The entangled
+    fidelity is (a1^2 + a2^2)(1 - x)/2 + x and the output Bloch vector is
+    (a1 x, a2 x, a3 (2x - 1)), one row per rate.
     """
-    state = as_bloch(state)
+    state, lead, (a1, a2, a3) = _as_states(state)
     x = _check_rate(x)
-    noise = np.empty_like(x)
-    for start in range(0, len(x), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        noise[block] = spectrum_entropy(
-            hermitian_eigenvalues(analytic_exchange_matrix(state, x[block])))
-    output_entropy = analytic_output_entropy(state, x)
-    planar = state.a1 * state.a1 + state.a2 * state.a2
+    # The checked state, or the stack as (m, 3) rows, for the closed forms.
+    given = np.hstack((a1, a2, a3)) if lead else state
+    noise = np.empty(lead + x.shape)
+    rows = noise.reshape(-1, len(x))  # a view: one row per state
+    per_block = max(1, _BLOCK // len(x))
+    for top in range(0, len(rows), per_block):
+        states = given[top : top + per_block] if lead else given
+        for start in range(0, len(x), _BLOCK):
+            out = rows[top : top + per_block, start : start + _BLOCK]
+            # Unnamed, so a block's matrices are freed once they are solved.
+            out[...] = spectrum_entropy(hermitian_eigenvalues(
+                analytic_exchange_matrix(states, x[start : start + _BLOCK]).reshape(-1, 3, 3)
+            )).reshape(out.shape)
+    output_entropy = analytic_output_entropy(given, x)
+    planar = a1 * a1 + a2 * a2
     return SweepCurve(
         state=state,
         x=x,
@@ -159,5 +209,5 @@ def two_pauli_metrics(state, x) -> SweepCurve:
         output_entropy=output_entropy,
         coherent_info=output_entropy - noise,
         fidelity=0.5 * planar * (1.0 - x) + x,
-        output_bloch=np.stack((state.a1 * x, state.a2 * x, state.a3 * (2.0 * x - 1.0)), axis=-1),
+        output_bloch=np.stack((a1 * x, a2 * x, a3 * (2.0 * x - 1.0)), axis=-1),
     )

@@ -5,6 +5,15 @@ agreement between the closed forms and the generic Kraus route, the
 system-environment dilation cross-check, and the collapse of coherent
 information on pure states. A deliberately broken operator set is included
 as a negative control to prove the completeness detector actually fires.
+
+The checks batch their linear algebra and leave the functions under test
+and the random-number stream alone. The random-channel checks draw every
+trial as a per-trial loop would (the Kraus count, the operators, then the
+state) and call `exchange_matrix` and `environment_output` once per
+trial, but solve the spectra once per Kraus count in each chunk of
+_TRIAL_CHUNK trials; the worst gap, residual and lowest eigenvalue are
+maxima and minima, so they do not depend on the grouping. The
+closed-form checks pass states as (m, 3) stacks, one call per block.
 """
 
 from __future__ import annotations
@@ -42,9 +51,14 @@ COLLAPSE_STATES = 50
 COLLAPSE_RATES = 101
 
 # Ball-grid states per pass of the generic route in the agreement check:
-# each block's density stack goes through the route once per rate. One
-# stack of the whole grid would hold every (state, rate) sample at once.
+# each block's density stack goes through the route once per rate, and its
+# states through the closed forms as one stack. One stack of the whole
+# grid would hold every (state, rate) sample at once.
 _AGREEMENT_BLOCK = 32
+
+# Random-channel trials drawn before their spectra are solved, one
+# eigensolve per Kraus count among them.
+_TRIAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,25 @@ def random_kraus_channel(rng, num_operators: int | None = None) -> KrausChannel:
     return KrausChannel(raw @ whitener, label=f"random(k={k})")
 
 
+def _random_trials(rng, trials: int, evaluate):
+    """Draw `trials` random (channel, state) pairs, in trial order the
+    channel and then its state, and yield per chunk of _TRIAL_CHUNK trials
+    and per Kraus count k in it the stack of ``evaluate(channel, rho)``
+    over that chunk's trials with k operators."""
+    for start in range(0, trials, _TRIAL_CHUNK):
+        groups = {}
+        for _ in range(min(_TRIAL_CHUNK, trials - start)):
+            channel = random_kraus_channel(rng)
+            rho = bloch_to_density(random_bloch_vector(rng))
+            groups.setdefault(len(channel.operators), []).append(evaluate(channel, rho))
+        yield from (np.stack(group) for group in groups.values())
+
+
+def _dilation_pair(channel: KrausChannel, rho) -> np.ndarray:
+    """The exchange matrix and the dilation's environment state, stacked."""
+    return np.stack((exchange_matrix(channel, rho), environment_output(channel, rho)))
+
+
 def check_two_pauli_completeness() -> CheckResult:
     worst = max(
         completeness_residual(make_two_pauli(x))
@@ -130,13 +163,11 @@ def check_broken_channel_detected() -> CheckResult:
 def check_exchange_matrix_properties(rng) -> CheckResult:
     worst_herm = worst_trace = 0.0
     lowest_eig = 0.0
-    for _ in range(EXCHANGE_TRIALS):
-        channel = random_kraus_channel(rng)
-        rho = bloch_to_density(random_bloch_vector(rng))
-        w = exchange_matrix(channel, rho)
+    for w in _random_trials(rng, EXCHANGE_TRIALS, exchange_matrix):
         worst_herm = max(worst_herm, hermitian_residual(w))
-        worst_trace = max(worst_trace, abs(np.trace(w).real - 1.0))
-        lowest_eig = min(lowest_eig, hermitian_eigenvalues(w)[0])
+        trace = np.trace(w, axis1=-2, axis2=-1).real
+        worst_trace = max(worst_trace, float(np.abs(trace - 1.0).max()))
+        lowest_eig = min(lowest_eig, float(hermitian_eigenvalues(w)[:, 0].min()))
     passed = worst_herm <= 1e-12 and worst_trace <= 1e-12 and lowest_eig >= -1e-10
     return CheckResult(
         name="exchange matrix is Hermitian, unit trace, PSD",
@@ -158,24 +189,21 @@ def check_analytic_generic_agreement(
     for start in range(0, len(grid), _AGREEMENT_BLOCK):
         block = grid[start : start + _AGREEMENT_BLOCK]
         rho = np.stack([bloch_to_density(state) for state in block])
-        # The closed forms for every rate in one array pass per state;
+        # The closed forms for the whole block in one stacked call each;
         # axis 0 is the state, axis 1 the rate.
-        w = np.stack([analytic_exchange_matrix(state, xs) for state in block])
-        metrics = [two_pauli_metrics(state, xs) for state in block]
-        bloch, output_entropy, noise, fidelity = (
-            np.stack([getattr(m, name) for m in metrics])
-            for name in ("output_bloch", "output_entropy", "noise", "fidelity")
-        )
+        states = np.array([state.as_tuple() for state in block])
+        w = analytic_exchange_matrix(states, xs)
+        m = two_pauli_metrics(states, xs)
         for k, channel in enumerate(channels):
             out = apply_channel(channel, rho)
             # np.max, unlike max, carries a NaN deviation through to the verdict.
             worst = float(np.max([
                 worst,
                 np.abs(w[:, k] - exchange_matrix(channel, rho)).max(),
-                np.abs(bloch[:, k] - density_to_bloch(out)).max(),
-                np.abs(output_entropy[:, k] - von_neumann_entropy(out)).max(),
-                np.abs(noise[:, k] - entropy_exchange(channel, rho)).max(),
-                np.abs(fidelity[:, k] - entangled_fidelity(channel, rho)).max(),
+                np.abs(m.output_bloch[:, k] - density_to_bloch(out)).max(),
+                np.abs(m.output_entropy[:, k] - von_neumann_entropy(out)).max(),
+                np.abs(m.noise[:, k] - entropy_exchange(channel, rho)).max(),
+                np.abs(m.fidelity[:, k] - entangled_fidelity(channel, rho)).max(),
             ]))
     return CheckResult(
         name="closed forms match generic Kraus route",
@@ -189,14 +217,11 @@ def check_analytic_generic_agreement(
 
 def check_dilation_oracle(rng, trials: int = 100) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
-        channel = random_kraus_channel(rng)
-        rho = bloch_to_density(random_bloch_vector(rng))
-        # Both k x k spectra from one stacked eigensolve.
-        spectrum_w, spectrum_env = hermitian_eigenvalues(
-            np.stack((exchange_matrix(channel, rho), environment_output(channel, rho)))
-        )
-        worst = max(worst, float(np.abs(spectrum_w - spectrum_env).max()))
+    for pairs in _random_trials(rng, trials, _dilation_pair):
+        # Both k x k spectra of every trial in the group from one eigensolve.
+        k = pairs.shape[-1]
+        spectra = hermitian_eigenvalues(pairs.reshape(-1, k, k)).reshape(-1, 2, k)
+        worst = max(worst, float(np.abs(spectra[:, 0] - spectra[:, 1]).max()))
     return CheckResult(
         name="dilation environment matches exchange spectrum",
         passed=worst <= 1e-10,
@@ -205,11 +230,10 @@ def check_dilation_oracle(rng, trials: int = 100) -> CheckResult:
 
 
 def check_pure_state_collapse(rng) -> CheckResult:
-    worst = 0.0
     xs = np.linspace(0.0, 1.0, COLLAPSE_RATES)
-    for _ in range(COLLAPSE_STATES):
-        state = random_bloch_vector(rng, pure=True)
-        worst = max(worst, float(np.abs(two_pauli_metrics(state, xs).coherent_info).max()))
+    states = np.array(
+        [random_bloch_vector(rng, pure=True).as_tuple() for _ in range(COLLAPSE_STATES)])
+    worst = float(np.abs(two_pauli_metrics(states, xs).coherent_info).max())
     return CheckResult(
         name="pure-state coherent information collapses to zero",
         passed=worst <= 1e-9,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -103,6 +104,34 @@ class TestSweepCommand:
                 # 12 significant digits: relative error bounded by one
                 # unit in the 12th digit
                 assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-11)
+
+    def test_report_prints_close_range_ends_apart(self, tmp_path, capsys):
+        code, stdout, _ = run(
+            capsys,
+            "sweep", "--state=1,0,0", "--x-range", "0.999999999999,1",
+            "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 0
+        assert "x in [0.999999999999, 1], 701 steps" in stdout
+        spans = re.findall(r"x ([0-9.e-]+)\.\.([0-9.e-]+) \(max", stdout)
+        assert spans
+        for lo, hi in spans:
+            assert lo != hi
+            # The fewest digits that tell the ends apart: one fewer does not.
+            digits = max(len(text.lstrip("0.")) for text in (lo, hi))
+            assert digits > 6
+            assert f"{float(lo):.{digits - 1}g}" == f"{float(hi):.{digits - 1}g}"
+
+    @pytest.mark.parametrize("lo, hi, text", [
+        (0.0182, 0.7, "0.0182..0.7"),
+        (0.1234564, 0.1234566, "0.123456..0.123457"),
+        (0.12345641, 0.12345649, "0.1234564..0.1234565"),
+        (0.999999999999, 1.0, "0.999999999999..1"),
+        (-0.0, 1e-300, "0..1e-300"),
+        (0.5, 0.5, "0.5..0.5"),
+    ])
+    def test_range_ends_get_the_digits_they_need(self, lo, hi, text):
+        assert cli._span(lo, hi) == text
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, stderr = run(capsys)

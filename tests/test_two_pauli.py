@@ -7,6 +7,7 @@ import pytest
 
 from qsr import two_pauli
 from qsr.channel import (
+    BlochVector,
     IDENTITY,
     PAULI_X,
     PAULI_Y,
@@ -19,6 +20,7 @@ from qsr.channel import (
     von_neumann_entropy,
 )
 from qsr.linalg import hermitian_eigenvalues
+from qsr.resonance import detect_enhancement, detect_multivalued, estimate_slopes
 from qsr.two_pauli import (
     _BLOCK,
     analytic_exchange_matrix,
@@ -239,8 +241,10 @@ def test_metrics_check_their_inputs_once_per_closed_form(monkeypatch, rates, che
     assert calls == {"_check_rate": checks, "as_bloch": checks}
 
 
-def test_metrics_memory_does_not_grow_with_the_rates():
-    # A one-pass solve of 100001 rates peaks near 37 MB, for a record of 5.6 MB.
+def test_metrics_peak_memory_stays_under_twice_the_columns():
+    # At 100001 rates the call peaks near 8.2 MB (traced) for 5.6 MB of
+    # columns: the exchange-matrix solve is blocked, but the output entropy
+    # and output state run over all rates at once, so the bound is relative.
     x = np.linspace(0.0, 0.7, 100_001)
     tracemalloc.start()
     try:
@@ -259,3 +263,86 @@ def test_analytic_generic_agreement_full_grid():
     result = check_analytic_generic_agreement(21, 101)
     print(result.detail)
     assert result.passed, result.detail
+
+
+COLUMNS = ("noise", "coherent_info", "fidelity", "output_entropy", "output_bloch")
+
+
+def _random_stack(rng, m):
+    """m random states as an (m, 3) array, mixed and pure alternating."""
+    return np.array([random_bloch_vector(rng, pure=bool(i % 2)).as_tuple() for i in range(m)])
+
+
+@pytest.mark.parametrize("m, n", [
+    (3, 41),
+    (_BLOCK // 41 + 1, 41),  # m * n just over _BLOCK: two row blocks
+    (_BLOCK // 41, 41),  # m * n just under _BLOCK: one block
+    (2, _BLOCK + 1),  # n > _BLOCK: one state per block, two rate blocks each
+    (1, 1),
+])
+def test_stacked_closed_forms_match_per_state_calls(m, n):
+    rng = np.random.default_rng(m * 1000 + n)
+    states = _random_stack(rng, m)
+    x = np.sort(rng.uniform(size=n))
+    curve = two_pauli_metrics(states, x)
+    w = analytic_exchange_matrix(states, x)
+    output_entropy = analytic_output_entropy(states, x)
+    assert curve.state == tuple(BlochVector(*row) for row in states)
+    assert curve.noise.shape == (m, n) and curve.output_bloch.shape == (m, n, 3)
+    assert w.shape == (m, n, 3, 3) and output_entropy.shape == (m, n)
+    for i, row in enumerate(states):
+        one = two_pauli_metrics(row, x)
+        for name in COLUMNS:
+            assert np.array_equal(getattr(curve, name)[i], getattr(one, name)), (i, name)
+        assert np.array_equal(w[i], analytic_exchange_matrix(row, x)), i
+        assert np.array_equal(output_entropy[i], analytic_output_entropy(row, x)), i
+
+
+@pytest.mark.parametrize("single", [
+    BlochVector(0.3, 0.4, 0.2), (0.3, 0.4, 0.2)], ids=["BlochVector", "tuple"])
+def test_stack_of_one_state_matches_the_one_state_call(single):
+    stacked = two_pauli_metrics([[0.3, 0.4, 0.2]], 0.4)
+    one = two_pauli_metrics(single, 0.4)
+    assert one.state == BlochVector(0.3, 0.4, 0.2) and one.noise.shape == (1,)
+    assert stacked.state == (one.state,) and stacked.noise.shape == (1, 1)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(stacked, name)[0], getattr(one, name)), name
+    assert np.array_equal(analytic_exchange_matrix([[0.3, 0.4, 0.2]], 0.4)[0],
+                          analytic_exchange_matrix(single, 0.4))
+    assert np.array_equal(analytic_output_entropy([[0.3, 0.4, 0.2]], 0.4)[0],
+                          analytic_output_entropy(single, 0.4))
+
+
+@pytest.mark.parametrize("m, n, sizes", [
+    (_BLOCK // 41 + 1, 41, [_BLOCK // 41 * 41, 41]),
+    (2, _BLOCK + 1, [_BLOCK, 1, _BLOCK, 1]),
+    (1, 701, [701]),
+])
+def test_stacked_solve_keeps_each_block_within_the_limit(monkeypatch, m, n, sizes):
+    # Whole rows of max(1, _BLOCK // n) states by min(n, _BLOCK) rates.
+    solved = []
+
+    def recorded(mat):
+        solved.append(len(mat))
+        return hermitian_eigenvalues(mat)
+
+    monkeypatch.setattr(two_pauli, "hermitian_eigenvalues", recorded)
+    two_pauli_metrics(_random_stack(np.random.default_rng(0), m), np.linspace(0.0, 1.0, n))
+    assert solved == sizes
+
+
+@pytest.mark.parametrize("closed_form", [
+    two_pauli_metrics, analytic_exchange_matrix, analytic_output_entropy])
+def test_stack_with_an_unphysical_row_is_refused_by_name(closed_form):
+    states = [[0.1, 0.2, 0.3], [0.0, 0.0, 1.0], [0.8, 0.8, 0.0]]
+    with pytest.raises(ValueError, match=r"state 2 of the stack: unphysical Bloch vector"):
+        closed_form(states, [0.0, 0.5])
+    with pytest.raises(ValueError, match="at least one row"):
+        closed_form(np.zeros((0, 3)), [0.5])
+
+
+@pytest.mark.parametrize("detect", [estimate_slopes, detect_enhancement, detect_multivalued])
+def test_detection_refuses_a_stacked_curve(detect):
+    curve = two_pauli_metrics([[0.3, 0.4, 0.2], [0.1, 0.2, 0.3]], np.linspace(0.0, 0.7, 11))
+    with pytest.raises(ValueError, match="one state, got a stack of 2"):
+        detect(curve)
