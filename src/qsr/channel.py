@@ -6,13 +6,16 @@ coherent information, entangled fidelity, and an explicit
 system-environment dilation that serves as an independent cross-check of
 the exchange matrix.
 
-Every function of the generic route takes rho as one 2x2 density matrix
-or as an (m, 2, 2) stack of them, and evaluates a stack in one pass over
-the (k, 2, 2) Kraus operator array. The result follows numpy's leading-axis
-rule: one matrix gives the per-matrix shape (a numpy scalar, a (3,) Bloch
-array or a (k, k) matrix), and a stack adds a leading axis of length m.
-Every check applies to each matrix of a stack, and an error names the
-first matrix that fails it.
+A state is one Bloch vector (a `BlochVector` or three reals) or an
+(m, 3) float array of them, one per row: the one form of a stack of
+states, checked in one array pass. Every function of the generic route
+takes rho as one 2x2 density matrix or as an (m, 2, 2) stack of them (as
+`bloch_to_density` makes from a stack of states), and evaluates a stack
+in one pass over the (k, 2, 2) Kraus operator array. The result follows
+numpy's leading-axis rule: one matrix gives the per-matrix shape (a numpy
+scalar, a (3,) Bloch array or a (k, k) matrix), and a stack adds a
+leading axis of length m. Every check applies to each matrix of a stack,
+and an error names the first matrix that fails it.
 
 All entropies are in bits (base-2 logarithms).
 """
@@ -81,6 +84,39 @@ def as_bloch(state) -> BlochVector:
     return BlochVector(*values)
 
 
+def _bloch_rows(rows: np.ndarray, item: str) -> np.ndarray:
+    """Check a float array of Bloch rows, (3,) or (m, 3): every row must be
+    finite, of width 3 and of |a|^2 <= 1 within BLOCH_NORM_TOL. An error
+    names the first row that fails, as ``item i of the stack``."""
+    if rows.shape[-1] != 3:  # every row is as wide, so the first is named
+        raise ValueError(f"expected 3 Bloch components, got {rows.shape[-1]}"
+                         + _where(np.ones(rows.shape[:-1]), item))
+    finite = np.isfinite(rows).all(axis=-1)
+    if not finite.all():
+        raise ValueError("Bloch components must be finite" + _where(~finite, item))
+    norm_squared = (rows * rows).sum(axis=-1)
+    unphysical = norm_squared > 1.0 + BLOCH_NORM_TOL
+    if unphysical.any():
+        worst = norm_squared.flat[int(np.argmax(unphysical))]
+        raise ValueError(f"unphysical Bloch vector: |a|^2 = {worst:.12g} > 1"
+                         + _where(unphysical, item))
+    return rows
+
+
+def _as_states(state):
+    """``(state, lead, (a1, a2, a3))``: one state (a BlochVector, or any
+    input that is not 2-D) through `as_bloch`, with lead () and its float
+    components; a stack (any 2-D input) as a checked float copy of its rows,
+    with lead (m,) and (m, 1) component columns that broadcast over rates."""
+    if isinstance(state, BlochVector) or np.ndim(state) != 2:
+        state = as_bloch(state)
+        return state, (), state.as_tuple()
+    if not len(state):
+        raise ValueError("a stack of states needs at least one row")
+    rows = _bloch_rows(np.array(state, dtype=float), "state")
+    return rows, (len(rows),), tuple(rows.T[..., None])
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Ordered 2x2 Kraus operators defining rho -> sum_i A_i rho A_i^dag.
@@ -129,11 +165,12 @@ def _require_complete(channel: KrausChannel) -> None:
 
 
 def bloch_to_density(state) -> np.ndarray:
-    """Density matrix (I + a . sigma) / 2 for a Bloch vector of length <= 1."""
-    state = as_bloch(state)
-    return 0.5 * (
-        IDENTITY + state.a1 * PAULI_X + state.a2 * PAULI_Y + state.a3 * PAULI_Z
-    )
+    """Density matrix (I + a . sigma) / 2 for a Bloch vector of length <= 1;
+    for an (m, 3) stack, an (m, 2, 2) stack equal to the one-state calls."""
+    _, lead, (a1, a2, a3) = _as_states(state)
+    if lead:  # (m, 1) columns, broadcast against the 2x2 matrices
+        a1, a2, a3 = a1[..., None], a2[..., None], a3[..., None]
+    return 0.5 * (IDENTITY + a1 * PAULI_X + a2 * PAULI_Y + a3 * PAULI_Z)
 
 
 def _density_matrices(rho) -> np.ndarray:
@@ -153,15 +190,7 @@ def density_to_bloch(rho):
     a stack. Every row must satisfy |a|^2 <= 1 within 1e-12.
     """
     rho = _density_matrices(rho)
-    bloch = np.einsum("...ab,iba->...i", rho, _PAULI_STACK).real
-    norm_squared = (bloch * bloch).sum(axis=-1)
-    unphysical = norm_squared > 1.0 + BLOCH_NORM_TOL
-    if unphysical.any():
-        worst = norm_squared.flat[int(np.argmax(unphysical))]
-        raise ValueError(
-            f"unphysical Bloch vector: |a|^2 = {worst:.12g} > 1" + _where(unphysical)
-        )
-    return bloch
+    return _bloch_rows(np.einsum("...ab,iba->...i", rho, _PAULI_STACK).real, "matrix")
 
 
 def spectrum_entropy(values):

@@ -229,20 +229,18 @@ def _segments(x: np.ndarray, ratio: np.ndarray, outside: np.ndarray) -> tuple:
     )
 
 
-def bloch_ball_grid(resolution: int) -> list[BlochVector]:
-    """Uniform grid over [-1, 1]^3 clipped to the closed unit ball."""
+def bloch_ball_grid(resolution: int) -> np.ndarray:
+    """Uniform grid over [-1, 1]^3 clipped to the closed unit ball, as an
+    (N, 3) float array of Bloch rows (a1, a2, a3) in lexicographic order:
+    a1 outermost, a3 innermost, each ascending."""
     if resolution < 2:
         raise ValueError(f"grid resolution must be at least 2, got {resolution}")
     # Integer numerators make the axis exactly mirror-symmetric, so that
     # mirrored states share their exact (a1² + a2², |a3|) key.
     axis = (2 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
-    grid = []
-    for a1 in axis:
-        for a2 in axis:
-            for a3 in axis:
-                if a1 * a1 + a2 * a2 + a3 * a3 <= 1.0 + BLOCH_NORM_TOL:
-                    grid.append(BlochVector(float(a1), float(a2), float(a3)))
-    return grid
+    a1, a2, a3 = (c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij"))
+    inside = a1 * a1 + a2 * a2 + a3 * a3 <= 1.0 + BLOCH_NORM_TOL
+    return np.column_stack((a1, a2, a3))[inside]
 
 
 def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
@@ -256,10 +254,12 @@ def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
     order (a1 outermost, a3 innermost). A curve that detection refuses
     raises ValueError naming its state and pair.
     """
-    reports = {}
-    entries = []
-    for state in bloch_ball_grid(grid_resolution):
-        key = (state.a1 * state.a1 + state.a2 * state.a2, abs(state.a3))
+    grid = bloch_ball_grid(grid_resolution)
+    a1, a2, a3 = grid.T
+    keys = zip((a1 * a1 + a2 * a2).tolist(), np.abs(a3).tolist())
+    reports, entries = {}, []
+    for row, key in zip(grid.tolist(), keys):
+        state = BlochVector(*row)
         if key not in reports:
             curve = sweep(state, x_min, x_max, x_steps)
             try:

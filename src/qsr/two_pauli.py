@@ -9,11 +9,11 @@ length 1, and evaluate every rate in one pass; `two_pauli_metrics`
 gathers them into one `SweepCurve`, which is how a sweep is computed.
 
 The state is one Bloch vector (a `BlochVector` or three reals) or an
-``(m, 3)`` stack of them, one state per row; each row is checked as one
-state is, and an error names the first row that fails. Results follow
-numpy's leading-axis rule: a stack puts a leading axis of length m in
-front of the one-state shape, so row i equals the call on state i alone,
-bit for bit.
+``(m, 3)`` float array of them, one state per row; the array is the one
+form of a stack, checked in one array pass, and an error names the first
+row that fails. Results follow numpy's leading-axis rule: a stack puts a
+leading axis of length m in front of the one-state shape, so row i equals
+the call on state i alone, bit for bit.
 
 Only the exchange-matrix spectra are solved in fixed blocks of at most
 _BLOCK matrices: whole rows of ``max(1, _BLOCK // n)`` states by
@@ -36,7 +36,7 @@ from .channel import (
     KrausChannel,
     PAULI_X,
     PAULI_Y,
-    as_bloch,
+    _as_states,
     spectrum_entropy,
 )
 from .linalg import hermitian_eigenvalues
@@ -58,30 +58,6 @@ def _check_rate(x) -> np.ndarray:
     if bad.size:
         raise ValueError(f"flipping rate must be in [0, 1], got {float(bad[0])!r}")
     return rates
-
-
-def _as_states(state):
-    """``(state, lead, (a1, a2, a3))`` for one state or an (m, 3) stack.
-
-    One state becomes a BlochVector with float components and the leading
-    shape (). A stack (any 2-D input) becomes a tuple of m BlochVectors,
-    each row through `as_bloch`, with the leading shape (m,) and (m, 1)
-    component columns that broadcast against the rates.
-    """
-    if isinstance(state, BlochVector) or np.ndim(state) != 2:
-        state = as_bloch(state)
-        return state, (), state.as_tuple()
-    rows = np.asarray(state, dtype=float)
-    if not len(rows):
-        raise ValueError("a stack of states needs at least one row")
-    states = []
-    for i, row in enumerate(rows):
-        try:
-            states.append(as_bloch(row))
-        except ValueError as exc:
-            raise ValueError(f"state {i} of the stack: {exc}") from None
-    columns = tuple(np.array([s.as_tuple() for s in states]).T[..., None])
-    return tuple(states), (len(states),), columns
 
 
 def make_two_pauli(x: float) -> KrausChannel:
@@ -148,11 +124,12 @@ class SweepCurve:
     Every column holds one entry per rate; ``output_bloch`` is an (n, 3)
     array, one output Bloch vector per rate. Entropies are in bits and
     ``coherent_info`` is exactly ``output_entropy - noise``. For a stack
-    of m states, ``state`` is the tuple of their BlochVectors and every
-    column gains a leading axis of length m.
+    of m states, ``state`` is their checked (m, 3) float array, which
+    `two_pauli_metrics` takes back, and every column gains a leading axis
+    of length m.
     """
 
-    state: BlochVector | tuple
+    state: BlochVector | np.ndarray
     x: np.ndarray
     noise: np.ndarray
     coherent_info: np.ndarray
@@ -174,33 +151,28 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     gives columns of length 1), for one state or, with a leading axis, for
     each state of an (m, 3) stack.
 
-    The noise is the entropy of the closed-form exchange matrix spectrum.
-    The matrices are built and solved one block at a time, each block in
-    one eigensolve with every check of the one-pass route: whole rows of
-    ``max(1, _BLOCK // n)`` states by ``min(n, _BLOCK)`` rates, so no block
-    holds more than _BLOCK matrices. Each 3x3 matrix is solved on its own,
-    so the noise does not depend on the block size. Output entropy comes
-    from its closed form, over all states and rates at once; coherent
-    information is stored as output entropy minus noise. The entangled
-    fidelity is (a1^2 + a2^2)(1 - x)/2 + x and the output Bloch vector is
-    (a1 x, a2 x, a3 (2x - 1)), one row per rate.
+    The noise is the entropy of the closed-form exchange matrix spectrum,
+    built and solved in the blocks of the module docstring, each in one
+    eigensolve with every check of the one-pass route. Each 3x3 matrix is
+    solved on its own, so the noise does not depend on the block size.
+    Coherent information is stored as output entropy minus noise. The
+    entangled fidelity is (a1^2 + a2^2)(1 - x)/2 + x and the output Bloch
+    vector is (a1 x, a2 x, a3 (2x - 1)), one row per rate.
     """
     state, lead, (a1, a2, a3) = _as_states(state)
     x = _check_rate(x)
-    # The checked state, or the stack as (m, 3) rows, for the closed forms.
-    given = np.hstack((a1, a2, a3)) if lead else state
     noise = np.empty(lead + x.shape)
     rows = noise.reshape(-1, len(x))  # a view: one row per state
     per_block = max(1, _BLOCK // len(x))
     for top in range(0, len(rows), per_block):
-        states = given[top : top + per_block] if lead else given
+        states = state[top : top + per_block] if lead else state
         for start in range(0, len(x), _BLOCK):
             out = rows[top : top + per_block, start : start + _BLOCK]
             # Unnamed, so a block's matrices are freed once they are solved.
             out[...] = spectrum_entropy(hermitian_eigenvalues(
                 analytic_exchange_matrix(states, x[start : start + _BLOCK]).reshape(-1, 3, 3)
             )).reshape(out.shape)
-    output_entropy = analytic_output_entropy(given, x)
+    output_entropy = analytic_output_entropy(state, x)
     planar = a1 * a1 + a2 * a2
     return SweepCurve(
         state=state,

@@ -187,11 +187,10 @@ def check_analytic_generic_agreement(
     channels = [make_two_pauli(float(x)) for x in xs]
     grid = bloch_ball_grid(grid_resolution)
     for start in range(0, len(grid), _AGREEMENT_BLOCK):
-        block = grid[start : start + _AGREEMENT_BLOCK]
-        rho = np.stack([bloch_to_density(state) for state in block])
+        states = grid[start : start + _AGREEMENT_BLOCK]
+        rho = bloch_to_density(states)
         # The closed forms for the whole block in one stacked call each;
         # axis 0 is the state, axis 1 the rate.
-        states = np.array([state.as_tuple() for state in block])
         w = analytic_exchange_matrix(states, xs)
         m = two_pauli_metrics(states, xs)
         for k, channel in enumerate(channels):

@@ -105,6 +105,20 @@ class TestBlochDensityConversions:
         want = np.array([[0.95, 0.05 - 0.1j], [0.05 + 0.1j, 0.05]])
         assert np.abs(bloch_to_density((0.1, 0.2, 0.9)) - want).max() < 1e-16
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 9])
+    def test_stack_equals_the_one_state_calls_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        states = np.array([random_bloch_vector(rng, pure=bool(i % 2)).as_tuple()
+                           for i in range(m)])
+        if m > 1:  # signed zeros and a pole
+            states[0] = (-0.0, 0.0, -1.0)
+        got = bloch_to_density(states)
+        assert got.dtype == complex and got.shape == (m, 2, 2)
+        want = np.stack([bloch_to_density(BlochVector(*row)) for row in states])
+        assert got.tobytes() == want.tobytes()
+        # A list of rows is a stack too, also one of exactly three rows.
+        assert bloch_to_density(states.tolist()).tobytes() == want.tobytes()
+
     def test_density_to_bloch_examples(self):
         assert np.array_equal(density_to_bloch(IDENTITY / 2), [0.0, 0.0, 0.0])
         assert np.array_equal(density_to_bloch(np.diag([1.0, 0.0])), [0.0, 0.0, 1.0])
@@ -507,8 +521,11 @@ class TestStackedRoute:
     def test_bloch_norm_checked_per_matrix(self):
         rho = random_density_stack(np.random.default_rng(41), 4)
         rho[2] = np.diag([1.5, -0.5])
-        with pytest.raises(ValueError, match="unphysical.*matrix 2 of the stack"):
+        with pytest.raises(ValueError, match=r"unphysical Bloch vector: \|a\|\^2 = 4 > 1"
+                           r" in matrix 2 of the stack$"):
             density_to_bloch(rho)
+        with pytest.raises(ValueError, match=r"unphysical Bloch vector: \|a\|\^2 = 4 > 1$"):
+            density_to_bloch(rho[2])
 
     def test_completeness_checked_for_a_stack(self):
         broken = KrausChannel((math.sqrt(0.5) * IDENTITY,), label="broken")

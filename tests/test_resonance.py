@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qsr.channel import BlochVector
-from qsr.cli import MAX_STEPS
+from qsr.channel import BLOCH_NORM_TOL, BlochVector
+from qsr.cli import MAX_GRID_RESOLUTION, MAX_STEPS
 from qsr.resonance import (
     MIN_POSITIVE_SLOPE,
     MULTIVALUED_TOL,
@@ -247,6 +247,18 @@ class TestDetectMultivalued:
                 assert min(noise) - 1e-12 <= lo < hi <= max(noise) + 1e-12
 
 
+def old_bloch_ball_grid(resolution):
+    """The triple loop that the array grid replaced, as (a1, a2, a3) tuples."""
+    axis = (2 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
+    grid = []
+    for a1 in axis:
+        for a2 in axis:
+            for a3 in axis:
+                if a1 * a1 + a2 * a2 + a3 * a3 <= 1.0 + BLOCH_NORM_TOL:
+                    grid.append(BlochVector(float(a1), float(a2), float(a3)).as_tuple())
+    return grid
+
+
 class TestStateScan:
     def test_small_scan(self):
         report = state_scan(5, 201)
@@ -262,16 +274,28 @@ class TestStateScan:
     def test_grid_excludes_outside_ball(self):
         grid = bloch_ball_grid(3)
         assert len(grid) == 7  # center plus the six axis poles
-        assert all(v.norm_squared <= 1.0 + 1e-12 for v in grid)
+        assert ((grid * grid).sum(axis=1) <= 1.0 + 1e-12).all()
 
     def test_grid_is_mirror_symmetric(self):
         # Mirrored states must share their exact (a1^2 + a2^2, |a3|) key.
         for resolution in (3, 4, 9, 11, 21):
-            points = {state.as_tuple() for state in bloch_ball_grid(resolution)}
+            points = set(map(tuple, bloch_ball_grid(resolution).tolist()))
             for sign in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)):
                 assert {tuple(s * a for s, a in zip(sign, p)) for p in points} == points
-        keys = {(s.a1 * s.a1 + s.a2 * s.a2, abs(s.a3)) for s in bloch_ball_grid(11)}
+        keys = {(a1 * a1 + a2 * a2, abs(a3)) for a1, a2, a3 in bloch_ball_grid(11).tolist()}
         assert len(keys) == 58
+
+    @pytest.mark.parametrize("resolution", range(2, 22))
+    def test_grid_rows_equal_the_triple_loop(self, resolution):
+        grid = bloch_ball_grid(resolution)
+        want = np.array(old_bloch_ball_grid(resolution), dtype=float).reshape(-1, 3)
+        assert grid.dtype == float and grid.shape == want.shape
+        assert grid.tobytes() == want.tobytes()  # same values, signs and order
+
+    def test_grid_at_the_largest_resolution(self):
+        # The CLI's bound on --grid-resolution is documented as 65,267 states.
+        assert MAX_GRID_RESOLUTION == 51
+        assert bloch_ball_grid(MAX_GRID_RESOLUTION).shape == (65_267, 3)
 
     def test_rejects_tiny_resolution(self):
         with pytest.raises(ValueError, match="resolution"):
@@ -310,7 +334,8 @@ class TestStateScan:
         assert [c.state.as_tuple() for c in calls] == [
             (-1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, 0.0),
         ]
-        assert [e.state for e in report.entries] == bloch_ball_grid(3)
+        assert [e.state.as_tuple() for e in report.entries] == [
+            tuple(row) for row in bloch_ball_grid(3).tolist()]
 
     def test_sweeps_each_distinct_pair_once(self, monkeypatch):
         import qsr.resonance as resonance

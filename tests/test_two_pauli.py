@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsr import two_pauli
+from qsr import channel, two_pauli
 from qsr.channel import (
     BlochVector,
     IDENTITY,
@@ -230,13 +230,13 @@ def test_blocked_metrics_match_one_pass(state, rates):
 @pytest.mark.parametrize("rates, checks", [(701, 3), (2 * _BLOCK + 1, 5)])
 def test_metrics_check_their_inputs_once_per_closed_form(monkeypatch, rates, checks):
     # One check in two_pauli_metrics, one in analytic_output_entropy and one
-    # per block of the exchange-matrix solve.
+    # per block of the exchange-matrix solve. A state is checked in channel.
     calls = collections.Counter()
-    for name in ("_check_rate", "as_bloch"):
-        def counted(value, _name=name, _original=getattr(two_pauli, name)):
+    for module, name in ((two_pauli, "_check_rate"), (channel, "as_bloch")):
+        def counted(value, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(value)
-        monkeypatch.setattr(two_pauli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, rates))
     assert calls == {"_check_rate": checks, "as_bloch": checks}
 
@@ -287,7 +287,7 @@ def test_stacked_closed_forms_match_per_state_calls(m, n):
     curve = two_pauli_metrics(states, x)
     w = analytic_exchange_matrix(states, x)
     output_entropy = analytic_output_entropy(states, x)
-    assert curve.state == tuple(BlochVector(*row) for row in states)
+    assert curve.state.dtype == float and np.array_equal(curve.state, states)
     assert curve.noise.shape == (m, n) and curve.output_bloch.shape == (m, n, 3)
     assert w.shape == (m, n, 3, 3) and output_entropy.shape == (m, n)
     for i, row in enumerate(states):
@@ -304,7 +304,8 @@ def test_stack_of_one_state_matches_the_one_state_call(single):
     stacked = two_pauli_metrics([[0.3, 0.4, 0.2]], 0.4)
     one = two_pauli_metrics(single, 0.4)
     assert one.state == BlochVector(0.3, 0.4, 0.2) and one.noise.shape == (1,)
-    assert stacked.state == (one.state,) and stacked.noise.shape == (1, 1)
+    assert np.array_equal(stacked.state, [one.state.as_tuple()])
+    assert stacked.state.shape == (1, 3) and stacked.noise.shape == (1, 1)
     for name in COLUMNS:
         assert np.array_equal(getattr(stacked, name)[0], getattr(one, name)), name
     assert np.array_equal(analytic_exchange_matrix([[0.3, 0.4, 0.2]], 0.4)[0],
@@ -331,14 +332,58 @@ def test_stacked_solve_keeps_each_block_within_the_limit(monkeypatch, m, n, size
     assert solved == sizes
 
 
-@pytest.mark.parametrize("closed_form", [
-    two_pauli_metrics, analytic_exchange_matrix, analytic_output_entropy])
+#: Every function that takes a stack of states, called with two rates.
+STACK_FUNCTIONS = {
+    "two_pauli_metrics": two_pauli_metrics,
+    "analytic_exchange_matrix": analytic_exchange_matrix,
+    "analytic_output_entropy": analytic_output_entropy,
+    "bloch_to_density": lambda states, x: bloch_to_density(states),
+}
+
+
+@pytest.mark.parametrize("closed_form", STACK_FUNCTIONS.values(), ids=STACK_FUNCTIONS.keys())
 def test_stack_with_an_unphysical_row_is_refused_by_name(closed_form):
     states = [[0.1, 0.2, 0.3], [0.0, 0.0, 1.0], [0.8, 0.8, 0.0]]
-    with pytest.raises(ValueError, match=r"state 2 of the stack: unphysical Bloch vector"):
+    with pytest.raises(ValueError, match=r"^unphysical Bloch vector: \|a\|\^2 = 1.28 > 1"
+                       r" in state 2 of the stack$"):
         closed_form(states, [0.0, 0.5])
-    with pytest.raises(ValueError, match="at least one row"):
+    with pytest.raises(ValueError, match="^a stack of states needs at least one row$"):
         closed_form(np.zeros((0, 3)), [0.5])
+
+
+@pytest.mark.parametrize("closed_form", STACK_FUNCTIONS.values(), ids=STACK_FUNCTIONS.keys())
+@pytest.mark.parametrize("states, message", [
+    ([[0.1, 0.2, 0.3], [0.0, math.nan, 0.0]], "Bloch components must be finite in state 1"),
+    ([[0.1, 0.2, 0.3], [0.0, 0.0, 1.0], [math.inf, 0.0, 0.0]],
+     "Bloch components must be finite in state 2"),
+    # Every row of a 2-D array is as wide, so the first is named.
+    (np.zeros((2, 2)), "expected 3 Bloch components, got 2 in state 0"),
+    (np.zeros((1, 4)), "expected 3 Bloch components, got 4 in state 0"),
+], ids=["nan", "inf", "narrow", "wide"])
+def test_stack_with_a_non_finite_or_misshapen_row_is_refused_by_name(
+        closed_form, states, message):
+    with pytest.raises(ValueError, match=f"^{message} of the stack$"):
+        closed_form(states, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("m", [1, 3, 50])
+def test_stacked_curve_state_is_taken_back(m):
+    # A stacked record's state is its checked (m, 3) array, so it can be
+    # passed back; at m = 3 its rows must not be read as one state's components.
+    curve = two_pauli_metrics(_random_stack(np.random.default_rng(m), m), np.linspace(0, 0.7, 41))
+    assert type(curve.state) is np.ndarray and curve.state.dtype == float
+    assert curve.state.shape == (m, 3)
+    again = two_pauli_metrics(curve.state, curve.x)
+    assert np.array_equal(again.state, curve.state) and np.array_equal(again.x, curve.x)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(again, name), getattr(curve, name)), name
+
+
+def test_stacked_curve_keeps_its_own_copy_of_the_states():
+    states = np.array([[0.1, 0.2, 0.3], [0.3, 0.4, 0.2]])
+    curve = two_pauli_metrics(states, [0.5])
+    states[0] = 2.0
+    assert np.array_equal(curve.state, [[0.1, 0.2, 0.3], [0.3, 0.4, 0.2]])
 
 
 @pytest.mark.parametrize("detect", [estimate_slopes, detect_enhancement, detect_multivalued])

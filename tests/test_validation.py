@@ -49,7 +49,7 @@ def test_agreement_reaches_the_last_sample_of_a_partial_block(monkeypatch):
     def skewed(states, x):
         metrics = closed_form(states, x)
         stacks.append(metrics.state)
-        if metrics.state[-1] == grid[-1]:
+        if np.array_equal(metrics.state[-1], grid[-1]):
             fidelity = metrics.fidelity.copy()
             fidelity[-1, -1] += 1e-11
             metrics = dataclasses.replace(metrics, fidelity=fidelity)
@@ -58,8 +58,9 @@ def test_agreement_reaches_the_last_sample_of_a_partial_block(monkeypatch):
     monkeypatch.setattr(validation, "two_pauli_metrics", skewed)
     result = check_analytic_generic_agreement(7, 21)
     assert not result.passed, result.detail
-    assert len(stacks[-1]) == partial and stacks[-1][-1] == grid[-1]
+    assert len(stacks[-1]) == partial and np.array_equal(stacks[-1][-1], grid[-1])
     assert sum(map(len, stacks)) == len(grid)
+    assert np.array_equal(np.concatenate(stacks), grid)
 
 
 def test_agreement_fails_on_a_nan_deviation(monkeypatch):
