@@ -104,13 +104,15 @@ def _bloch_rows(rows: np.ndarray, item: str) -> np.ndarray:
 
 
 def _as_states(state):
-    """``(state, lead, (a1, a2, a3))``: one state (a BlochVector, or any
-    input that is not 2-D) through `as_bloch`, with lead () and its float
-    components; a stack (any 2-D input) as a checked float copy of its rows,
-    with lead (m,) and (m, 1) component columns that broadcast over rates."""
-    if isinstance(state, BlochVector) or np.ndim(state) != 2:
+    """``(state, lead, (a1, a2, a3))``: one state (a BlochVector or a 1-D
+    row) through `as_bloch`, with lead () and its float components; a stack
+    (a 2-D input) as a checked float copy of its rows, with lead (m,) and
+    (m, 1) component columns that broadcast over rates; no other shape."""
+    if isinstance(state, BlochVector) or np.ndim(state) == 1:
         state = as_bloch(state)
         return state, (), state.as_tuple()
+    if np.ndim(state) != 2:
+        raise ValueError(f"expected a Bloch vector or an (m, 3) stack, got shape {np.shape(state)}")
     if not len(state):
         raise ValueError("a stack of states needs at least one row")
     rows = _bloch_rows(np.array(state, dtype=float), "state")

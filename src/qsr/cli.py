@@ -105,14 +105,14 @@ def _scan_lines(report, precision: int):
     """The text of a scan CSV: a header, then one row per grid state, one
     string per block of _BLOCK rows."""
     yield "a1,a2,a3,cap_enh,fid_enh,noise_peak_x\n"
-    for start in range(0, len(report.entries), _BLOCK):
-        rows = []
-        for entry in report.entries[start : start + _BLOCK]:
-            fields = [_format(a, precision) for a in entry.state.as_tuple()]
-            fields += [str(len(entry.capacity)), str(len(entry.fidelity))]
-            peak = "" if entry.noise_peak_x is None else _format(entry.noise_peak_x, precision)
-            rows.append(",".join(fields + [peak]) + "\n")
-        yield "".join(rows)
+    template = ",".join([f"%.{precision}g"] * 3) + ",%s"
+    tails = [f"{len(r.capacity)},{len(r.fidelity)},"
+             + ("" if r.noise_peak_x is None else _format(r.noise_peak_x, precision)) + "\n"
+             for r in report.reports]
+    for start in range(0, len(report.states), _BLOCK):
+        rows = (report.states[start : start + _BLOCK] + 0.0).tolist()
+        pairs = report.pair[start : start + _BLOCK].tolist()
+        yield "".join(template % (*row, tails[p]) for row, p in zip(rows, pairs))
 
 
 def _digits(lo: float, hi: float) -> int:

@@ -1,4 +1,4 @@
-"""Sweeps over the flipping rate and detection of noise-enhancement effects.
+"""Rate sweeps, noise-enhancement detection, and Bloch-ball scans keyed on integer pairs.
 
 Builds parametric curves of the channel's figures of merit against its
 noise measure, estimates slopes with finite differences, and classifies
@@ -12,7 +12,7 @@ multivalued capacity, not as enhancement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,29 +51,31 @@ class EnhancementReport:
     noise maximum when it is an interior grid point, else None.
     """
 
-    state: BlochVector
     capacity: tuple
     fidelity: tuple
     noise_peak_x: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanReport:
-    """Enhancement reports over a grid of input states, in grid order."""
+    """The (N, 3) grid rows ``states``, one EnhancementReport per distinct
+    pair in first-row order ``reports``, and the (N,) row-to-report ``pair``."""
 
-    entries: tuple
+    states: np.ndarray
+    reports: tuple
+    pair: np.ndarray
 
     @property
     def total_states(self) -> int:
-        return len(self.entries)
+        return len(self.states)
 
     @property
     def capacity_enhanced_states(self) -> int:
-        return sum(1 for entry in self.entries if entry.capacity)
+        return int(np.isin(self.pair, [i for i, r in enumerate(self.reports) if r.capacity]).sum())
 
     @property
     def fidelity_enhanced_states(self) -> int:
-        return sum(1 for entry in self.entries if entry.fidelity)
+        return int(np.isin(self.pair, [i for i, r in enumerate(self.reports) if r.fidelity]).sum())
 
 
 def sweep(state, x_min: float = DEFAULT_X_MIN, x_max: float = DEFAULT_X_MAX,
@@ -207,7 +209,6 @@ def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
     outside = ~((noise > lo) & (noise < hi))
     noise_peak_x = float(curve.x[peak]) if 0 < peak < len(noise) - 1 else None
     return EnhancementReport(
-        state=curve.state,
         capacity=_segments(curve.x, capacity, outside),
         fidelity=_segments(curve.x, fidelity, outside),
         noise_peak_x=noise_peak_x,
@@ -235,8 +236,7 @@ def bloch_ball_grid(resolution: int) -> np.ndarray:
     a1 outermost, a3 innermost, each ascending."""
     if resolution < 2:
         raise ValueError(f"grid resolution must be at least 2, got {resolution}")
-    # Integer numerators make the axis exactly mirror-symmetric, so that
-    # mirrored states share their exact (a1² + a2², |a3|) key.
+    # Integer numerators make the axis exactly mirror-symmetric.
     axis = (2 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
     a1, a2, a3 = (c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij"))
     inside = a1 * a1 + a2 * a2 + a3 * a3 <= 1.0 + BLOCH_NORM_TOL
@@ -248,25 +248,23 @@ def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
     """Sweep the ball-grid states and report their enhancement.
 
     Every two-Pauli metric depends on a state only through a1² + a2² and
-    |a3|, so each distinct exact pair is swept and detected once, on its
-    first state in grid order; the states sharing the pair share that
-    report, each with its own ``state``. Entries are reported in grid
-    order (a1 outermost, a3 innermost). A curve that detection refuses
-    raises ValueError naming its state and pair.
+    |a3|, so each row is keyed by the exact pair (i1² + i2², |i3|) of its
+    lattice numerators i = a (n - 1), and each pair is swept and detected
+    once, on its first row in grid order. A curve that detection refuses
+    raises ValueError naming its state and its (a1² + a2², |a3|) pair.
     """
     grid = bloch_ball_grid(grid_resolution)
-    a1, a2, a3 = grid.T
-    keys = zip((a1 * a1 + a2 * a2).tolist(), np.abs(a3).tolist())
-    reports, entries = {}, []
-    for row, key in zip(grid.tolist(), keys):
-        state = BlochVector(*row)
-        if key not in reports:
-            curve = sweep(state, x_min, x_max, x_steps)
-            try:
-                reports[key] = detect_enhancement(curve)
-            except ValueError as exc:
-                raise ValueError(
-                    f"state {state.as_tuple()} with (a1^2 + a2^2, |a3|) = {key}: {exc}"
-                ) from exc
-        entries.append(replace(reports[key], state=state))
-    return ScanReport(entries=tuple(entries))
+    i1, i2, i3 = np.rint(grid * (grid_resolution - 1)).astype(np.int64).T
+    # One int per pair: |i3| < n, so (i1² + i2²) n + |i3| is one-to-one.
+    keys = (i1 * i1 + i2 * i2) * grid_resolution + np.abs(i3)
+    labels, reports = {}, []
+    pair = np.array([labels.setdefault(key, len(labels)) for key in keys.tolist()], dtype=np.intp)
+    for row in np.unique(pair, return_index=True)[1].tolist():
+        curve = sweep(grid[row], x_min, x_max, x_steps)
+        try:
+            reports.append(detect_enhancement(curve))
+        except ValueError as exc:
+            a1, a2, a3 = grid[row].tolist()
+            raise ValueError(f"state {(a1, a2, a3)} with (a1^2 + a2^2, |a3|) = "
+                             f"{(a1 * a1 + a2 * a2, abs(a3))}: {exc}") from exc
+    return ScanReport(states=grid, reports=tuple(reports), pair=pair)

@@ -373,12 +373,13 @@ def test_sweep_csv_rows_match_per_value_format(tmp_path):
 
 def test_scan_csv_is_written_in_blocks_of_rows():
     # _BLOCK + 1 states give one full block and one single-row block.
-    entries = [
-        SimpleNamespace(state=SimpleNamespace(as_tuple=lambda i=i: (i, 0.0, -0.5)),
-                        capacity=(), fidelity=((0.0, 0.1, 2.0),), noise_peak_x=None)
-        for i in range(_BLOCK + 1)
-    ]
-    chunks = list(cli._scan_lines(SimpleNamespace(entries=entries), 12))
+    rows = _BLOCK + 1
+    report = SimpleNamespace(
+        states=np.column_stack((np.arange(rows), np.zeros(rows), np.full(rows, -0.5))),
+        reports=(SimpleNamespace(capacity=(), fidelity=((0.0, 0.1, 2.0),), noise_peak_x=None),),
+        pair=np.zeros(rows, dtype=np.intp),
+    )
+    chunks = list(cli._scan_lines(report, 12))
     assert chunks[0] == "a1,a2,a3,cap_enh,fid_enh,noise_peak_x\n"
     assert [chunk.count("\n") for chunk in chunks[1:]] == [_BLOCK, 1]
     assert "".join(chunks[1:]) == "".join(f"{i},0,-0.5,0,1,\n" for i in range(_BLOCK + 1))
@@ -413,6 +414,8 @@ RECORDED_DIGESTS = {
     "scan.csv": "6cd7722491faf14d61362c143cf9de17812be39fd70cea51ca7723ea7d25a139",
     "scan default stdout": "6f7fe74ce14db15b160aea9a7e176e71e7b6462ce19d6721494837597eef5000",
     "scan-default.csv": "7fc5dc4d783182ef1265c27483d1c1bfc7a6e8a01dcdae79574868bab9cd9e20",
+    "scan 21 stdout": "06a1d12aebd2a63734448842a6fb31f07cf3449535ce38dc35f64bfcdddbda94",
+    "scan-21.csv": "3aaee1f1e3f6b878d7171e35defc2f6509001ea9dfa5c1f968e6e0ca2220cf52",
     "validate stdout": "ac2e3b1dafbded816e81171c9eb7531022b38ebc8acfea030ae8374e7ace1811",
     "sweep --help": "6798aeb77df47786067a07a8343b980dbb6bd775826012bb8866e4a762c62f8f",
     "figure1 --help": "a08571021cda83c226340d20271b534db002a742315a3f886d809e854291df3f",
@@ -434,6 +437,10 @@ def test_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch):
         # The default 11^3 grid, whose 515 states share 58 distinct
         # (a1^2 + a2^2, |a3|) pairs.
         ("scan default", ["scan", "--steps", "701", "--out", str(tmp_path / "scan-default.csv")]),
+        # The 21^3 grid, the smallest whose float (a1^2 + a2^2, |a3|) keys
+        # split integer pairs: 347 float keys, 329 pairs.
+        ("scan 21", ["scan", "--grid-resolution", "21", "--steps", "701",
+                     "--out", str(tmp_path / "scan-21.csv")]),
         ("validate", ["validate"]),
     ):
         code, stdout, _ = run(capsys, *argv)

@@ -262,14 +262,11 @@ def old_bloch_ball_grid(resolution):
 class TestStateScan:
     def test_small_scan(self):
         report = state_scan(5, 201)
-        states = {e.state.as_tuple() for e in report.entries}
-        assert (0.0, 0.0, 0.0) in states
-        assert all(
-            e.state.norm_squared <= 1.0 + 1e-12 for e in report.entries
-        )
+        assert (0.0, 0.0, 0.0) in set(map(tuple, report.states.tolist()))
+        assert ((report.states * report.states).sum(axis=1) <= 1.0 + 1e-12).all()
         assert report.capacity_enhanced_states == 0
         assert report.fidelity_enhanced_states > 0
-        assert report.total_states == len(report.entries)
+        assert report.total_states == len(report.states) == len(report.pair)
 
     def test_grid_excludes_outside_ball(self):
         grid = bloch_ball_grid(3)
@@ -334,8 +331,9 @@ class TestStateScan:
         assert [c.state.as_tuple() for c in calls] == [
             (-1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, 0.0),
         ]
-        assert [e.state.as_tuple() for e in report.entries] == [
-            tuple(row) for row in bloch_ball_grid(3).tolist()]
+        assert report.states.tobytes() == bloch_ball_grid(3).tobytes()
+        # Rows (-1,0,0), (0,-1,0), (0,0,-1), (0,0,0), (0,0,1), (0,1,0), (1,0,0).
+        assert report.pair.tolist() == [0, 0, 1, 2, 1, 0, 0]
 
     def test_sweeps_each_distinct_pair_once(self, monkeypatch):
         import qsr.resonance as resonance
@@ -365,21 +363,58 @@ class TestStateScan:
     def test_shared_reports_equal_per_state_detection(self, resolution, steps, window):
         report = state_scan(resolution, steps, *window)
         grid = bloch_ball_grid(resolution)
-        assert len(report.entries) == len(grid)
-        for entry, state in zip(report.entries, grid):
-            own = detect_enhancement(sweep(state, *window, steps))
-            assert entry.state == own.state
-            assert entry.noise_peak_x == own.noise_peak_x
-            for shared, alone in ((entry.capacity, own.capacity), (entry.fidelity, own.fidelity)):
-                # Segment ends are grid rates and match exactly. The peak
-                # dQ/dN divides differences of the noise, which the
-                # eigensolve gives to ~1e-14 within a pair, so it matches
-                # to SHARED_SLOPE_RTOL (worst seen: 1.2e-10 at 11/701/[0, 0.4]).
-                assert [seg[:2] for seg in shared] == [seg[:2] for seg in alone]
-                np.testing.assert_allclose(
-                    [seg[2] for seg in shared], [seg[2] for seg in alone],
-                    rtol=SHARED_SLOPE_RTOL, atol=0.0,
-                )
+        assert report.states.tobytes() == grid.tobytes() and report.pair.shape == (len(grid),)
+        for state, pair in zip(grid, report.pair.tolist()):
+            assert_shared_report(report.reports[pair],
+                                 detect_enhancement(sweep(state, *window, steps)))
+
+    @pytest.mark.parametrize("resolution, pairs", [(9, 33), (11, 58)])
+    def test_one_report_per_integer_pair_in_first_row_order(self, resolution, pairs):
+        report = state_scan(resolution, 701)
+        labels, first_rows = np.unique(report.pair, return_index=True)
+        assert len(report.reports) == pairs and labels.tolist() == list(range(pairs))
+        assert (np.diff(first_rows) > 0).all()
+
+    def test_integer_pairs_merge_what_float_keys_split(self, monkeypatch):
+        import qsr.resonance as resonance
+
+        calls = []
+        original = resonance.two_pauli_metrics
+
+        def counted(state, x):
+            calls.append(state)
+            return original(state, x)
+
+        monkeypatch.setattr(resonance, "two_pauli_metrics", counted)
+        report = state_scan(21, 701)
+        assert len(calls) == len(report.reports) == 329
+        a1, a2, a3 = report.states.T
+        float_keys = {}
+        for key, pair in zip(zip((a1 * a1 + a2 * a2).tolist(), np.abs(a3).tolist()),
+                             report.pair.tolist()):
+            float_keys.setdefault(pair, set()).add(key)
+        # The float (a1^2 + a2^2, |a3|) keys split 18 integer pairs in two.
+        assert sum(map(len, float_keys.values())) == 347
+        merged = {pair for pair, keys in float_keys.items() if len(keys) > 1}
+        assert len(merged) == 18
+        for state, pair in zip(report.states, report.pair.tolist()):
+            if pair in merged:
+                assert_shared_report(report.reports[pair], detect_enhancement(sweep(state)))
+
+
+def assert_shared_report(shared, own):
+    """A report shared by a pair's rows equals a row's own detection."""
+    assert shared.noise_peak_x == own.noise_peak_x
+    for ours, alone in ((shared.capacity, own.capacity), (shared.fidelity, own.fidelity)):
+        # Segment ends are grid rates and match exactly. The peak dQ/dN
+        # divides differences of the noise, which the eigensolve gives to
+        # ~1e-14 within a pair, so it matches to SHARED_SLOPE_RTOL (worst
+        # seen: 1.2e-10 at 11/701/[0, 0.4]).
+        assert [seg[:2] for seg in ours] == [seg[:2] for seg in alone]
+        np.testing.assert_allclose(
+            [seg[2] for seg in ours], [seg[2] for seg in alone],
+            rtol=SHARED_SLOPE_RTOL, atol=0.0,
+        )
 
 
 def test_pure_states_never_register_capacity_enhancement():

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -364,6 +365,22 @@ def test_stack_with_a_non_finite_or_misshapen_row_is_refused_by_name(
         closed_form, states, message):
     with pytest.raises(ValueError, match=f"^{message} of the stack$"):
         closed_form(states, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("closed_form", STACK_FUNCTIONS.values(), ids=STACK_FUNCTIONS.keys())
+@pytest.mark.parametrize("state", [0.5, np.full((3, 1, 1), 0.1), np.zeros((2, 3, 3))],
+                         ids=["scalar", "column-3d", "stack-3d"])
+def test_state_neither_a_row_nor_a_stack_is_refused_by_shape(closed_form, state):
+    # Neither a BlochVector, a 1-D row nor a 2-D stack: the error names the shape.
+    shape = re.escape(str(np.shape(state)))
+    with pytest.raises(ValueError, match=f"^expected a Bloch vector .* got shape {shape}$"):
+        closed_form(state, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("closed_form", STACK_FUNCTIONS.values(), ids=STACK_FUNCTIONS.keys())
+def test_ragged_state_keeps_numpys_error(closed_form):
+    with pytest.raises(ValueError, match="inhomogeneous shape"):
+        closed_form([[0.1, 0.2, 0.3], [0.1]], [0.0, 0.5])
 
 
 @pytest.mark.parametrize("m", [1, 3, 50])
