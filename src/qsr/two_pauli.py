@@ -15,12 +15,28 @@ row that fails. Results follow numpy's leading-axis rule: a stack puts a
 leading axis of length m in front of the one-state shape, so row i equals
 the call on state i alone, bit for bit.
 
-Only the exchange-matrix spectra are solved in fixed blocks of at most
-_BLOCK matrices: whole rows of ``max(1, _BLOCK // n)`` states by
+The noise is the entropy of the exchange-matrix spectrum, solved in
+closed form. That spectrum is the root set of the cubic
+p(l) = l^3 - l^2 + e2 l - D, with e2 = x h (2 - P) + h^2 (1 - a3^2),
+D = x h^2 delta, h = (1 - x)/2, P = a1^2 + a2^2 and delta = 1 - |a|^2.
+Newton's method finds the smallest root from l = 0, where p(0) = -D <= 0;
+it climbs monotonically, because that root is at most 1/3 and p is
+concave below 1/3. The cubic is evaluated in l near 0 and, shifted to
+the cluster centre mu = l - h, as q(mu) = mu^3 - c mu^2 - K mu + c w^2
+elsewhere, with c = (3x - 1)/2, K = P x h + a3^2 h^2 and w^2 = a3^2 h^2:
+each form keeps its terms small where the other cancels. Deflation gives
+the other two roots, mu = ((c - mu0) +- s)/2 with
+s^2 = c^2 + 2 c mu0 - 3 mu0^2 + 4K, so the three sum to 1. A
+pure input (delta <= 0) has the spectrum {0, (1 +- |b|)/2}, whose
+entropy is the output entropy, so its coherent information is exactly 0.
+`analytic_exchange_matrix` and LAPACK stay as the oracle, and every
+`two_pauli_metrics` call checks its first and last sample against them.
+
+The noise and the output entropy are computed in fixed blocks of at most
+_BLOCK samples: whole rows of ``max(1, _BLOCK // n)`` states by
 ``min(n, _BLOCK)`` of the n rates, so one state is solved in runs of
-_BLOCK rates. The output entropy, fidelity and output state run over all
-states and rates at once, so their temporaries grow with the stack and
-the sweep's length.
+_BLOCK rates. The fidelity and output state run over all states and
+rates at once.
 """
 
 from __future__ import annotations
@@ -41,11 +57,29 @@ from .channel import (
 )
 from .linalg import hermitian_eigenvalues
 
-#: Exchange matrices per block solved at once in `two_pauli_metrics`,
-#: and rows per write of the CLI's CSV files: large enough that the
-#: per-block overhead does not show, small enough that a block's (3, 3)
-#: complex stack and its temporaries stay under a megabyte.
+#: Samples per block of the noise and output-entropy solve in
+#: `two_pauli_metrics`, and rows per write of the CLI's CSV files: large
+#: enough that the per-block overhead does not show, small enough that a
+#: block's columns and their temporaries stay well under a megabyte.
 _BLOCK = 2048
+
+#: Newton steps on a root stop once a step is below this fraction of the
+#: root. Near a simple root the error left is about the square of that
+#: step; near a double or triple root it is about one step, but the
+#: entropy of the pair moves only with its square.
+_NEWTON_RTOL = 1e-8
+
+#: Most Newton steps on a root. Left of every root, a step shrinks the gap
+#: to the smallest by at least a third, and the first gap is at most 1/3,
+#: so 64 steps leave at most (2/3)^64 / 3, or 1.8e-12, at the triple root
+#: of (0, 0, 0) at x = 1/3; a double root halves the gap each step. The
+#: stop comes first: after 44 steps at that triple root, and after at most
+#: 12 on 2,000 random mixed states at 2,001 rates each.
+_NEWTON_STEPS = 64
+
+#: Largest gap, in bits, between the closed-form noise and LAPACK's on
+#: the samples that `two_pauli_metrics` checks.
+_SPOT_TOL = 1e-12
 
 
 def _check_rate(x) -> np.ndarray:
@@ -116,6 +150,66 @@ def analytic_output_entropy(state, x) -> np.ndarray:
     return spectrum_entropy(np.stack((0.5 * (1.0 + r), 0.5 * (1.0 - r)), axis=-1))
 
 
+def _lowest_root(e2, d, c, k, cw2, h) -> tuple[np.ndarray, int]:
+    """The smallest root of the module docstring's cubic, for flat arrays
+    of its coefficients, by Newton's method from l = 0; and the most steps
+    any root took. A root stops once its step falls below _NEWTON_RTOL of
+    it, or once p is no longer below 0 with a positive slope (rounding has
+    reached the root); none takes more than _NEWTON_STEPS steps."""
+    roots = np.zeros(len(e2))
+    live = np.arange(len(e2))
+    steps = 0
+    while live.size and steps < _NEWTON_STEPS:
+        steps += 1
+        t, centre = roots[live], h[live]
+        mu = t - centre
+        near = t < 0.5 * centre
+        cc, kk, ee = c[live], k[live], e2[live]
+        p = np.where(near, ((t - 1.0) * t + ee) * t - d[live],
+                     ((mu - cc) * mu - kk) * mu + cw2[live])
+        dp = np.where(near, (3.0 * t - 2.0) * t + ee, (3.0 * mu - 2.0 * cc) * mu - kk)
+        below = (p < 0.0) & (dp > 0.0)
+        live, t = live[below], t[below]
+        new = t - p[below] / dp[below]
+        roots[live] = new
+        live = live[new - t > _NEWTON_RTOL * new]
+    return roots, steps
+
+
+def _exchange_spectrum(a1, a2, a3, x) -> np.ndarray:
+    """The exchange-matrix spectrum in closed form, ascending along a last
+    axis of length 3, for components that broadcast against the rates x."""
+    planar = a1 * a1 + a2 * a2
+    axial = a3 * a3
+    h = 0.5 * (1.0 - x)
+    c = 0.5 * (3.0 * x - 1.0)
+    w2 = axial * h * h
+    k = planar * x * h + w2
+    e2 = x * h * (2.0 - planar) + h * h * (1.0 - axial)
+    d = x * h * h * (1.0 - (planar + axial))
+    c, k, cw2, h, e2, d = (a.ravel() for a in np.broadcast_arrays(c, k, c * w2, h, e2, d))
+    low, _ = _lowest_root(e2, d, c, k, cw2, h)
+    mu = low - h
+    s = np.sqrt(np.maximum(c * c + 2.0 * c * mu - 3.0 * mu * mu + 4.0 * k, 0.0))
+    mid = h + 0.5 * (c - mu)
+    shape = np.broadcast_shapes(np.shape(a1), np.shape(x)) + (3,)
+    return np.stack((low, mid - 0.5 * s, mid + 0.5 * s), axis=-1).reshape(shape)
+
+
+def _spot_check(state, lead, x, noise) -> None:
+    """Raise ValueError unless the noise of the first and the last sample
+    is within _SPOT_TOL of the entropy of LAPACK's exchange spectrum."""
+    ends = [0, -1]
+    w = analytic_exchange_matrix(state[ends] if lead else state, x[ends])
+    if lead:
+        w = w[[0, 1], [0, 1]]
+    want = spectrum_entropy(hermitian_eigenvalues(w))
+    gap = float(np.abs(noise.reshape(-1)[ends] - want).max())
+    if not gap <= _SPOT_TOL:
+        raise ValueError(
+            f"closed-form noise is {gap:.3e} bits from the eigensolver's, more than {_SPOT_TOL:g}")
+
+
 @dataclass(frozen=True, eq=False)
 class SweepCurve:
     """The two-Pauli figures of merit of one input state as columns over a
@@ -151,29 +245,43 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     gives columns of length 1), for one state or, with a leading axis, for
     each state of an (m, 3) stack.
 
-    The noise is the entropy of the closed-form exchange matrix spectrum,
-    built and solved in the blocks of the module docstring, each in one
-    eigensolve with every check of the one-pass route. Each 3x3 matrix is
-    solved on its own, so the noise does not depend on the block size.
+    The noise is the entropy of the closed-form exchange spectrum of the
+    module docstring, and a pure state's noise is its output entropy.
+    Both are computed in the blocks of the module docstring, sample by
+    sample, so they do not depend on the block size. The first and the
+    last sample's noise are checked against LAPACK's eigensolve of
+    `analytic_exchange_matrix`; a gap over _SPOT_TOL raises ValueError.
     Coherent information is stored as output entropy minus noise. The
     entangled fidelity is (a1^2 + a2^2)(1 - x)/2 + x and the output Bloch
     vector is (a1 x, a2 x, a3 (2x - 1)), one row per rate.
     """
     state, lead, (a1, a2, a3) = _as_states(state)
     x = _check_rate(x)
-    noise = np.empty(lead + x.shape)
-    rows = noise.reshape(-1, len(x))  # a view: one row per state
-    per_block = max(1, _BLOCK // len(x))
-    for top in range(0, len(rows), per_block):
-        states = state[top : top + per_block] if lead else state
-        for start in range(0, len(x), _BLOCK):
-            out = rows[top : top + per_block, start : start + _BLOCK]
-            # Unnamed, so a block's matrices are freed once they are solved.
-            out[...] = spectrum_entropy(hermitian_eigenvalues(
-                analytic_exchange_matrix(states, x[start : start + _BLOCK]).reshape(-1, 3, 3)
-            )).reshape(out.shape)
-    output_entropy = analytic_output_entropy(state, x)
     planar = a1 * a1 + a2 * a2
+    pure = 1.0 - (planar + a3 * a3) <= 0.0
+    noise = np.empty(lead + x.shape)
+    output_entropy = np.empty_like(noise)
+    noise_rows = noise.reshape(-1, len(x))  # views: one row per state
+    entropy_rows = output_entropy.reshape(-1, len(x))
+    per_block = max(1, _BLOCK // len(x))
+    for top in range(0, len(noise_rows), per_block):
+        rows = slice(top, top + per_block)
+        if lead:
+            states, (b1, b2, b3, is_pure) = state[rows], (a[rows] for a in (a1, a2, a3, pure))
+        else:
+            states, b1, b2, b3, is_pure = state, a1, a2, a3, pure
+        for start in range(0, len(x), _BLOCK):
+            cols = slice(start, start + _BLOCK)
+            entropy = analytic_output_entropy(states, x[cols])
+            entropy_rows[rows, cols] = entropy
+            noise_rows[rows, cols] = np.where(
+                is_pure, entropy, spectrum_entropy(_exchange_spectrum(b1, b2, b3, x[cols])))
+    _spot_check(state, lead, x, noise)
+    # Written a column at a time: np.stack would hold three more columns.
+    output_bloch = np.empty(lead + x.shape + (3,))
+    output_bloch[..., 0] = a1 * x
+    output_bloch[..., 1] = a2 * x
+    output_bloch[..., 2] = a3 * (2.0 * x - 1.0)
     return SweepCurve(
         state=state,
         x=x,
@@ -181,5 +289,5 @@ def two_pauli_metrics(state, x) -> SweepCurve:
         output_entropy=output_entropy,
         coherent_info=output_entropy - noise,
         fidelity=0.5 * planar * (1.0 - x) + x,
-        output_bloch=np.stack((a1 * x, a2 * x, a3 * (2.0 * x - 1.0)), axis=-1),
+        output_bloch=output_bloch,
     )

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qsr import cli
+from qsr import cli, two_pauli
 from qsr.cli import MAX_GRID_RESOLUTION, MAX_PRECISION, MAX_STEPS, main
 from qsr.two_pauli import _BLOCK, two_pauli_metrics
 
@@ -106,15 +106,16 @@ class TestSweepCommand:
                 assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-11)
 
     def test_report_prints_close_range_ends_apart(self, tmp_path, capsys):
+        # The noise rises over this window, so the fidelity rises with it.
         code, stdout, _ = run(
             capsys,
-            "sweep", "--state=1,0,0", "--x-range", "0.999999999999,1",
+            "sweep", "--state=0.3,0.4,0.2", "--x-range", "0.1,0.100000001",
             "--out", str(tmp_path / "sweep.csv"),
         )
         assert code == 0
-        assert "x in [0.999999999999, 1], 701 steps" in stdout
+        assert "x in [0.1, 0.100000001], 701 steps" in stdout
         spans = re.findall(r"x ([0-9.e-]+)\.\.([0-9.e-]+) \(max", stdout)
-        assert spans
+        assert spans == [("0.1", "0.100000001")]
         for lo, hi in spans:
             assert lo != hi
             # The fewest digits that tell the ends apart: one fewer does not.
@@ -277,12 +278,14 @@ def test_refuses_noise_with_more_than_two_branches(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("existing", [False, True])
 def test_figure1_refusing_a_later_curve_leaves_no_csv(tmp_path, capsys, existing):
-    # fig1a and fig1b are accepted over this window; fig1c's noise turns twice.
+    # fig1a and fig1b are accepted over this window; it straddles fig1c's
+    # noise peak, where the noise changes by less than rounding, so it turns
+    # many times.
     out = tmp_path / "out"
     if existing:
         out.mkdir()
     code, stdout, stderr = run(
-        capsys, "figure1", "--x-range", "0.35,0.35000000001", "--out", str(out))
+        capsys, "figure1", "--x-range", "0.3378852873,0.3378852883", "--out", str(out))
     assert code == 1
     assert stderr.startswith("error: fig1c: ") and "one peak" in stderr
     assert stdout == ""
@@ -290,6 +293,19 @@ def test_figure1_refusing_a_later_curve_leaves_no_csv(tmp_path, capsys, existing
     assert out.exists() == existing
     if existing:
         assert list(out.iterdir()) == []
+
+
+def test_noise_off_the_eigensolver_exits_1_without_a_csv(tmp_path, capsys, monkeypatch):
+    # The per-call spot check against LAPACK turns a route skewed by 1e-9
+    # into exit 1.
+    original = two_pauli._exchange_spectrum
+    monkeypatch.setattr(two_pauli, "_exchange_spectrum",
+                        lambda *args: original(*args) + np.array([1e-9, 0.0, -1e-9]))
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = run(capsys, "sweep", "--state", "0.3,0.4,0.2", "--out", str(out))
+    assert code == 1
+    assert stderr.startswith("error: closed-form noise is ") and "Traceback" not in stderr
+    assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -406,7 +422,7 @@ def test_sweep_csv_memory_does_not_grow_with_the_rows(tmp_path):
 #: recorded with Python 3.11.
 RECORDED_DIGESTS = {
     "figure1 stdout": "d2df854b0be272a9b02736b12858b3503f7ab02ecdbf2ff13ee7f121f1a5e3ce",
-    "figure1/fig1a.csv": "ea064a37ee4e9ffca5ff322d90bff524f1f8f6c5b7c195b58e81468497a5e3af",
+    "figure1/fig1a.csv": "b0ef52a8e50c96dda07acff82f4a7a1f1520283767475f2b00db1932720ecd62",
     "figure1/fig1b.csv": "ad8bf9f592929d7e9fecdff4946cf9621d9226ca4b0ddaccc5747fc5af03ca7e",
     "figure1/fig1c.csv": "9f1a08ddad057301c4eee9919601ed20d596d3d13c11943837cffaf0512f3f35",
     "figure1/fig1d.csv": "c6ad1153859cae8f998456adad2b833fc6765d337476f7038b056c3066174e17",
@@ -416,7 +432,7 @@ RECORDED_DIGESTS = {
     "scan-default.csv": "7fc5dc4d783182ef1265c27483d1c1bfc7a6e8a01dcdae79574868bab9cd9e20",
     "scan 21 stdout": "06a1d12aebd2a63734448842a6fb31f07cf3449535ce38dc35f64bfcdddbda94",
     "scan-21.csv": "3aaee1f1e3f6b878d7171e35defc2f6509001ea9dfa5c1f968e6e0ca2220cf52",
-    "validate stdout": "ac2e3b1dafbded816e81171c9eb7531022b38ebc8acfea030ae8374e7ace1811",
+    "validate stdout": "6912b87f4d29c1d79b94aef449fb0c81bb083fbf3e9f496d622cc16bc0cf2934",
     "sweep --help": "6798aeb77df47786067a07a8343b980dbb6bd775826012bb8866e4a762c62f8f",
     "figure1 --help": "a08571021cda83c226340d20271b534db002a742315a3f886d809e854291df3f",
     "scan --help": "a3660081d72db67f00b016ce017176606c17efce45fb47ed24c5887c06dd983c",

@@ -426,6 +426,20 @@ def test_pure_states_never_register_capacity_enhancement():
         assert detect_multivalued(curve) == []
 
 
+@pytest.mark.parametrize("t", [0.1, 0.3, 0.5, 0.7, 1.0, 2.0])
+def test_pure_equatorial_states_register_no_capacity_segment_at_fine_steps(t):
+    # An eigensolved noise spectrum gave 2, 3, 1, 2, 1 and 3 segments here:
+    # rounding residue in C = S - N, not physics.
+    curve = sweep((np.cos(t), np.sin(t), 0.0), 0.0, 0.7, 20001)
+    assert detect_enhancement(curve).capacity == ()
+
+
+def test_pure_state_registers_no_capacity_segment_on_a_narrow_window():
+    # 24 rounding-level segments with an eigensolved noise spectrum.
+    curve = sweep((1.0, 0.0, 0.0), 0.999999999999, 1.0, 701)
+    assert detect_enhancement(curve).capacity == ()
+
+
 def _loop_runs(noise):
     """Monotone runs by the per-sample loop the array code replaced."""
     cuts, direction = [0], 0

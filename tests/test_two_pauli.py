@@ -209,11 +209,14 @@ class TestMetrics:
 @pytest.mark.parametrize("state", [(0.3, 0.4, 0.2), (1.0, 0.0, 0.0)])
 @pytest.mark.parametrize("rates", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 20001])
 def test_blocked_metrics_match_one_pass(state, rates):
-    # The one-pass route: every exchange matrix in one stack, one eigensolve.
+    # The one-pass route: every rate's closed-form spectrum in one call, and
+    # a pure state's noise taken from its output entropy.
     x = np.linspace(0.0, 1.0, rates)
-    noise = spectrum_entropy(hermitian_eigenvalues(analytic_exchange_matrix(state, x)))
-    output_entropy = analytic_output_entropy(state, x)
     a1, a2, a3 = state
+    output_entropy = analytic_output_entropy(state, x)
+    noise = spectrum_entropy(two_pauli._exchange_spectrum(a1, a2, a3, x))
+    if a1 * a1 + a2 * a2 + a3 * a3 >= 1.0:
+        noise = output_entropy
     want = {
         "noise": noise,
         "coherent_info": output_entropy - noise,
@@ -226,12 +229,16 @@ def test_blocked_metrics_match_one_pass(state, rates):
         got = getattr(curve, name)
         assert got.shape == column.shape, name
         assert got.tobytes() == column.tobytes(), name
+    # The one-pass LAPACK route: every exchange matrix in one stack, one eigensolve.
+    lapack = spectrum_entropy(hermitian_eigenvalues(analytic_exchange_matrix(state, x)))
+    assert np.abs(curve.noise - lapack).max() <= 1e-12
 
 
 @pytest.mark.parametrize("rates, checks", [(701, 3), (2 * _BLOCK + 1, 5)])
 def test_metrics_check_their_inputs_once_per_closed_form(monkeypatch, rates, checks):
-    # One check in two_pauli_metrics, one in analytic_output_entropy and one
-    # per block of the exchange-matrix solve. A state is checked in channel.
+    # One check in two_pauli_metrics, one per block of the output entropy,
+    # and one in the spot check's analytic_exchange_matrix. A state is
+    # checked in channel.
     calls = collections.Counter()
     for module, name in ((two_pauli, "_check_rate"), (channel, "as_bloch")):
         def counted(value, _name=name, _original=getattr(module, name)):
@@ -243,9 +250,10 @@ def test_metrics_check_their_inputs_once_per_closed_form(monkeypatch, rates, che
 
 
 def test_metrics_peak_memory_stays_under_twice_the_columns():
-    # At 100001 rates the call peaks near 8.2 MB (traced) for 5.6 MB of
-    # columns: the exchange-matrix solve is blocked, but the output entropy
-    # and output state run over all rates at once, so the bound is relative.
+    # At 100001 rates the call peaks near 5.6 MB (traced) for 5.6 MB of
+    # columns: the noise and output entropy are solved in blocks and the
+    # output state is written a column at a time. The fidelity still runs
+    # over all rates at once, so the bound is relative.
     x = np.linspace(0.0, 0.7, 100_001)
     tracemalloc.start()
     try:
@@ -324,11 +332,11 @@ def test_stacked_solve_keeps_each_block_within_the_limit(monkeypatch, m, n, size
     # Whole rows of max(1, _BLOCK // n) states by min(n, _BLOCK) rates.
     solved = []
 
-    def recorded(mat):
-        solved.append(len(mat))
-        return hermitian_eigenvalues(mat)
+    def recorded(a1, a2, a3, x, _original=two_pauli._exchange_spectrum):
+        solved.append(np.broadcast(a1, x).size)
+        return _original(a1, a2, a3, x)
 
-    monkeypatch.setattr(two_pauli, "hermitian_eigenvalues", recorded)
+    monkeypatch.setattr(two_pauli, "_exchange_spectrum", recorded)
     two_pauli_metrics(_random_stack(np.random.default_rng(0), m), np.linspace(0.0, 1.0, n))
     assert solved == sizes
 
@@ -408,3 +416,115 @@ def test_detection_refuses_a_stacked_curve(detect):
     curve = two_pauli_metrics([[0.3, 0.4, 0.2], [0.1, 0.2, 0.3]], np.linspace(0.0, 0.7, 11))
     with pytest.raises(ValueError, match="one state, got a stack of 2"):
         detect(curve)
+
+
+def _lapack_noise(state, x):
+    """The noise from LAPACK's eigensolve of every closed-form exchange matrix."""
+    matrices = analytic_exchange_matrix(state, x)
+    noise = spectrum_entropy(hermitian_eigenvalues(matrices.reshape(-1, 3, 3)))
+    return noise.reshape(matrices.shape[:-2])
+
+
+#: Windows at the ends of the rate range, where two roots meet at 0 (x = 1)
+#: or the smallest root sits next to a root of order x (x = 0 near the z pole).
+END_WINDOWS = {
+    "x=1": np.array([1.0]),
+    "near 1": np.linspace(1.0 - 1e-6, 1.0, 101),
+    "near 0": np.linspace(0.0, 1e-6, 101),
+}
+
+#: States that put repeated, tiny or clustered roots in the exchange spectrum.
+STRESS_STATES = [
+    (0.3, 0.4, 0.2), (0.9, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 0.999999),
+    (0.0, 0.0, math.sqrt(1.0 - 1e-12)), (0.1, 0.0, 0.99), (0.0, 0.0, 0.0),
+    # exactly pure
+    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.8, 0.0), (0.0, 0.6, 0.8),
+    # |a| = 1e-8 and 1e-5
+    (1e-8, 0.0, 0.0), (0.0, 0.0, 1e-8), (0.0, 1e-5, 0.0), (6e-6, 0.0, 8e-6),
+]
+
+
+def _assert_noise_matches_lapack(state, x):
+    noise = two_pauli_metrics(state, x).noise
+    assert np.abs(noise - _lapack_noise(state, x)).max() <= 1e-12
+
+
+def test_noise_matches_lapack_at_the_triple_root():
+    # (0, 0, 0) has the spectrum {x, h, h}: a double root, triple at x = 1/3.
+    _assert_noise_matches_lapack((0.0, 0.0, 0.0), np.linspace(1 / 3 - 5e-4, 1 / 3 + 5e-4, 101))
+    _assert_noise_matches_lapack((0.0, 0.0, 0.0), np.array([1 / 3]))
+
+
+@pytest.mark.parametrize("window", END_WINDOWS.values(), ids=END_WINDOWS.keys())
+@pytest.mark.parametrize("state", STRESS_STATES, ids=str)
+def test_noise_matches_lapack_on_hard_spectra(state, window):
+    for x in (window, np.linspace(0.0, 1.0, 2001)):
+        _assert_noise_matches_lapack(state, x)
+
+
+@pytest.mark.parametrize("window", [np.linspace(0.0, 1.0, 101), *END_WINDOWS.values()],
+                         ids=["0..1", *END_WINDOWS.keys()])
+def test_noise_matches_lapack_on_random_near_pure_states(window):
+    # 300 seeded states whose purity deficit 1 - |a|^2 runs from 1 down to 1e-12.
+    rng = np.random.default_rng(2026)
+    directions = rng.normal(size=(300, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    deficit = 10.0 ** rng.uniform(-12.0, 0.0, size=(300, 1))
+    states = directions * np.sqrt(1.0 - deficit)
+    _assert_noise_matches_lapack(states, window)
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """The step counts of every `_lowest_root` call, in call order."""
+    steps = []
+
+    def recorded(*args, _original=two_pauli._lowest_root):
+        roots, used = _original(*args)
+        steps.append(used)
+        return roots, used
+
+    monkeypatch.setattr(two_pauli, "_lowest_root", recorded)
+    return steps
+
+
+def test_newton_steps_are_bounded(newton_steps):
+    assert two_pauli._NEWTON_STEPS == 64
+    # The triple root of (0, 0, 0) at x = 1/3 converges by a factor 2/3 a
+    # step, the slowest there is; the stop comes well inside the bound.
+    two_pauli_metrics((0.0, 0.0, 0.0), 1 / 3)
+    assert newton_steps == [44]
+    # A state with no repeated root: a dozen steps on a 20001-rate curve.
+    newton_steps.clear()
+    two_pauli_metrics((0.6, 0.3, 0.5), np.linspace(0.0, 0.7, 20001))
+    assert len(newton_steps) == 10 and max(newton_steps) <= 12
+
+
+def test_newton_bound_cuts_the_loop_and_the_spot_check_sees_it(monkeypatch, newton_steps):
+    # Over x > 1/3 the smallest root of (0, 0, 0) is double, and Newton only
+    # halves the gap each step: 8 steps leave N wrong by far more than 1e-12.
+    monkeypatch.setattr(two_pauli, "_NEWTON_STEPS", 8)
+    with pytest.raises(ValueError, match=r"^closed-form noise is .* from the eigensolver's"):
+        two_pauli_metrics((0.0, 0.0, 0.0), np.linspace(0.5, 1.0, 11))
+    assert newton_steps == [8]
+
+
+def skewed_spectrum(a1, a2, a3, x, _original=two_pauli._exchange_spectrum):
+    """The closed-form spectrum with 1e-9 moved from the largest root to the smallest."""
+    return _original(a1, a2, a3, x) + np.array([1e-9, 0.0, -1e-9])
+
+
+def test_spot_check_refuses_a_skewed_route(monkeypatch):
+    monkeypatch.setattr(two_pauli, "_exchange_spectrum", skewed_spectrum)
+    with pytest.raises(ValueError, match=r"^closed-form noise is [0-9.e-]+ bits from the"
+                       r" eigensolver's, more than 1e-12$"):
+        two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, 701))
+    # Pure states take their noise from the output entropy, not from the route.
+    assert two_pauli_metrics((1.0, 0.0, 0.0), 0.5).coherent_info[0] == 0.0
+
+
+@pytest.mark.parametrize("state", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+def test_axis_pure_states_have_exactly_zero_coherent_information(state):
+    for x in (np.linspace(0.0, 1.0, 20001), np.linspace(0.999999999999, 1.0, 701),
+              np.linspace(0.0, 1e-12, 701)):
+        assert (two_pauli_metrics(state, x).coherent_info == 0.0).all()
