@@ -8,6 +8,10 @@ detection refuses a curve with more. Both branches cover the fold, the
 noise interval between the larger end value and the peak; a positive-slope
 stretch inside it is the curve doubling back on itself and is reported as
 multivalued capacity, not as enhancement.
+
+Detection works along the last axis of its columns: the one curve of
+`detect_enhancement` is a stack of one row, and `state_scan` detects each
+(m, n) stack of its sweeps in the same pass, so both run the same code.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BLOCH_NORM_TOL, BlochVector
-from .two_pauli import SweepCurve, two_pauli_metrics
+from .two_pauli import _BLOCK, SweepCurve, two_pauli_metrics
 
 #: The default window of flipping rates swept, [DEFAULT_X_MIN, DEFAULT_X_MAX],
 #: and the default number of rates in it.
@@ -40,6 +44,12 @@ MIN_POSITIVE_SLOPE = 1e-9
 MULTIVALUED_TOL = 1e-9
 
 _GRID_TOL = 1e-12
+
+#: Most samples (whole rows of rates) per stacked sweep of `state_scan`.
+#: A stack's columns and their temporaries stay near a megabyte: one stack
+#: of all 33 pairs of the 9^3 grid raised the scan benchmark's peak process
+#: memory by 7 % (33.8 to 36.2 MB), and this bound by less than 1 %.
+_SCAN_STACK = 2 * _BLOCK
 
 
 @dataclass(frozen=True)
@@ -128,32 +138,50 @@ def estimate_slopes(curve: SweepCurve) -> tuple[np.ndarray, tuple, tuple]:
     stack of states.
     """
     _require_one_state(curve)
-    step = _grid_step(curve.x)
-    d_noise = np.gradient(curve.noise, step)
+    return _slopes(_grid_step(curve.x), curve.noise, (curve.coherent_info, curve.fidelity))
+
+
+def _slopes(step: float, noise: np.ndarray, values: tuple) -> tuple[np.ndarray, tuple, tuple]:
+    """`estimate_slopes` along the last axis, for columns of one curve or
+    (m, n) stacks of them over rates spaced by ``step``."""
+    d_noise = np.gradient(noise, step, axis=-1)
     defined = np.abs(d_noise) > SLOPE_EPSILON
-    d_values = (np.gradient(curve.coherent_info, step),
-                np.gradient(curve.fidelity, step))
+    d_values = tuple(np.gradient(v, step, axis=-1) for v in values)
     ratios = tuple(
         np.divide(d, d_noise, out=np.full_like(d, np.nan), where=defined) for d in d_values
     )
     return d_noise, d_values, ratios
 
 
-def _noise_peak(noise: np.ndarray) -> int:
-    """Index of the noise maximum (its first sample, on a flat top).
+class _TurningNoise(ValueError):
+    """A noise curve with more than two monotone branches; ``row`` is the
+    first such row of a stack."""
 
-    A two-Pauli noise curve has at most two monotone branches: the noise
-    rises to one peak and falls after it. Raises ValueError when the noise
-    falls before the peak or rises after it, which rounding can cause on a
-    very narrow window.
-    """
-    peak = int(np.argmax(noise))
-    steps = np.diff(noise)
-    if not ((steps[:peak] >= 0.0).all() and (steps[peak:] <= 0.0).all()):
-        raise ValueError(
+    def __init__(self, row: int):
+        super().__init__(
             "the noise must rise to one peak and fall after it, but over this "
             "window it turns more often (rounding can do that on a very narrow window)"
         )
+        self.row = row
+
+
+def _noise_peak(noise: np.ndarray):
+    """Index of the noise maximum (its first sample, on a flat top), along
+    the last axis: one index for one curve, one per row for a stack.
+
+    A two-Pauli noise curve has at most two monotone branches: the noise
+    rises to one peak and falls after it. Raises `_TurningNoise`, a
+    ValueError naming the first such row, when the noise falls before the
+    peak or rises after it, which rounding can cause on a very narrow
+    window.
+    """
+    peak = np.argmax(noise, axis=-1)
+    steps = np.diff(noise, axis=-1)
+    # A NaN step compares False either way, so it refuses its row.
+    rising = np.arange(steps.shape[-1]) < np.expand_dims(peak, -1)
+    turns = ~np.where(rising, steps >= 0.0, steps <= 0.0).all(axis=-1)
+    if turns.any():
+        raise _TurningNoise(int(np.argmax(turns)))
     return peak
 
 
@@ -189,45 +217,58 @@ def detect_multivalued(curve: SweepCurve) -> list[tuple[float, float]]:
 def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
     """Find stretches where capacity or fidelity genuinely rises with the noise.
 
-    The slopes (one `estimate_slopes` call), the noise peak and the fold
-    are worked out once for the curve and shared by both quantities. A
-    sample qualifies when its parametric slope dQ/dN is defined, exceeds
-    MIN_POSITIVE_SLOPE, and its noise value is not inside the fold: the
-    open interval from max(N[0], N[-1]) to the peak noise, which both the
-    rising and the falling branch cover. Positive slopes confined to the
-    fold are the curve doubling back around the noise peak; they are
-    reported by `detect_multivalued` instead of as enhancement. A segment
-    needs at least two consecutive qualifying samples, which suppresses
-    single-point finite-difference noise. Raises ValueError when the
-    noise has more than two monotone branches, or on the curve of a stack
-    of states.
+    The slopes, the noise peak and the fold are worked out once for the
+    curve and shared by both quantities. A sample qualifies when its
+    parametric slope dQ/dN (as `estimate_slopes` gives it) is defined,
+    exceeds MIN_POSITIVE_SLOPE, and its noise value is not inside the
+    fold: the open interval from max(N[0], N[-1]) to the peak noise, which
+    both the rising and the falling branch cover. Positive slopes confined
+    to the fold are the curve doubling back around the noise peak; they
+    are reported by `detect_multivalued` instead of as enhancement. A
+    segment needs at least two consecutive qualifying samples, which
+    suppresses single-point finite-difference noise. Raises ValueError
+    when the noise has more than two monotone branches, or on the curve of
+    a stack of states.
     """
-    noise = curve.noise
-    _, _, (capacity, fidelity) = estimate_slopes(curve)
+    _require_one_state(curve)
+    (report,) = _detect_rows(curve.x, curve.noise[None], curve.coherent_info[None],
+                             curve.fidelity[None])
+    return report
+
+
+def _detect_rows(x: np.ndarray, noise: np.ndarray, capacity: np.ndarray,
+                 fidelity: np.ndarray) -> list[EnhancementReport]:
+    """`detect_enhancement` along the last axis: one report per row of the
+    (m, n) noise, capacity and fidelity stacks over the shared rates x.
+    A refused row raises `_TurningNoise`, which names the first."""
+    step = _grid_step(x)
+    _, _, ratios = _slopes(step, noise, (capacity, fidelity))
     peak = _noise_peak(noise)
-    lo, hi = max(noise[0], noise[-1]), noise[peak]
-    outside = ~((noise > lo) & (noise < hi))
-    noise_peak_x = float(curve.x[peak]) if 0 < peak < len(noise) - 1 else None
-    return EnhancementReport(
-        capacity=_segments(curve.x, capacity, outside),
-        fidelity=_segments(curve.x, fidelity, outside),
-        noise_peak_x=noise_peak_x,
-    )
+    lo = np.maximum(noise[:, 0], noise[:, -1])
+    hi = noise[np.arange(len(noise)), peak]
+    outside = ~((noise > lo[:, None]) & (noise < hi[:, None]))
+    last = noise.shape[1] - 1
+    peak_x = [float(x[p]) if 0 < p < last else None for p in peak.tolist()]
+    segments = (_segments(x, ratio, outside) for ratio in ratios)
+    return [EnhancementReport(capacity=c, fidelity=f, noise_peak_x=p)
+            for c, f, p in zip(*segments, peak_x)]
 
 
-def _segments(x: np.ndarray, ratio: np.ndarray, outside: np.ndarray) -> tuple:
-    """(x_start, x_end, max dQ/dN) of each run of two or more samples whose
-    dQ/dN (``ratio``) exceeds MIN_POSITIVE_SLOPE outside the fold."""
+def _segments(x: np.ndarray, ratio: np.ndarray, outside: np.ndarray) -> list[tuple]:
+    """Per row of the (m, n) ``ratio``: the (x_start, x_end, max dQ/dN) of
+    each run of two or more samples whose dQ/dN exceeds
+    MIN_POSITIVE_SLOPE outside the fold."""
     # An undefined (NaN) slope compares False, so it never qualifies.
     qualifying = (ratio > MIN_POSITIVE_SLOPE) & outside
-    edges = np.diff(qualifying.astype(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    return tuple(
-        (float(x[i]), float(x[j]), float(ratio[i : j + 1].max()))
-        for i, j in zip(starts.tolist(), ends.tolist())
-        if j > i
-    )
+    edges = np.diff(qualifying.astype(np.int8), axis=-1, prepend=0, append=0)
+    # Row-major order pairs each run's start with its own end.
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1] - 1
+    found = [[] for _ in range(len(ratio))]
+    for row, i, j in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+        if j > i:
+            found[row].append((float(x[i]), float(x[j]), float(ratio[row, i : j + 1].max())))
+    return [tuple(runs) for runs in found]
 
 
 def bloch_ball_grid(resolution: int) -> np.ndarray:
@@ -250,8 +291,11 @@ def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
     Every two-Pauli metric depends on a state only through a1² + a2² and
     |a3|, so each row is keyed by the exact pair (i1² + i2², |i3|) of its
     lattice numerators i = a (n - 1), and each pair is swept and detected
-    once, on its first row in grid order. A curve that detection refuses
-    raises ValueError naming its state and its (a1² + a2², |a3|) pair.
+    once, on its first row in grid order. The pairs' first rows are swept
+    in that order as (m, 3) stacks of whole rows, at most _SCAN_STACK
+    samples each, and each stack is detected row by row in one pass. A
+    curve that detection refuses raises ValueError naming its state and
+    its (a1² + a2², |a3|) pair, the first refused in first-row order.
     """
     grid = bloch_ball_grid(grid_resolution)
     i1, i2, i3 = np.rint(grid * (grid_resolution - 1)).astype(np.int64).T
@@ -259,12 +303,16 @@ def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
     keys = (i1 * i1 + i2 * i2) * grid_resolution + np.abs(i3)
     labels, reports = {}, []
     pair = np.array([labels.setdefault(key, len(labels)) for key in keys.tolist()], dtype=np.intp)
-    for row in np.unique(pair, return_index=True)[1].tolist():
-        curve = sweep(grid[row], x_min, x_max, x_steps)
+    first_rows = np.unique(pair, return_index=True)[1]
+    per_stack = max(1, _SCAN_STACK // x_steps)
+    for top in range(0, len(first_rows), per_stack):
+        rows = first_rows[top : top + per_stack]
+        curve = sweep(grid[rows], x_min, x_max, x_steps)
         try:
-            reports.append(detect_enhancement(curve))
+            reports += _detect_rows(curve.x, curve.noise, curve.coherent_info, curve.fidelity)
         except ValueError as exc:
-            a1, a2, a3 = grid[row].tolist()
+            # A refused curve names its row; a grid error holds for every row.
+            a1, a2, a3 = grid[rows[getattr(exc, "row", 0)]].tolist()
             raise ValueError(f"state {(a1, a2, a3)} with (a1^2 + a2^2, |a3|) = "
                              f"{(a1 * a1 + a2 * a2, abs(a3))}: {exc}") from exc
     return ScanReport(states=grid, reports=tuple(reports), pair=pair)

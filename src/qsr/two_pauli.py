@@ -30,7 +30,8 @@ s^2 = c^2 + 2 c mu0 - 3 mu0^2 + 4K, so the three sum to 1. A
 pure input (delta <= 0) has the spectrum {0, (1 +- |b|)/2}, whose
 entropy is the output entropy, so its coherent information is exactly 0.
 `analytic_exchange_matrix` and LAPACK stay as the oracle, and every
-`two_pauli_metrics` call checks its first and last sample against them.
+`two_pauli_metrics` call checks the first and last sample of each of its
+states against them.
 
 The noise and the output entropy are computed in fixed blocks of at most
 _BLOCK samples: whole rows of ``max(1, _BLOCK // n)`` states by
@@ -196,15 +197,14 @@ def _exchange_spectrum(a1, a2, a3, x) -> np.ndarray:
     return np.stack((low, mid - 0.5 * s, mid + 0.5 * s), axis=-1).reshape(shape)
 
 
-def _spot_check(state, lead, x, noise) -> None:
+def _spot_check(state, x, noise) -> None:
     """Raise ValueError unless the noise of the first and the last sample
-    is within _SPOT_TOL of the entropy of LAPACK's exchange spectrum."""
+    of every state is within _SPOT_TOL of the entropy of LAPACK's exchange
+    spectrum, all solved in one call."""
     ends = [0, -1]
-    w = analytic_exchange_matrix(state[ends] if lead else state, x[ends])
-    if lead:
-        w = w[[0, 1], [0, 1]]
-    want = spectrum_entropy(hermitian_eigenvalues(w))
-    gap = float(np.abs(noise.reshape(-1)[ends] - want).max())
+    w = analytic_exchange_matrix(state, x[ends])
+    want = spectrum_entropy(hermitian_eigenvalues(w.reshape(-1, 3, 3)))
+    gap = float(np.abs(noise[..., ends].reshape(-1) - want).max())
     if not gap <= _SPOT_TOL:
         raise ValueError(
             f"closed-form noise is {gap:.3e} bits from the eigensolver's, more than {_SPOT_TOL:g}")
@@ -249,8 +249,9 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     module docstring, and a pure state's noise is its output entropy.
     Both are computed in the blocks of the module docstring, sample by
     sample, so they do not depend on the block size. The first and the
-    last sample's noise are checked against LAPACK's eigensolve of
-    `analytic_exchange_matrix`; a gap over _SPOT_TOL raises ValueError.
+    last sample's noise of every state are checked against LAPACK's
+    eigensolve of `analytic_exchange_matrix`, in one batched call; a gap
+    over _SPOT_TOL raises ValueError.
     Coherent information is stored as output entropy minus noise. The
     entangled fidelity is (a1^2 + a2^2)(1 - x)/2 + x and the output Bloch
     vector is (a1 x, a2 x, a3 (2x - 1)), one row per rate.
@@ -276,7 +277,7 @@ def two_pauli_metrics(state, x) -> SweepCurve:
             entropy_rows[rows, cols] = entropy
             noise_rows[rows, cols] = np.where(
                 is_pure, entropy, spectrum_entropy(_exchange_spectrum(b1, b2, b3, x[cols])))
-    _spot_check(state, lead, x, noise)
+    _spot_check(state, x, noise)
     # Written a column at a time: np.stack would hold three more columns.
     output_bloch = np.empty(lead + x.shape + (3,))
     output_bloch[..., 0] = a1 * x

@@ -230,9 +230,15 @@ def check_dilation_oracle(rng, trials: int = 100) -> CheckResult:
 
 def check_pure_state_collapse(rng) -> CheckResult:
     xs = np.linspace(0.0, 1.0, COLLAPSE_RATES)
-    states = np.array(
-        [random_bloch_vector(rng, pure=True).as_tuple() for _ in range(COLLAPSE_STATES)])
-    worst = float(np.abs(two_pauli_metrics(states, xs).coherent_info).max())
+    # Only draws that two_pauli_metrics takes as pure, 1 - |a|^2 <= 0 as it
+    # computes it: a normalised draw can land one ulp below |a|^2 = 1, and
+    # then takes the mixed route instead of the exact pure one.
+    pure = []
+    while len(pure) < COLLAPSE_STATES:
+        a1, a2, a3 = random_bloch_vector(rng, pure=True).as_tuple()
+        if 1.0 - (a1 * a1 + a2 * a2 + a3 * a3) <= 0.0:
+            pure.append((a1, a2, a3))
+    worst = float(np.abs(two_pauli_metrics(np.array(pure), xs).coherent_info).max())
     return CheckResult(
         name="pure-state coherent information collapses to zero",
         passed=worst <= 1e-9,

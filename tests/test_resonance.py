@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -310,45 +313,47 @@ class TestStateScan:
 
         monkeypatch.setattr(resonance, "_noise_peak", counted)
         report = state_scan(3, 51)
-        # 7 states, 3 distinct (a1^2 + a2^2, |a3|) pairs: one curve each.
+        # 7 states, 3 distinct (a1^2 + a2^2, |a3|) pairs: one stack of 3 rows.
         assert report.total_states == 7
-        assert len(calls) == 3
+        assert [stack.shape for stack in calls] == [(3, 51)]
+        assert_stacks_hold_first_rows(report, calls, 51,
+                                      lambda state: sweep(state, 0.0, 0.7, 51).noise)
 
     def test_detection_calls_estimate_slopes_once_per_curve(self, monkeypatch):
+        # The scan takes its slopes from the row-wise core of estimate_slopes.
         import qsr.resonance as resonance
 
         calls = []
-        original = resonance.estimate_slopes
+        original = resonance._slopes
 
-        def counted(curve):
-            calls.append(curve)
-            return original(curve)
+        def counted(step, noise, values):
+            calls.append(np.stack((noise, *values), axis=1))
+            return original(step, noise, values)
 
-        monkeypatch.setattr(resonance, "estimate_slopes", counted)
+        monkeypatch.setattr(resonance, "_slopes", counted)
         report = state_scan(3, 51)
         assert report.total_states == 7
+
+        def columns(state):
+            curve = sweep(state, 0.0, 0.7, 51)
+            return np.stack((curve.noise, curve.coherent_info, curve.fidelity))
+
         # Each pair's curve is swept on its first state in grid order.
-        assert [c.state.as_tuple() for c in calls] == [
-            (-1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, 0.0),
-        ]
+        assert_stacks_hold_first_rows(report, calls, 51, columns)
+        first = np.unique(report.pair, return_index=True)[1]
+        assert report.states[first].tolist() == [[-1.0, 0.0, 0.0], [0.0, 0.0, -1.0],
+                                                 [0.0, 0.0, 0.0]]
         assert report.states.tobytes() == bloch_ball_grid(3).tobytes()
         # Rows (-1,0,0), (0,-1,0), (0,0,-1), (0,0,0), (0,0,1), (0,1,0), (1,0,0).
         assert report.pair.tolist() == [0, 0, 1, 2, 1, 0, 0]
 
     def test_sweeps_each_distinct_pair_once(self, monkeypatch):
-        import qsr.resonance as resonance
-
-        calls = []
-        original = resonance.two_pauli_metrics
-
-        def counted(state, x):
-            calls.append(state)
-            return original(state, x)
-
-        monkeypatch.setattr(resonance, "two_pauli_metrics", counted)
+        calls = record_scan_sweeps(monkeypatch)
         report = state_scan(9, 701)
         assert report.total_states == 257
-        assert len(calls) == 33
+        # 33 pairs in stacks of 4096 // 701 = 5 rows.
+        assert [len(stack) for stack in calls] == [5] * 6 + [3]
+        assert_stacks_hold_first_rows(report, calls, 701, lambda state: state)
 
     @pytest.mark.parametrize(
         "resolution, steps, window",
@@ -376,18 +381,10 @@ class TestStateScan:
         assert (np.diff(first_rows) > 0).all()
 
     def test_integer_pairs_merge_what_float_keys_split(self, monkeypatch):
-        import qsr.resonance as resonance
-
-        calls = []
-        original = resonance.two_pauli_metrics
-
-        def counted(state, x):
-            calls.append(state)
-            return original(state, x)
-
-        monkeypatch.setattr(resonance, "two_pauli_metrics", counted)
+        calls = record_scan_sweeps(monkeypatch)
         report = state_scan(21, 701)
-        assert len(calls) == len(report.reports) == 329
+        assert len(report.reports) == 329
+        assert_stacks_hold_first_rows(report, calls, 701, lambda state: state)
         a1, a2, a3 = report.states.T
         float_keys = {}
         for key, pair in zip(zip((a1 * a1 + a2 * a2).tolist(), np.abs(a3).tolist()),
@@ -400,6 +397,82 @@ class TestStateScan:
         for state, pair in zip(report.states, report.pair.tolist()):
             if pair in merged:
                 assert_shared_report(report.reports[pair], detect_enhancement(sweep(state)))
+
+
+def record_scan_sweeps(monkeypatch):
+    """The state stack of every `two_pauli_metrics` call the scan makes."""
+    import qsr.resonance as resonance
+
+    calls = []
+
+    def recorded(state, x, _original=resonance.two_pauli_metrics):
+        calls.append(state)
+        return _original(state, x)
+
+    monkeypatch.setattr(resonance, "two_pauli_metrics", recorded)
+    return calls
+
+
+def assert_stacks_hold_first_rows(report, stacks, steps, row_of):
+    """The stacks, concatenated, hold ``row_of`` each pair's first state
+    exactly once, in first-row order, and no stack exceeds 4,096 samples."""
+    first = np.unique(report.pair, return_index=True)[1]
+    assert (np.diff(first) > 0).all()
+    assert all(len(stack) * steps <= 4096 for stack in stacks)
+    want = np.array([row_of(state) for state in report.states[first]])
+    assert np.concatenate(stacks).tobytes() == want.tobytes()
+
+
+def _pair_prefix(state):
+    a1, a2, a3 = state.tolist()
+    return re.escape(f"state {(a1, a2, a3)} with (a1^2 + a2^2, |a3|) = "
+                     f"{(a1 * a1 + a2 * a2, abs(a3))}: ")
+
+
+def test_scan_names_the_first_refused_pair_in_first_row_order(monkeypatch):
+    # Pairs 12 and 20 of the 9^3 grid sit inside the third and the fifth
+    # stack of 5; their noise is made to zig-zag.
+    import qsr.resonance as resonance
+
+    grid = bloch_ball_grid(9)
+    first = np.unique(state_scan(9, 701).pair, return_index=True)[1]
+    bad = [grid[first[k]].tolist() for k in (12, 20)]
+
+    def turning(states, x, _original=resonance.two_pauli_metrics):
+        curve = _original(states, x)
+        for row, state in enumerate(curve.state.tolist()):
+            if state in bad:
+                curve.noise[row, 1::2] += 1.0
+        return curve
+
+    monkeypatch.setattr(resonance, "two_pauli_metrics", turning)
+    with pytest.raises(ValueError, match="^" + _pair_prefix(grid[first[12]]) + "the noise must"):
+        state_scan(9, 701)
+
+
+def test_scan_names_its_first_pair_on_a_rate_grid_that_is_not_increasing():
+    # Rounding repeats rates on a window this narrow.
+    with pytest.raises(ValueError, match="^" + _pair_prefix(bloch_ball_grid(3)[0])
+                       + "sweep samples must be strictly increasing in x$"):
+        state_scan(3, 701, 0.5, 0.5000000000000001)
+
+
+def test_scan_memory_stays_flat_over_the_pairs():
+    # The traced peak of a scan above that of building its grid: 0.34 MB at
+    # 21 (329 pairs) and none at 31 (958 pairs), where the grid's own peak
+    # is larger. One stack of all pairs peaks 25 and 71 MB above it.
+    excess = []
+    for resolution in (21, 31):
+        peaks = []
+        for build in (bloch_ball_grid, lambda n: state_scan(n, 701)):
+            tracemalloc.start()
+            try:
+                build(resolution)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        excess.append(peaks[1] - peaks[0])
+    assert excess[1] < excess[0] + 500_000
 
 
 def assert_shared_report(shared, own):

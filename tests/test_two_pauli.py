@@ -523,6 +523,62 @@ def test_spot_check_refuses_a_skewed_route(monkeypatch):
     assert two_pauli_metrics((1.0, 0.0, 0.0), 0.5).coherent_info[0] == 0.0
 
 
+#: Five mixed states, so every row's noise comes from the closed-form route.
+MIXED_STACK = np.array([[0.3, 0.4, 0.2], [0.1, 0.2, 0.3], [0.6, 0.3, 0.5],
+                        [0.0, 0.0, 0.5], [0.9, 0.0, 0.0]])
+
+
+def test_spot_check_solves_both_ends_of_every_row_at_once(monkeypatch):
+    shapes = []
+
+    def recorded(matrices, _original=two_pauli.hermitian_eigenvalues):
+        shapes.append(matrices.shape)
+        return _original(matrices)
+
+    monkeypatch.setattr(two_pauli, "hermitian_eigenvalues", recorded)
+    two_pauli_metrics(MIXED_STACK, np.linspace(0.0, 0.7, 701))
+    assert shapes == [(10, 3, 3)]
+
+
+def test_spot_check_refuses_a_route_skewed_in_one_middle_row(monkeypatch):
+    # Checking only the stack's first and last sample would miss row 2.
+    def skewed_row(a1, a2, a3, x, _original=two_pauli._exchange_spectrum):
+        row = (np.asarray(a1) == MIXED_STACK[2, 0])[..., None]
+        return _original(a1, a2, a3, x) + np.where(row, [1e-9, 0.0, -1e-9], 0.0)
+
+    x = np.linspace(0.0, 0.7, 701)
+    two_pauli_metrics(MIXED_STACK, x)
+    monkeypatch.setattr(two_pauli, "_exchange_spectrum", skewed_row)
+    with pytest.raises(ValueError, match=r"^closed-form noise is [0-9.e-]+ bits from the"
+                       r" eigensolver's, more than 1e-12$"):
+        two_pauli_metrics(MIXED_STACK, x)
+    # The other four rows alone pass the same check.
+    two_pauli_metrics(np.delete(MIXED_STACK, 2, axis=0), x)
+
+
+def test_exchange_matrix_has_the_docstring_cubic():
+    """The characteristic polynomial of the closed-form exchange matrix is
+    l^3 - l^2 + e2 l - D, as the module docstring states."""
+    sp = pytest.importorskip("sympy")
+    a1, a2, a3, x, lam = sp.symbols("a1 a2 a3 x lambda", real=True)
+    root, half = sp.sqrt(x * (1 - x) / 2), (1 - x) / 2
+    w = sp.Matrix([
+        [x, a1 * root, sp.I * a2 * root],
+        [a1 * root, half, a3 * half],
+        [-sp.I * a2 * root, a3 * half, half],
+    ])
+    # The entries are analytic_exchange_matrix's, sample for sample.
+    for state, rate in (((0.3, -0.4, 0.2), 0.25), ((-0.6, 0.3, 0.5), 0.7), ((0, 0, 1), 0.5)):
+        subs = dict(zip((a1, a2, a3, x), (*state, rate)))
+        want = np.array(w.subs(subs).evalf(), dtype=complex)
+        np.testing.assert_allclose(analytic_exchange_matrix(state, rate)[0], want,
+                                   rtol=0, atol=1e-15)
+    planar, h = a1**2 + a2**2, (1 - x) / 2
+    e2 = x * h * (2 - planar) + h**2 * (1 - a3**2)
+    d = x * h**2 * (1 - planar - a3**2)
+    assert sp.expand((lam * sp.eye(3) - w).det() - (lam**3 - lam**2 + e2 * lam - d)) == 0
+
+
 @pytest.mark.parametrize("state", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
 def test_axis_pure_states_have_exactly_zero_coherent_information(state):
     for x in (np.linspace(0.0, 1.0, 20001), np.linspace(0.999999999999, 1.0, 701),

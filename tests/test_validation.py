@@ -162,3 +162,22 @@ def test_exchange_matrix_check_fails_on_one_non_hermitian_matrix(monkeypatch, in
     assert calls[0] == validation.EXCHANGE_TRIALS
     assert not result.passed, result.detail
     assert result.detail.startswith("hermitian residual 2.000e-11"), result.detail
+
+
+@pytest.mark.parametrize("seed", [0, 4, validation.DEFAULT_SEED])
+def test_pure_state_collapse_takes_the_exact_pure_route(monkeypatch, seed):
+    # A normalised draw lands one ulp below |a|^2 = 1 about a third of the
+    # time; such a state takes the mixed route and leaves |C| near 3e-15.
+    stacks = []
+
+    def recorded(states, x, _original=validation.two_pauli_metrics):
+        stacks.append(states)
+        return _original(states, x)
+
+    monkeypatch.setattr(validation, "two_pauli_metrics", recorded)
+    result = validation.check_pure_state_collapse(np.random.default_rng(seed))
+    (states,) = stacks
+    a1, a2, a3 = states.T
+    assert states.shape == (validation.COLLAPSE_STATES, 3)
+    assert (1.0 - (a1 * a1 + a2 * a2 + a3 * a3) <= 0.0).all()
+    assert result.passed and result.detail.startswith("max |C| 0.000e+00 over 50 pure states")
