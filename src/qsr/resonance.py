@@ -279,9 +279,9 @@ def bloch_ball_grid(resolution: int) -> np.ndarray:
         raise ValueError(f"grid resolution must be at least 2, got {resolution}")
     # Integer numerators make the axis exactly mirror-symmetric.
     axis = (2 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
-    a1, a2, a3 = (c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij"))
-    inside = a1 * a1 + a2 * a2 + a3 * a3 <= 1.0 + BLOCH_NORM_TOL
-    return np.column_stack((a1, a2, a3))[inside]
+    sq = axis * axis
+    inside = (sq[:, None, None] + sq[None, :, None]) + sq[None, None, :] <= 1.0 + BLOCH_NORM_TOL
+    return axis[np.argwhere(inside)]
 
 
 def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,

@@ -19,16 +19,23 @@ The noise is the entropy of the exchange-matrix spectrum, solved in
 closed form. That spectrum is the root set of the cubic
 p(l) = l^3 - l^2 + e2 l - D, with e2 = x h (2 - P) + h^2 (1 - a3^2),
 D = x h^2 delta, h = (1 - x)/2, P = a1^2 + a2^2 and delta = 1 - |a|^2.
-Newton's method finds the smallest root from l = 0, where p(0) = -D <= 0;
-it climbs monotonically, because that root is at most 1/3 and p is
-concave below 1/3. The cubic is evaluated in l near 0 and, shifted to
-the cluster centre mu = l - h, as q(mu) = mu^3 - c mu^2 - K mu + c w^2
-elsewhere, with c = (3x - 1)/2, K = P x h + a3^2 h^2 and w^2 = a3^2 h^2:
-each form keeps its terms small where the other cancels. Deflation gives
-the other two roots, mu = ((c - mu0) +- s)/2 with
-s^2 = c^2 + 2 c mu0 - 3 mu0^2 + 4K, so the three sum to 1. A
-pure input (delta <= 0) has the spectrum {0, (1 +- |b|)/2}, whose
-entropy is the output entropy, so its coherent information is exactly 0.
+Newton's method finds the smallest root from Viete's trigonometric root,
+clipped to [0, 1/3]. The root is at most 1/3 and p is concave below 1/3,
+so a first step from a seed right of the root lands left of it, and every
+later step climbs monotonically; a seed where the slope is not positive
+(near the clusters at x -> 1) restarts from l = 0, where p(0) = -D <= 0.
+On the z axis (P = 0), where the smallest root is repeated and Newton
+would only halve its error, the cubic factors as
+(l - x)(l^2 - 2 h l + h^2 (1 - a3^2)), and the spectrum
+{x, h (1 -+ |a3|)} is taken as it is. The cubic is evaluated in l near 0
+and, shifted to the cluster centre mu = l - h, as
+q(mu) = mu^3 - c mu^2 - K mu + c w^2 elsewhere, with c = (3x - 1)/2,
+K = P x h + a3^2 h^2 and w^2 = a3^2 h^2: each form keeps its terms small
+where the other cancels. Deflation gives the other two roots,
+mu = ((c - mu0) +- s)/2 with s^2 = c^2 + 2 c mu0 - 3 mu0^2 + 4K, so the
+three sum to 1. A pure input (delta <= 0) has the spectrum
+{0, (1 +- |b|)/2}, whose entropy is the output entropy, so its coherent
+information is exactly 0; its rows do not solve the cubic.
 `analytic_exchange_matrix` and LAPACK stay as the oracle, and every
 `two_pauli_metrics` call checks the first and last sample of each of its
 states against them.
@@ -71,11 +78,12 @@ _BLOCK = 2048
 _NEWTON_RTOL = 1e-8
 
 #: Most Newton steps on a root. Left of every root, a step shrinks the gap
-#: to the smallest by at least a third, and the first gap is at most 1/3,
-#: so 64 steps leave at most (2/3)^64 / 3, or 1.8e-12, at the triple root
-#: of (0, 0, 0) at x = 1/3; a double root halves the gap each step. The
-#: stop comes first: after 44 steps at that triple root, and after at most
-#: 12 on 2,000 random mixed states at 2,001 rates each.
+#: to the smallest by at least a third, and a gap is at most 1/3, so 64
+#: steps leave at most (2/3)^64 / 3, or 1.8e-12, even at a triple root; a
+#: double root halves the gap each step. The z axis, where the repeated
+#: roots are, skips Newton, and the stop comes long before the bound: on
+#: 2,000 random mixed states at 2,001 rates each, within 2 steps on
+#: [0, 1] and within 11 on [1 - 1e-6, 1], where seeds restart from 0.
 _NEWTON_STEPS = 64
 
 #: Largest gap, in bits, between the closed-form noise and LAPACK's on
@@ -151,30 +159,54 @@ def analytic_output_entropy(state, x) -> np.ndarray:
     return spectrum_entropy(np.stack((0.5 * (1.0 + r), 0.5 * (1.0 - r)), axis=-1))
 
 
-def _lowest_root(e2, d, c, k, cw2, h) -> tuple[np.ndarray, int]:
+def _lowest_root(e2, d, c, k, cw2, h, roots, live) -> tuple[np.ndarray, int]:
     """The smallest root of the module docstring's cubic, for flat arrays
-    of its coefficients, by Newton's method from l = 0; and the most steps
-    any root took. A root stops once its step falls below _NEWTON_RTOL of
-    it, or once p is no longer below 0 with a positive slope (rounding has
-    reached the root); none takes more than _NEWTON_STEPS steps."""
-    roots = np.zeros(len(e2))
-    live = np.arange(len(e2))
+    of its coefficients, by Newton's method from the seeds ``roots`` at the
+    indices ``live`` (the other entries are exact); and the most steps any
+    root took. The first step goes from the seed, on either side of the
+    root, or from l = 0 where the seed's slope is not positive; later steps
+    climb from the left. A root stops once its step falls below
+    _NEWTON_RTOL of it, or once p is no longer below 0 with a positive
+    slope (rounding has reached the root); none takes more than
+    _NEWTON_STEPS steps."""
     steps = 0
     while live.size and steps < _NEWTON_STEPS:
         steps += 1
         t, centre = roots[live], h[live]
         mu = t - centre
         near = t < 0.5 * centre
-        cc, kk, ee = c[live], k[live], e2[live]
-        p = np.where(near, ((t - 1.0) * t + ee) * t - d[live],
+        cc, kk, ee, dd = c[live], k[live], e2[live], d[live]
+        p = np.where(near, ((t - 1.0) * t + ee) * t - dd,
                      ((mu - cc) * mu - kk) * mu + cw2[live])
         dp = np.where(near, (3.0 * t - 2.0) * t + ee, (3.0 * mu - 2.0 * cc) * mu - kk)
-        below = (p < 0.0) & (dp > 0.0)
-        live, t = live[below], t[below]
-        new = t - p[below] / dp[below]
+        if steps == 1:
+            restart = ~(dp > 0.0)
+            if restart.any():  # p(0) = -D and p'(0) = e2, with no evaluation
+                t = np.where(restart, 0.0, t)
+                p = np.where(restart, -dd, p)
+                dp = np.where(restart, ee, dp)
+                roots[live] = t
+            go = (p != 0.0) & (dp > 0.0)
+        else:
+            go = (p < 0.0) & (dp > 0.0)
+        live, t = live[go], t[go]
+        # A step lands left of the root, which is never below 0.
+        new = np.maximum(t - p[go] / dp[go], 0.0)
         roots[live] = new
-        live = live[new - t > _NEWTON_RTOL * new]
+        live = live[np.abs(new - t) > _NEWTON_RTOL * new]
     return roots, steps
+
+
+def _viete_root(e2, d) -> np.ndarray:
+    """Viete's trigonometric smallest root of the module docstring's cubic,
+    clipped to [0, 1/3]: the seed of `_lowest_root`."""
+    # l = t + 1/3 gives t^3 + g t + r, with three real roots since g <= 0.
+    g = e2 - 1.0 / 3.0
+    r = e2 / 3.0 - 2.0 / 27.0 - d
+    m = np.sqrt(np.maximum(-g / 3.0, 0.0))
+    cos3 = np.clip(-r / np.maximum(2.0 * m * m * m, np.finfo(float).tiny), -1.0, 1.0)
+    return np.clip(1.0 / 3.0 + 2.0 * m * np.cos(np.arccos(cos3) / 3.0 + 2.0 * np.pi / 3.0),
+                   0.0, 1.0 / 3.0)
 
 
 def _exchange_spectrum(a1, a2, a3, x) -> np.ndarray:
@@ -188,10 +220,18 @@ def _exchange_spectrum(a1, a2, a3, x) -> np.ndarray:
     k = planar * x * h + w2
     e2 = x * h * (2.0 - planar) + h * h * (1.0 - axial)
     d = x * h * h * (1.0 - (planar + axial))
-    c, k, cw2, h, e2, d = (a.ravel() for a in np.broadcast_arrays(c, k, c * w2, h, e2, d))
-    low, _ = _lowest_root(e2, d, c, k, cw2, h)
+    # On the z axis (P = 0) the cubic is (l - x)(l^2 - 2 h l + h^2 (1 - a3^2)),
+    # with roots x and h (1 -+ |a3|): the smallest root and the gap s between
+    # the other two are exact there.
+    lower = h * (1.0 - np.abs(a3))
+    z_root, z_gap = np.minimum(x, lower), np.abs(h * (1.0 + np.abs(a3)) - np.maximum(x, lower))
+    c, k, cw2, h, e2, d, z_root, z_gap, off_axis = (a.ravel() for a in np.broadcast_arrays(
+        c, k, c * w2, h, e2, d, z_root, z_gap, planar != 0.0))
+    seed = np.where(off_axis, _viete_root(e2, d), z_root)
+    low, _ = _lowest_root(e2, d, c, k, cw2, h, seed, np.flatnonzero(off_axis))
     mu = low - h
-    s = np.sqrt(np.maximum(c * c + 2.0 * c * mu - 3.0 * mu * mu + 4.0 * k, 0.0))
+    s2 = c * c + 2.0 * c * mu - 3.0 * mu * mu + 4.0 * k
+    s = np.where(off_axis, np.sqrt(np.maximum(s2, 0.0)), z_gap)
     mid = h + 0.5 * (c - mu)
     shape = np.broadcast_shapes(np.shape(a1), np.shape(x)) + (3,)
     return np.stack((low, mid - 0.5 * s, mid + 0.5 * s), axis=-1).reshape(shape)
@@ -259,7 +299,9 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     state, lead, (a1, a2, a3) = _as_states(state)
     x = _check_rate(x)
     planar = a1 * a1 + a2 * a2
-    pure = 1.0 - (planar + a3 * a3) <= 0.0
+    # One row per state; only the mixed rows solve the cubic.
+    columns = [np.reshape(a, (-1, 1)) for a in (a1, a2, a3)]
+    mixed = np.ravel(1.0 - (planar + a3 * a3) > 0.0)
     noise = np.empty(lead + x.shape)
     output_entropy = np.empty_like(noise)
     noise_rows = noise.reshape(-1, len(x))  # views: one row per state
@@ -267,16 +309,15 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     per_block = max(1, _BLOCK // len(x))
     for top in range(0, len(noise_rows), per_block):
         rows = slice(top, top + per_block)
-        if lead:
-            states, (b1, b2, b3, is_pure) = state[rows], (a[rows] for a in (a1, a2, a3, pure))
-        else:
-            states, b1, b2, b3, is_pure = state, a1, a2, a3, pure
+        states = state[rows] if lead else state
+        solve = top + np.flatnonzero(mixed[rows])
         for start in range(0, len(x), _BLOCK):
             cols = slice(start, start + _BLOCK)
             entropy = analytic_output_entropy(states, x[cols])
-            entropy_rows[rows, cols] = entropy
-            noise_rows[rows, cols] = np.where(
-                is_pure, entropy, spectrum_entropy(_exchange_spectrum(b1, b2, b3, x[cols])))
+            entropy_rows[rows, cols] = noise_rows[rows, cols] = entropy
+            if solve.size:
+                noise_rows[solve, cols] = spectrum_entropy(
+                    _exchange_spectrum(*(a[solve] for a in columns), x[cols]))
     _spot_check(state, x, noise)
     # Written a column at a time: np.stack would hold three more columns.
     output_bloch = np.empty(lead + x.shape + (3,))

@@ -262,6 +262,14 @@ def old_bloch_ball_grid(resolution):
     return grid
 
 
+def meshgrid_bloch_ball_grid(resolution):
+    """The full-cube construction that the broadcast mask replaced."""
+    axis = (2 * np.arange(resolution) - (resolution - 1)) / (resolution - 1)
+    a1, a2, a3 = (c.ravel() for c in np.meshgrid(axis, axis, axis, indexing="ij"))
+    inside = a1 * a1 + a2 * a2 + a3 * a3 <= 1.0 + BLOCH_NORM_TOL
+    return np.column_stack((a1, a2, a3))[inside]
+
+
 class TestStateScan:
     def test_small_scan(self):
         report = state_scan(5, 201)
@@ -291,6 +299,24 @@ class TestStateScan:
         want = np.array(old_bloch_ball_grid(resolution), dtype=float).reshape(-1, 3)
         assert grid.dtype == float and grid.shape == want.shape
         assert grid.tobytes() == want.tobytes()  # same values, signs and order
+
+    @pytest.mark.parametrize("resolution", range(2, 22))
+    def test_grid_equals_the_meshgrid_construction(self, resolution):
+        grid = bloch_ball_grid(resolution)
+        want = meshgrid_bloch_ball_grid(resolution)
+        assert grid.dtype == want.dtype and grid.shape == want.shape
+        assert grid.tobytes() == want.tobytes()
+
+    def test_grid_peak_memory_is_under_half_the_full_cubes(self):
+        # The meshgrid construction peaks at 8.6 MB (traced) at 51: three
+        # n^3 float cubes and their (n^3, 3) stack, most of it outside the ball.
+        tracemalloc.start()
+        try:
+            bloch_ball_grid(MAX_GRID_RESOLUTION)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_593_326 // 2
 
     def test_grid_at_the_largest_resolution(self):
         # The CLI's bound on --grid-resolution is documented as 65,267 states.
@@ -458,9 +484,10 @@ def test_scan_names_its_first_pair_on_a_rate_grid_that_is_not_increasing():
 
 
 def test_scan_memory_stays_flat_over_the_pairs():
-    # The traced peak of a scan above that of building its grid: 0.34 MB at
-    # 21 (329 pairs) and none at 31 (958 pairs), where the grid's own peak
-    # is larger. One stack of all pairs peaks 25 and 71 MB above it.
+    # The traced peak of a scan above that of building its grid: 0.75 MB at
+    # 21 (329 pairs) and 1.12 MB at 31 (958 pairs), most of it the keying
+    # of the 4,169 and 14,147 states. One stack of all pairs peaks 25 and
+    # 71 MB above it.
     excess = []
     for resolution in (21, 31):
         peaks = []

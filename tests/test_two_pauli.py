@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsr import channel, two_pauli
 from qsr.channel import (
@@ -21,7 +23,7 @@ from qsr.channel import (
     von_neumann_entropy,
 )
 from qsr.linalg import hermitian_eigenvalues
-from qsr.resonance import detect_enhancement, detect_multivalued, estimate_slopes
+from qsr.resonance import detect_enhancement, detect_multivalued, estimate_slopes, state_scan
 from qsr.two_pauli import (
     _BLOCK,
     analytic_exchange_matrix,
@@ -337,8 +339,38 @@ def test_stacked_solve_keeps_each_block_within_the_limit(monkeypatch, m, n, size
         return _original(a1, a2, a3, x)
 
     monkeypatch.setattr(two_pauli, "_exchange_spectrum", recorded)
-    two_pauli_metrics(_random_stack(np.random.default_rng(0), m), np.linspace(0.0, 1.0, n))
+    # Mixed states only: a pure row does not solve the cubic.
+    rng = np.random.default_rng(0)
+    states = np.array([random_bloch_vector(rng).as_tuple() for _ in range(m)])
+    two_pauli_metrics(states, np.linspace(0.0, 1.0, n))
     assert solved == sizes
+
+
+@pytest.mark.parametrize("n", [41, _BLOCK + 1])
+def test_pure_rows_do_not_solve_the_cubic(monkeypatch, n):
+    # Exactly pure rows between mixed ones: only the mixed rows reach the
+    # solve, and every column equals the one-state calls bit for bit.
+    states = np.array([[1.0, 0.0, 0.0], [0.3, 0.4, 0.2], [0.6, 0.8, 0.0],
+                       [0.0, 0.0, 1.0], [0.0, 0.0, 0.5]])
+    x = np.linspace(0.0, 1.0, n)
+    alone = [two_pauli_metrics(state, x) for state in states]
+    solved = []
+
+    def recorded(a1, a2, a3, x, _original=two_pauli._exchange_spectrum):
+        solved.append(np.ravel(a3).tolist())
+        return _original(a1, a2, a3, x)
+
+    monkeypatch.setattr(two_pauli, "_exchange_spectrum", recorded)
+    curve = two_pauli_metrics(states, x)
+    assert {a3 for call in solved for a3 in call} == {0.2, 0.5}
+    for i, own in enumerate(alone):
+        for name in COLUMNS:
+            assert getattr(curve, name)[i].tobytes() == getattr(own, name).tobytes(), (i, name)
+    assert (curve.coherent_info[[0, 2, 3]] == 0.0).all()
+    # One pure state alone never reaches the solve.
+    solved.clear()
+    assert (two_pauli_metrics((1.0, 0.0, 0.0), x).coherent_info == 0.0).all()
+    assert solved == []
 
 
 #: Every function that takes a stack of states, called with two rates.
@@ -490,23 +522,61 @@ def newton_steps(monkeypatch):
 
 def test_newton_steps_are_bounded(newton_steps):
     assert two_pauli._NEWTON_STEPS == 64
-    # The triple root of (0, 0, 0) at x = 1/3 converges by a factor 2/3 a
-    # step, the slowest there is; the stop comes well inside the bound.
-    two_pauli_metrics((0.0, 0.0, 0.0), 1 / 3)
-    assert newton_steps == [44]
-    # A state with no repeated root: a dozen steps on a 20001-rate curve.
+    # Seeded at Viete's root, every block of the scans and of a 20001-rate
+    # curve stops within two steps; a block of z-axis states takes none.
+    state_scan(9, 701)
+    assert 0 in newton_steps and max(newton_steps) <= 2
+    newton_steps.clear()
+    state_scan(21, 701)
+    assert max(newton_steps) <= 2
     newton_steps.clear()
     two_pauli_metrics((0.6, 0.3, 0.5), np.linspace(0.0, 0.7, 20001))
-    assert len(newton_steps) == 10 and max(newton_steps) <= 12
+    assert len(newton_steps) == 10 and max(newton_steps) <= 2
 
 
 def test_newton_bound_cuts_the_loop_and_the_spot_check_sees_it(monkeypatch, newton_steps):
-    # Over x > 1/3 the smallest root of (0, 0, 0) is double, and Newton only
-    # halves the gap each step: 8 steps leave N wrong by far more than 1e-12.
-    monkeypatch.setattr(two_pauli, "_NEWTON_STEPS", 8)
+    # Two steps are enough from the seed, but not from l = 0: the cut root
+    # leaves N wrong by far more than 1e-12, and the spot check says so.
+    x = np.linspace(0.0, 0.7, 701)
+    monkeypatch.setattr(two_pauli, "_NEWTON_STEPS", 2)
+    two_pauli_metrics((0.3, 0.4, 0.2), x)
+    monkeypatch.setattr(two_pauli, "_viete_root", lambda e2, d: np.zeros_like(e2))
+    newton_steps.clear()
     with pytest.raises(ValueError, match=r"^closed-form noise is .* from the eigensolver's"):
-        two_pauli_metrics((0.0, 0.0, 0.0), np.linspace(0.5, 1.0, 11))
-    assert newton_steps == [8]
+        two_pauli_metrics((0.3, 0.4, 0.2), x)
+    assert newton_steps == [2]
+
+
+@pytest.mark.parametrize("a3", [0.0, 0.3, 0.5, 0.999999])
+def test_z_axis_spectrum_is_exact(newton_steps, a3):
+    # (0, 0, a3) has the spectrum {x, h (1 - |a3|), h (1 + |a3|)}; its two
+    # smallest roots cross at x = (1 - |a3|) / (3 - |a3|), 1/3 for (0, 0, 0).
+    crossing = (1.0 - a3) / (3.0 - a3)
+    x = np.sort(np.append(np.linspace(0.0, 1.0, 2001), [crossing, 1 / 3]))
+    for state in ((0.0, 0.0, a3), (0.0, 0.0, -a3)):
+        spectrum = two_pauli._exchange_spectrum(*state, x)
+        lapack = hermitian_eigenvalues(analytic_exchange_matrix(state, x))
+        assert np.abs(spectrum - lapack).max() <= 1e-12
+        _assert_noise_matches_lapack(state, x)
+    assert set(newton_steps) == {0}
+
+
+@st.composite
+def rate_windows(draw):
+    """Rates over a window from 1 down to 1e-9 wide, ending at x = 1 half the time."""
+    width = 10.0 ** draw(st.floats(-9.0, 0.0))
+    x_max = 1.0 if draw(st.booleans()) else draw(st.floats(width, 1.0))
+    return np.linspace(x_max - width, x_max, draw(st.integers(2, 200)))
+
+
+mixed_states = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: sum(c * c for c in v) < 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_states, rate_windows())
+def test_closed_form_noise_matches_lapack_on_random_windows(state, x):
+    assert np.abs(two_pauli_metrics(state, x).noise - _lapack_noise(state, x)).max() <= 1e-12
 
 
 def skewed_spectrum(a1, a2, a3, x, _original=two_pauli._exchange_spectrum):
