@@ -94,11 +94,12 @@ def _sweep_lines(curve, precision: int):
     yield "x,N,C,F,H_out,b1,b2,b3\n"
     columns = (curve.x, curve.noise, curve.coherent_info, curve.fidelity,
                curve.output_entropy, curve.output_bloch)
-    # One %-template per row writes what _format writes for each value.
+    # One %-template per row writes what _format writes for each value, and
+    # one % formats a whole block of them.
     template = ",".join([f"%.{precision}g"] * 8) + "\n"
     for start in range(0, len(curve.x), _BLOCK):
         rows = np.column_stack([column[start : start + _BLOCK] for column in columns])
-        yield "".join(template % tuple(row) for row in (rows + 0.0).tolist())
+        yield (template * len(rows)) % tuple((rows + 0.0).ravel().tolist())
 
 
 def _scan_lines(report, precision: int):

@@ -284,6 +284,21 @@ def bloch_ball_grid(resolution: int) -> np.ndarray:
     return axis[np.argwhere(inside)]
 
 
+def _pairs(grid: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (N,) pair number of each grid row, pairs numbered in first-row
+    order, and each pair's first row. The lattice and its keys are freed
+    on return, before the scan's sweeps."""
+    i1, i2, i3 = np.rint(grid * (resolution - 1)).astype(np.int64).T
+    # One int per pair: |i3| < n, so (i1² + i2²) n + |i3| is one-to-one.
+    keys = (i1 * i1 + i2 * i2) * resolution + np.abs(i3)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique numbers the pairs in key order; rank them by first row.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
 def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
                x_max: float = DEFAULT_X_MAX) -> ScanReport:
     """Sweep the ball-grid states and report their enhancement.
@@ -298,12 +313,8 @@ def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
     its (a1² + a2², |a3|) pair, the first refused in first-row order.
     """
     grid = bloch_ball_grid(grid_resolution)
-    i1, i2, i3 = np.rint(grid * (grid_resolution - 1)).astype(np.int64).T
-    # One int per pair: |i3| < n, so (i1² + i2²) n + |i3| is one-to-one.
-    keys = (i1 * i1 + i2 * i2) * grid_resolution + np.abs(i3)
-    labels, reports = {}, []
-    pair = np.array([labels.setdefault(key, len(labels)) for key in keys.tolist()], dtype=np.intp)
-    first_rows = np.unique(pair, return_index=True)[1]
+    pair, first_rows = _pairs(grid, grid_resolution)
+    reports = []
     per_stack = max(1, _SCAN_STACK // x_steps)
     for top in range(0, len(first_rows), per_stack):
         rows = first_rows[top : top + per_stack]

@@ -66,7 +66,8 @@ from .channel import (
 from .linalg import hermitian_eigenvalues
 
 #: Samples per block of the noise and output-entropy solve in
-#: `two_pauli_metrics`, and rows per write of the CLI's CSV files: large
+#: `two_pauli_metrics`, states and samples per block of the agreement
+#: check in `validation`, and rows per write of the CLI's CSV files: large
 #: enough that the per-block overhead does not show, small enough that a
 #: block's columns and their temporaries stay well under a megabyte.
 _BLOCK = 2048

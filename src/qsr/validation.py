@@ -12,8 +12,11 @@ trial as a per-trial loop would (the Kraus count, the operators, then the
 state) and call `exchange_matrix` and `environment_output` once per
 trial, but solve the spectra once per Kraus count in each chunk of
 _TRIAL_CHUNK trials; the worst gap, residual and lowest eigenvalue are
-maxima and minima, so they do not depend on the grouping. The
-closed-form checks pass states as (m, 3) stacks, one call per block.
+maxima and minima, so they do not depend on the grouping. The agreement
+check walks the ball grid in blocks of at most _BLOCK states and the
+rates in chunks of at most _BLOCK samples per block: the closed forms
+take one call per chunk, and the generic route one call per block and
+rate.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .channel import (
 )
 from .linalg import MAX_DIM, hermitian_eigenvalues, hermitian_residual
 from .resonance import bloch_ball_grid
-from .two_pauli import analytic_exchange_matrix, make_two_pauli, two_pauli_metrics
+from .two_pauli import _BLOCK, analytic_exchange_matrix, make_two_pauli, two_pauli_metrics
 
 DEFAULT_SEED = 20240117
 
@@ -49,12 +52,6 @@ COMPLETENESS_RATES = 101
 EXCHANGE_TRIALS = 50
 COLLAPSE_STATES = 50
 COLLAPSE_RATES = 101
-
-# Ball-grid states per pass of the generic route in the agreement check:
-# each block's density stack goes through the route once per rate, and its
-# states through the closed forms as one stack. One stack of the whole
-# grid would hold every (state, rate) sample at once.
-_AGREEMENT_BLOCK = 32
 
 # Random-channel trials drawn before their spectra are solved, one
 # eigensolve per Kraus count among them.
@@ -186,24 +183,27 @@ def check_analytic_generic_agreement(
     xs = np.linspace(0.0, 1.0, x_samples)
     channels = [make_two_pauli(float(x)) for x in xs]
     grid = bloch_ball_grid(grid_resolution)
-    for start in range(0, len(grid), _AGREEMENT_BLOCK):
-        states = grid[start : start + _AGREEMENT_BLOCK]
+    for start in range(0, len(grid), _BLOCK):
+        states = grid[start : start + _BLOCK]
         rho = bloch_to_density(states)
-        # The closed forms for the whole block in one stacked call each;
-        # axis 0 is the state, axis 1 the rate.
-        w = analytic_exchange_matrix(states, xs)
-        m = two_pauli_metrics(states, xs)
-        for k, channel in enumerate(channels):
-            out = apply_channel(channel, rho)
-            # np.max, unlike max, carries a NaN deviation through to the verdict.
-            worst = float(np.max([
-                worst,
-                np.abs(w[:, k] - exchange_matrix(channel, rho)).max(),
-                np.abs(m.output_bloch[:, k] - density_to_bloch(out)).max(),
-                np.abs(m.output_entropy[:, k] - von_neumann_entropy(out)).max(),
-                np.abs(m.noise[:, k] - entropy_exchange(channel, rho)).max(),
-                np.abs(m.fidelity[:, k] - entangled_fidelity(channel, rho)).max(),
-            ]))
+        per_chunk = max(1, _BLOCK // len(states))
+        for top in range(0, x_samples, per_chunk):
+            rates = slice(top, top + per_chunk)
+            # The closed forms for the chunk's rates in one stacked call
+            # each; axis 0 is the state, axis 1 the rate.
+            w = analytic_exchange_matrix(states, xs[rates])
+            m = two_pauli_metrics(states, xs[rates])
+            for k, channel in enumerate(channels[rates]):
+                out = apply_channel(channel, rho)
+                # np.max, unlike max, carries a NaN deviation through to the verdict.
+                worst = float(np.max([
+                    worst,
+                    np.abs(w[:, k] - exchange_matrix(channel, rho)).max(),
+                    np.abs(m.output_bloch[:, k] - density_to_bloch(out)).max(),
+                    np.abs(m.output_entropy[:, k] - von_neumann_entropy(out)).max(),
+                    np.abs(m.noise[:, k] - entropy_exchange(channel, rho)).max(),
+                    np.abs(m.fidelity[:, k] - entangled_fidelity(channel, rho)).max(),
+                ]))
     return CheckResult(
         name="closed forms match generic Kraus route",
         passed=worst < 1e-12,

@@ -484,8 +484,8 @@ def test_scan_names_its_first_pair_on_a_rate_grid_that_is_not_increasing():
 
 
 def test_scan_memory_stays_flat_over_the_pairs():
-    # The traced peak of a scan above that of building its grid: 0.75 MB at
-    # 21 (329 pairs) and 1.12 MB at 31 (958 pairs), most of it the keying
+    # The traced peak of a scan above that of building its grid: 0.59 MB at
+    # 21 (329 pairs) and 0.68 MB at 31 (958 pairs), most of it the keying
     # of the 4,169 and 14,147 states. One stack of all pairs peaks 25 and
     # 71 MB above it.
     excess = []

@@ -654,3 +654,24 @@ def test_axis_pure_states_have_exactly_zero_coherent_information(state):
     for x in (np.linspace(0.0, 1.0, 20001), np.linspace(0.999999999999, 1.0, 701),
               np.linspace(0.0, 1e-12, 701)):
         assert (two_pauli_metrics(state, x).coherent_info == 0.0).all()
+
+
+def test_capacity_wedge_edge_is_the_root_of_the_derivative_factor():
+    """Near a pure input C rises where g(x) = x(1 - x)^2 / (1 - r^2) falls,
+    with r^2 = (1 - a3^2) x^2 + a3^2 (1 - 2x)^2 the squared output length.
+    The numerator of g' over (1 - r^2)^2 is
+    -(1 - x)^2 ((1 + 3 a3^2) x^2 + 2 (1 - a3^2) x - (1 - a3^2)), whose
+    quadratic factor has the root x_u, the wedge's upper edge; x_u meets
+    the fold x_f = 4 a3^2 / (1 + 3 a3^2) at a3^2 = (2 sqrt 5 - 3)/11."""
+    sp = pytest.importorskip("sympy")
+    a3, x = sp.symbols("a3 x", real=True)
+    r2 = (1 - a3**2) * x**2 + a3**2 * (1 - 2 * x) ** 2
+    quadratic = (1 + 3 * a3**2) * x**2 + 2 * (1 - a3**2) * x - (1 - a3**2)
+    g = x * (1 - x) ** 2 / (1 - r2)
+    assert sp.cancel(sp.diff(g, x) * (1 - r2) ** 2 + (1 - x) ** 2 * quadratic) == 0
+    x_u = (sp.sqrt(2 * (1 - a3**4)) - (1 - a3**2)) / (1 + 3 * a3**2)
+    assert sp.simplify(quadratic.subs(x, x_u)) == 0
+    meet = sp.sqrt((2 * sp.sqrt(5) - 3) / 11)
+    x_f = 4 * a3**2 / (1 + 3 * a3**2)
+    assert sp.simplify((x_u - x_f).subs(a3, meet)) == 0
+    assert sp.simplify(x_f.subs(a3, meet) - (3 - sp.sqrt(5)) / 2) == 0

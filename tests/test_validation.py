@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -38,29 +39,59 @@ def test_random_kraus_channel_keeps_the_stream():
 
 
 def test_agreement_reaches_the_last_sample_of_a_partial_block(monkeypatch):
-    # The last call is the partial block's stack; only its last state's
-    # last rate is skewed.
+    # The last call is a partial chunk of rates: with the default block the
+    # 123 states take 16 rates and then 5, with 50 the last 23 states take
+    # 2 rates at a time and then 1. Only the last state at x = 1 is skewed.
     grid = bloch_ball_grid(7)
-    partial = len(grid) % validation._AGREEMENT_BLOCK
-    assert partial != 0
+    rates = np.linspace(0.0, 1.0, 21)
     closed_form = validation.two_pauli_metrics
-    stacks = []
+    calls = []
 
     def skewed(states, x):
         metrics = closed_form(states, x)
-        stacks.append(metrics.state)
-        if np.array_equal(metrics.state[-1], grid[-1]):
+        calls.append((metrics.state, metrics.x))
+        if np.array_equal(metrics.state[-1], grid[-1]) and metrics.x[-1] == 1.0:
             fidelity = metrics.fidelity.copy()
             fidelity[-1, -1] += 1e-11
             metrics = dataclasses.replace(metrics, fidelity=fidelity)
         return metrics
 
     monkeypatch.setattr(validation, "two_pauli_metrics", skewed)
-    result = check_analytic_generic_agreement(7, 21)
-    assert not result.passed, result.detail
-    assert len(stacks[-1]) == partial and np.array_equal(stacks[-1][-1], grid[-1])
-    assert sum(map(len, stacks)) == len(grid)
-    assert np.array_equal(np.concatenate(stacks), grid)
+    for block in (validation._BLOCK, 50):
+        monkeypatch.setattr(validation, "_BLOCK", block)
+        calls.clear()
+        result = check_analytic_generic_agreement(7, 21)
+        assert not result.passed, result.detail
+        states, x = calls[-1]
+        assert len(x) < max(1, block // len(states)) and x[-1] == 1.0
+        # The calls cover every (state, rate) sample of the grid exactly once.
+        covered = collections.Counter((tuple(state), rate) for states, x in calls
+                                      for state in states.tolist() for rate in x.tolist())
+        assert covered == collections.Counter(
+            (tuple(state), rate) for state in grid.tolist() for rate in rates.tolist())
+
+
+def test_agreement_detail_does_not_depend_on_the_block(monkeypatch):
+    default = check_analytic_generic_agreement(7, 21)
+    monkeypatch.setattr(validation, "_BLOCK", 16)
+    assert check_analytic_generic_agreement(7, 21) == default
+
+
+def test_agreement_calls_the_generic_route_once_per_rate(monkeypatch):
+    # At 9^3 the 257 states are one block, so each generic-route function
+    # runs once per rate over all of them, and each closed form once per
+    # chunk of 2048 // 257 = 7 rates.
+    generic = ("apply_channel", "exchange_matrix", "density_to_bloch",
+               "von_neumann_entropy", "entropy_exchange", "entangled_fidelity")
+    counts = collections.Counter()
+    for name in generic + ("analytic_exchange_matrix", "two_pauli_metrics"):
+        def counted(*args, _name=name, _original=getattr(validation, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(validation, name, counted)
+    assert check_analytic_generic_agreement(9, 41).passed
+    assert counts == dict.fromkeys(generic, 41) | {
+        "analytic_exchange_matrix": 6, "two_pauli_metrics": 6}
 
 
 def test_agreement_fails_on_a_nan_deviation(monkeypatch):
