@@ -38,8 +38,9 @@ def _as_complex_matrices(entries) -> np.ndarray:
         raise ValueError(
             f"dimension {mat.shape[-1]} outside supported range 1..{MAX_DIM}"
         )
-    finite = np.isfinite(mat).all(axis=(-2, -1))
-    if not finite.all():
+    # One reduction; the per-matrix flags only to name the first failure.
+    if not np.isfinite(mat).all():
+        finite = np.isfinite(mat).all(axis=(-2, -1))
         raise ValueError("matrix entries must be finite" + _where(~finite))
     return mat
 

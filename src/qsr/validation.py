@@ -7,16 +7,16 @@ information on pure states. A deliberately broken operator set is included
 as a negative control to prove the completeness detector actually fires.
 
 The checks batch their linear algebra and leave the functions under test
-and the random-number stream alone. The random-channel checks draw every
+and the random-number stream alone. The random-channel checks draw each
 trial as a per-trial loop would (the Kraus count, the operators, then the
-state) and call `exchange_matrix` and `environment_output` once per
-trial, but solve the spectra once per Kraus count in each chunk of
-_TRIAL_CHUNK trials; the worst gap, residual and lowest eigenvalue are
-maxima and minima, so they do not depend on the grouping. The agreement
-check walks the ball grid in blocks of at most _BLOCK states and the
-rates in chunks of at most _BLOCK samples per block: the closed forms
-take one call per chunk, and the generic route one call per block and
-rate.
+state) and call `exchange_matrix` and `environment_output` per trial, but
+whiten the operators, build the states and solve the spectra once per
+Kraus count in each chunk of _TRIAL_CHUNK trials, bit for bit as one trial
+at a time; the worst gap, residual and lowest eigenvalue are maxima and
+minima, so they do not depend on the grouping. The agreement check walks
+the ball grid in blocks of at most _BLOCK states and the rates in chunks
+of at most _BLOCK samples per block: the closed forms take one call per
+chunk, and the generic route one call per block and rate.
 """
 
 from __future__ import annotations
@@ -65,28 +65,53 @@ class CheckResult:
     detail: str
 
 
-def random_bloch_vector(rng, pure: bool = False) -> BlochVector:
-    """Random direction; radius 1 if pure, else uniform in the ball."""
+def _bloch_draw(rng, pure: bool = False) -> np.ndarray:
+    """`random_bloch_vector`'s components, as a (3,) array."""
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     if not pure:
         v *= rng.uniform() ** (1.0 / 3.0)
-    return BlochVector(*v)
+    return v
 
 
-def _inverse_sqrt_2x2(mat: np.ndarray) -> np.ndarray:
-    """Inverse square root of a 2x2 Hermitian positive definite matrix."""
-    t = np.trace(mat).real
-    d = (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]).real
-    if d <= 0.0 or t <= 0.0:
+def random_bloch_vector(rng, pure: bool = False) -> BlochVector:
+    """Random direction; radius 1 if pure, else uniform in the ball."""
+    return BlochVector(*_bloch_draw(rng, pure))
+
+
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of an (n, 2, 2) complex stack. Each product is formed
+    from real parts, as numpy's scalar complex multiply forms it: its SIMD
+    loop over a stack rounds differently."""
+    a, b, c, e = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0]
+    det = np.empty(len(m), dtype=complex)
+    det.real = (a.real * b.real - a.imag * b.imag) - (c.real * e.real - c.imag * e.imag)
+    det.imag = (a.real * b.imag + a.imag * b.real) - (c.real * e.imag + c.imag * e.real)
+    return det
+
+
+def _whiteners(gram: np.ndarray) -> np.ndarray:
+    """Inverse square roots of an (n, 2, 2) stack of Hermitian positive
+    definite matrices, from the closed-form square root."""
+    t = (gram[:, 0, 0] + gram[:, 1, 1]).real
+    d = _det(gram).real
+    if ((d <= 0.0) | (t <= 0.0)).any():
         raise ValueError("matrix is not positive definite")
-    s = math.sqrt(d)
-    root = (mat + s * IDENTITY) / math.sqrt(t + 2.0 * s)
-    det = root[0, 0] * root[1, 1] - root[0, 1] * root[1, 0]
-    return (
-        np.array([[root[1, 1], -root[0, 1]], [-root[1, 0], root[0, 0]]], dtype=complex)
-        / det
-    )
+    s = np.sqrt(d)[:, None, None]
+    root = (gram + s * IDENTITY) / np.sqrt(t[:, None, None] + 2.0 * s)
+    adjugate = -root
+    adjugate[:, 0, 0], adjugate[:, 1, 1] = root[:, 1, 1], root[:, 0, 0]
+    return adjugate / _det(root)[:, None, None]
+
+
+def _kraus_stacks(draws: np.ndarray) -> np.ndarray:
+    """`random_kraus_channel`'s operators from each (k, 2, 2, 2) draw of an
+    (n, k, 2, 2, 2) stack: per operator, the real then the imaginary part."""
+    raw = draws[:, :, 0] + 1j * draws[:, :, 1]
+    # Matrix products summed over operators, as the per-operator sum did:
+    # an einsum contraction rounds differently, by up to 4.4e-16.
+    gram = (raw.conj().swapaxes(-1, -2) @ raw).sum(axis=1)
+    return raw @ _whiteners(gram)[:, None]
 
 
 def random_kraus_channel(rng, num_operators: int | None = None) -> KrausChannel:
@@ -97,28 +122,27 @@ def random_kraus_channel(rng, num_operators: int | None = None) -> KrausChannel:
     (up to rounding).
     """
     k = int(num_operators) if num_operators is not None else int(rng.integers(1, MAX_DIM + 1))
-    # One draw: per operator, the real then the imaginary 2x2 part.
-    draws = rng.normal(size=(k, 2, 2, 2))
-    raw = draws[:, 0] + 1j * draws[:, 1]
-    # Matrix products summed over operators, as the per-operator sum did:
-    # an einsum contraction rounds differently, by up to 4.4e-16.
-    gram = (raw.conj().swapaxes(-1, -2) @ raw).sum(axis=0)
-    whitener = _inverse_sqrt_2x2(gram)
-    return KrausChannel(raw @ whitener, label=f"random(k={k})")
+    (operators,) = _kraus_stacks(rng.normal(size=(1, k, 2, 2, 2)))
+    return KrausChannel(operators, label=f"random(k={k})")
 
 
 def _random_trials(rng, trials: int, evaluate):
     """Draw `trials` random (channel, state) pairs, in trial order the
     channel and then its state, and yield per chunk of _TRIAL_CHUNK trials
     and per Kraus count k in it the stack of ``evaluate(channel, rho)``
-    over that chunk's trials with k operators."""
+    over that chunk's trials with k operators. Only the draws run per
+    trial; each group's operators and states are built in one pass."""
     for start in range(0, trials, _TRIAL_CHUNK):
         groups = {}
         for _ in range(min(_TRIAL_CHUNK, trials - start)):
-            channel = random_kraus_channel(rng)
-            rho = bloch_to_density(random_bloch_vector(rng))
-            groups.setdefault(len(channel.operators), []).append(evaluate(channel, rho))
-        yield from (np.stack(group) for group in groups.values())
+            k = int(rng.integers(1, MAX_DIM + 1))
+            draws = rng.normal(size=(k, 2, 2, 2))
+            groups.setdefault(k, []).append((draws, _bloch_draw(rng)))
+        for k, group in groups.items():
+            draws, states = zip(*group)
+            rhos = bloch_to_density(np.array(states))
+            yield np.stack([evaluate(KrausChannel(operators, label=f"random(k={k})"), rho)
+                            for operators, rho in zip(_kraus_stacks(np.array(draws)), rhos)])
 
 
 def _dilation_pair(channel: KrausChannel, rho) -> np.ndarray:

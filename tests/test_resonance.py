@@ -704,3 +704,26 @@ def test_reports_are_deterministic():
     a = detect_enhancement(sweep(state, 0.0, 0.7, 701))
     b = detect_enhancement(sweep(state, 0.0, 0.7, 701))
     assert a == b
+
+
+def test_capacity_segments_lie_in_the_wedge_or_near_the_poles():
+    # Near a pure input C rises between the fold x_f and the edge x_u
+    # (see test_capacity_wedge_edge_is_the_root_of_the_derivative_factor),
+    # and the two edges meet at |a3| = 0.36583. Every capacity segment
+    # below that lies in the wedge, widened by one grid cell; the only
+    # others are the band near the poles, at |a3| = 0.933 on this grid.
+    report = state_scan(31, 701)
+    cell = 0.7 / 700
+    first = np.unique(report.pair, return_index=True)[1]
+    inside = 0
+    for row, found in zip(first, report.reports):
+        a3 = abs(report.states[row, 2])
+        x_f = 4 * a3**2 / (1 + 3 * a3**2)
+        x_u = (np.sqrt(2 * (1 - a3**4)) - (1 - a3**2)) / (1 + 3 * a3**2)
+        for start, end, _ in found.capacity:
+            if a3 < 0.36583:
+                assert x_f - cell < start and end < x_u + cell, (report.states[row], start, end)
+                inside += 1
+            else:
+                assert a3 >= 0.9, (report.states[row], start, end)
+    assert inside == 16

@@ -1,22 +1,38 @@
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from qsr import validation
-from qsr.channel import bloch_to_density, environment_output, exchange_matrix
+from qsr.channel import IDENTITY, bloch_to_density, environment_output, exchange_matrix
 from qsr.linalg import hermitian_eigenvalues, hermitian_residual
 from qsr.resonance import bloch_ball_grid
 from qsr.validation import (
     _TRIAL_CHUNK,
-    _inverse_sqrt_2x2,
+    _whiteners,
     check_analytic_generic_agreement,
     check_dilation_oracle,
     check_exchange_matrix_properties,
     random_bloch_vector,
     random_kraus_channel,
 )
+
+
+def _inverse_sqrt_2x2(mat: np.ndarray) -> np.ndarray:
+    """Inverse square root of a 2x2 Hermitian positive definite matrix."""
+    t = np.trace(mat).real
+    d = (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]).real
+    if d <= 0.0 or t <= 0.0:
+        raise ValueError("matrix is not positive definite")
+    s = math.sqrt(d)
+    root = (mat + s * IDENTITY) / math.sqrt(t + 2.0 * s)
+    det = root[0, 0] * root[1, 1] - root[0, 1] * root[1, 0]
+    return (
+        np.array([[root[1, 1], -root[0, 1]], [-root[1, 0], root[0, 0]]], dtype=complex)
+        / det
+    )
 
 
 def old_random_kraus_operators(rng, k):
@@ -36,6 +52,49 @@ def test_random_kraus_channel_keeps_the_stream():
             assert len(got) == k
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             assert new_rng.normal() == old_rng.normal()
+
+
+@pytest.mark.parametrize("size", [1, 40])
+def test_whiteners_match_the_scalar_inverse_square_root(size):
+    for seed in range(20):
+        for k in range(1, 7):
+            draws = np.random.default_rng(seed).normal(size=(size, k, 2, 2, 2))
+            raw = draws[:, :, 0] + 1j * draws[:, :, 1]
+            gram = (raw.conj().swapaxes(-1, -2) @ raw).sum(axis=1)
+            want = [_inverse_sqrt_2x2(matrix) for matrix in gram]
+            assert np.array_equal(_whiteners(gram), want)
+            assert np.array_equal(validation._kraus_stacks(draws),
+                                  [operators @ w for operators, w in zip(raw, want)])
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 2)), np.diag([1.0, -1.0]), -np.eye(2)])
+def test_whiteners_refuse_a_matrix_that_is_not_positive_definite(bad):
+    with pytest.raises(ValueError, match="matrix is not positive definite"):
+        _whiteners(np.stack((np.eye(2), bad, np.eye(2))).astype(complex))
+
+
+@pytest.mark.parametrize("trials", [1, _TRIAL_CHUNK, 2 * _TRIAL_CHUNK + 1])
+def test_random_trials_whiten_once_per_kraus_count_in_a_chunk(monkeypatch, trials):
+    calls = []
+
+    def counted(gram, _original=_whiteners):
+        calls.append(len(gram))
+        return _original(gram)
+
+    monkeypatch.setattr(validation, "_whiteners", counted)
+    shapes = [w.shape[:2] for w in validation._random_trials(
+        np.random.default_rng(3), trials, exchange_matrix)]
+    # One whitening per group, of the whole group: its trials with k operators.
+    assert calls == [size for size, _ in shapes] and sum(calls) == trials
+    # The groups fill the chunks in turn, each Kraus count once per chunk.
+    chunks = []
+    for size, k in shapes:
+        if not chunks or sum(n for n, _ in chunks[-1]) == _TRIAL_CHUNK:
+            chunks.append([])
+        chunks[-1].append((size, k))
+    assert len(chunks) == -(-trials // _TRIAL_CHUNK)
+    for chunk in chunks:
+        assert len({k for _, k in chunk}) == len(chunk)
 
 
 def test_agreement_reaches_the_last_sample_of_a_partial_block(monkeypatch):
