@@ -9,9 +9,10 @@ noise interval between the larger end value and the peak; a positive-slope
 stretch inside it is the curve doubling back on itself and is reported as
 multivalued capacity, not as enhancement.
 
-Detection works along the last axis of its columns: the one curve of
-`detect_enhancement` is a stack of one row, and `state_scan` detects each
-(m, n) stack of its sweeps in the same pass, so both run the same code.
+Slopes and enhancement follow the package's leading-axis rule: the curve
+of one state gives one result, and the curve of an (m, 3) stack of states
+gives one per row, row i equal bit for bit to the call on state i alone.
+`state_scan` detects each (m, n) stack of its sweeps in one such call.
 """
 
 from __future__ import annotations
@@ -95,21 +96,19 @@ def sweep(state, x_min: float = DEFAULT_X_MIN, x_max: float = DEFAULT_X_MAX,
     Endpoints are included. Requires 0 <= x_min < x_max <= 1 and at least
     MIN_STEPS steps. All rates are evaluated in one array pass.
     """
+    _require_window(x_min, x_max, steps)
+    return two_pauli_metrics(state, np.linspace(x_min, x_max, steps))
+
+
+def _require_window(x_min: float, x_max: float, steps: int) -> None:
     if not (0.0 <= x_min < x_max <= 1.0):
         raise ValueError(f"need 0 <= x_min < x_max <= 1, got [{x_min}, {x_max}]")
     _require_steps(steps)
-    return two_pauli_metrics(state, np.linspace(x_min, x_max, steps))
 
 
 def _require_steps(steps: int) -> None:
     if steps < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps for slope estimates, got {steps}")
-
-
-def _require_one_state(curve: SweepCurve) -> None:
-    if not isinstance(curve.state, BlochVector):
-        raise ValueError(
-            f"detection takes the curve of one state, got a stack of {len(curve.state)}")
 
 
 def _grid_step(x: np.ndarray) -> float:
@@ -129,24 +128,18 @@ def estimate_slopes(curve: SweepCurve) -> tuple[np.ndarray, tuple, tuple]:
     """Slopes of the noise and of both quantities along the sweep.
 
     Returns ``(dN_dx, dQ_dx, dQ_dN)``: the noise slope, one entry per
-    rate, and two pairs of such columns, capacity first, then fidelity.
-    The x-derivatives are central differences inside and one-sided at the
-    two ends, so the rates must form a uniform, strictly increasing grid
-    of at least 3 samples. dQ/dN is their ratio, left undefined (NaN)
+    rate, and two pairs of such columns, capacity first, then fidelity;
+    on the curve of a stack of states every column is (m, n), one row per
+    state. The x-derivatives are central differences inside and one-sided
+    at the two ends, so the rates must form a uniform, strictly increasing
+    grid of at least 3 samples. dQ/dN is their ratio, left undefined (NaN)
     wherever |dN/dx| <= SLOPE_EPSILON: near a noise extremum the
-    parametric slope is singular. Raises ValueError on the curve of a
-    stack of states.
+    parametric slope is singular.
     """
-    _require_one_state(curve)
-    return _slopes(_grid_step(curve.x), curve.noise, (curve.coherent_info, curve.fidelity))
-
-
-def _slopes(step: float, noise: np.ndarray, values: tuple) -> tuple[np.ndarray, tuple, tuple]:
-    """`estimate_slopes` along the last axis, for columns of one curve or
-    (m, n) stacks of them over rates spaced by ``step``."""
-    d_noise = np.gradient(noise, step, axis=-1)
+    step = _grid_step(curve.x)
+    d_noise = np.gradient(curve.noise, step, axis=-1)
     defined = np.abs(d_noise) > SLOPE_EPSILON
-    d_values = tuple(np.gradient(v, step, axis=-1) for v in values)
+    d_values = tuple(np.gradient(v, step, axis=-1) for v in (curve.coherent_info, curve.fidelity))
     ratios = tuple(
         np.divide(d, d_noise, out=np.full_like(d, np.nan), where=defined) for d in d_values
     )
@@ -199,7 +192,9 @@ def detect_multivalued(curve: SweepCurve) -> list[tuple[float, float]]:
     when the noise has more than two monotone branches, or on the curve
     of a stack of states.
     """
-    _require_one_state(curve)
+    if not isinstance(curve.state, BlochVector):
+        raise ValueError(
+            f"detection takes the curve of one state, got a stack of {len(curve.state)}")
     noise = curve.noise
     capacity = curve.coherent_info
     peak = _noise_peak(noise)
@@ -214,44 +209,35 @@ def detect_multivalued(curve: SweepCurve) -> list[tuple[float, float]]:
     return []
 
 
-def detect_enhancement(curve: SweepCurve) -> EnhancementReport:
+def detect_enhancement(curve: SweepCurve):
     """Find stretches where capacity or fidelity genuinely rises with the noise.
 
-    The slopes, the noise peak and the fold are worked out once for the
-    curve and shared by both quantities. A sample qualifies when its
-    parametric slope dQ/dN (as `estimate_slopes` gives it) is defined,
-    exceeds MIN_POSITIVE_SLOPE, and its noise value is not inside the
-    fold: the open interval from max(N[0], N[-1]) to the peak noise, which
-    both the rising and the falling branch cover. Positive slopes confined
-    to the fold are the curve doubling back around the noise peak; they
-    are reported by `detect_multivalued` instead of as enhancement. A
-    segment needs at least two consecutive qualifying samples, which
-    suppresses single-point finite-difference noise. Raises ValueError
-    when the noise has more than two monotone branches, or on the curve of
-    a stack of states.
+    Returns one EnhancementReport, or on the curve of a stack of states a
+    tuple of one per row. The slopes, the noise peak and the fold are
+    worked out once per row and shared by both quantities. A sample
+    qualifies when its parametric slope dQ/dN (as `estimate_slopes` gives
+    it) is defined, exceeds MIN_POSITIVE_SLOPE, and its noise value is not
+    inside the fold: the open interval from max(N[0], N[-1]) to the peak
+    noise, which both the rising and the falling branch cover. Positive
+    slopes confined to the fold are the curve doubling back around the
+    noise peak; they are reported by `detect_multivalued` instead of as
+    enhancement. A segment needs at least two consecutive qualifying
+    samples, which suppresses single-point finite-difference noise. Raises
+    `_TurningNoise`, a ValueError naming the first such row, when the
+    noise of a row has more than two monotone branches.
     """
-    _require_one_state(curve)
-    (report,) = _detect_rows(curve.x, curve.noise[None], curve.coherent_info[None],
-                             curve.fidelity[None])
-    return report
-
-
-def _detect_rows(x: np.ndarray, noise: np.ndarray, capacity: np.ndarray,
-                 fidelity: np.ndarray) -> list[EnhancementReport]:
-    """`detect_enhancement` along the last axis: one report per row of the
-    (m, n) noise, capacity and fidelity stacks over the shared rates x.
-    A refused row raises `_TurningNoise`, which names the first."""
-    step = _grid_step(x)
-    _, _, ratios = _slopes(step, noise, (capacity, fidelity))
+    _, _, ratios = estimate_slopes(curve)
+    noise = np.atleast_2d(curve.noise)
     peak = _noise_peak(noise)
     lo = np.maximum(noise[:, 0], noise[:, -1])
     hi = noise[np.arange(len(noise)), peak]
     outside = ~((noise > lo[:, None]) & (noise < hi[:, None]))
     last = noise.shape[1] - 1
-    peak_x = [float(x[p]) if 0 < p < last else None for p in peak.tolist()]
-    segments = (_segments(x, ratio, outside) for ratio in ratios)
-    return [EnhancementReport(capacity=c, fidelity=f, noise_peak_x=p)
-            for c, f, p in zip(*segments, peak_x)]
+    peak_x = [float(curve.x[p]) if 0 < p < last else None for p in peak.tolist()]
+    segments = (_segments(curve.x, np.atleast_2d(ratio), outside) for ratio in ratios)
+    reports = tuple(EnhancementReport(capacity=c, fidelity=f, noise_peak_x=p)
+                    for c, f, p in zip(*segments, peak_x))
+    return reports[0] if isinstance(curve.state, BlochVector) else reports
 
 
 def _segments(x: np.ndarray, ratio: np.ndarray, outside: np.ndarray) -> list[tuple]:
@@ -308,10 +294,13 @@ def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
     lattice numerators i = a (n - 1), and each pair is swept and detected
     once, on its first row in grid order. The pairs' first rows are swept
     in that order as (m, 3) stacks of whole rows, at most _SCAN_STACK
-    samples each, and each stack is detected row by row in one pass. A
-    curve that detection refuses raises ValueError naming its state and
-    its (a1² + a2², |a3|) pair, the first refused in first-row order.
+    samples each, and each stack is detected in one `detect_enhancement`
+    call. A window or step count that `sweep` refuses raises ValueError
+    before any sweep; a curve that detection refuses raises ValueError
+    naming its state and its (a1² + a2², |a3|) pair, the first refused in
+    first-row order.
     """
+    _require_window(x_min, x_max, x_steps)
     grid = bloch_ball_grid(grid_resolution)
     pair, first_rows = _pairs(grid, grid_resolution)
     reports = []
@@ -320,7 +309,7 @@ def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
         rows = first_rows[top : top + per_stack]
         curve = sweep(grid[rows], x_min, x_max, x_steps)
         try:
-            reports += _detect_rows(curve.x, curve.noise, curve.coherent_info, curve.fidelity)
+            reports += detect_enhancement(curve)
         except ValueError as exc:
             # A refused curve names its row; a grid error holds for every row.
             a1, a2, a3 = grid[rows[getattr(exc, "row", 0)]].tolist()

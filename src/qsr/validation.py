@@ -126,12 +126,12 @@ def random_kraus_channel(rng, num_operators: int | None = None) -> KrausChannel:
     return KrausChannel(operators, label=f"random(k={k})")
 
 
-def _random_trials(rng, trials: int, evaluate):
+def _random_trials(rng, trials: int):
     """Draw `trials` random (channel, state) pairs, in trial order the
     channel and then its state, and yield per chunk of _TRIAL_CHUNK trials
-    and per Kraus count k in it the stack of ``evaluate(channel, rho)``
-    over that chunk's trials with k operators. Only the draws run per
-    trial; each group's operators and states are built in one pass."""
+    and per Kraus count k in it the list of that chunk's ``(channel, rho)``
+    pairs with k operators. Only the draws run per trial; each group's
+    operators and states are built in one pass."""
     for start in range(0, trials, _TRIAL_CHUNK):
         groups = {}
         for _ in range(min(_TRIAL_CHUNK, trials - start)):
@@ -141,13 +141,8 @@ def _random_trials(rng, trials: int, evaluate):
         for k, group in groups.items():
             draws, states = zip(*group)
             rhos = bloch_to_density(np.array(states))
-            yield np.stack([evaluate(KrausChannel(operators, label=f"random(k={k})"), rho)
-                            for operators, rho in zip(_kraus_stacks(np.array(draws)), rhos)])
-
-
-def _dilation_pair(channel: KrausChannel, rho) -> np.ndarray:
-    """The exchange matrix and the dilation's environment state, stacked."""
-    return np.stack((exchange_matrix(channel, rho), environment_output(channel, rho)))
+            yield [(KrausChannel(operators, label=f"random(k={k})"), rho)
+                   for operators, rho in zip(_kraus_stacks(np.array(draws)), rhos)]
 
 
 def check_two_pauli_completeness() -> CheckResult:
@@ -184,7 +179,8 @@ def check_broken_channel_detected() -> CheckResult:
 def check_exchange_matrix_properties(rng) -> CheckResult:
     worst_herm = worst_trace = 0.0
     lowest_eig = 0.0
-    for w in _random_trials(rng, EXCHANGE_TRIALS, exchange_matrix):
+    for group in _random_trials(rng, EXCHANGE_TRIALS):
+        w = np.stack([exchange_matrix(channel, rho) for channel, rho in group])
         worst_herm = max(worst_herm, hermitian_residual(w))
         trace = np.trace(w, axis1=-2, axis2=-1).real
         worst_trace = max(worst_trace, float(np.abs(trace - 1.0).max()))
@@ -240,10 +236,12 @@ def check_analytic_generic_agreement(
 
 def check_dilation_oracle(rng, trials: int = 100) -> CheckResult:
     worst = 0.0
-    for pairs in _random_trials(rng, trials, _dilation_pair):
+    for group in _random_trials(rng, trials):
         # Both k x k spectra of every trial in the group from one eigensolve.
+        pairs = np.stack([matrix for channel, rho in group for matrix in
+                          (exchange_matrix(channel, rho), environment_output(channel, rho))])
         k = pairs.shape[-1]
-        spectra = hermitian_eigenvalues(pairs.reshape(-1, k, k)).reshape(-1, 2, k)
+        spectra = hermitian_eigenvalues(pairs).reshape(-1, 2, k)
         worst = max(worst, float(np.abs(spectra[:, 0] - spectra[:, 1]).max()))
     return CheckResult(
         name="dilation environment matches exchange spectrum",

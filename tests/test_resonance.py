@@ -12,6 +12,7 @@ from qsr.resonance import (
     SLOPE_EPSILON,
     SweepCurve,
     _noise_peak,
+    _TurningNoise,
     bloch_ball_grid,
     detect_enhancement,
     detect_multivalued,
@@ -346,17 +347,17 @@ class TestStateScan:
                                       lambda state: sweep(state, 0.0, 0.7, 51).noise)
 
     def test_detection_calls_estimate_slopes_once_per_curve(self, monkeypatch):
-        # The scan takes its slopes from the row-wise core of estimate_slopes.
+        # The scan takes its slopes from one estimate_slopes call per stack.
         import qsr.resonance as resonance
 
         calls = []
-        original = resonance._slopes
+        original = resonance.estimate_slopes
 
-        def counted(step, noise, values):
-            calls.append(np.stack((noise, *values), axis=1))
-            return original(step, noise, values)
+        def counted(curve):
+            calls.append(np.stack((curve.noise, curve.coherent_info, curve.fidelity), axis=1))
+            return original(curve)
 
-        monkeypatch.setattr(resonance, "_slopes", counted)
+        monkeypatch.setattr(resonance, "estimate_slopes", counted)
         report = state_scan(3, 51)
         assert report.total_states == 7
 
@@ -372,6 +373,17 @@ class TestStateScan:
         assert report.states.tobytes() == bloch_ball_grid(3).tobytes()
         # Rows (-1,0,0), (0,-1,0), (0,0,-1), (0,0,0), (0,0,1), (0,1,0), (1,0,0).
         assert report.pair.tolist() == [0, 0, 1, 2, 1, 0, 0]
+
+    @pytest.mark.parametrize("resolution", [2, 5])
+    @pytest.mark.parametrize("steps", [0, 2, -3])
+    def test_refuses_too_few_steps_before_sizing_the_stacks(self, resolution, steps):
+        with pytest.raises(ValueError, match=f"at least 3 steps for slope estimates, got {steps}"):
+            state_scan(resolution, steps)
+
+    def test_refuses_a_window_outside_the_rates(self):
+        # Checked before the grid, so even the empty grid of resolution 2 refuses it.
+        with pytest.raises(ValueError, match="need 0 <= x_min < x_max <= 1"):
+            state_scan(2, 11, 0.5, 0.2)
 
     def test_sweeps_each_distinct_pair_once(self, monkeypatch):
         calls = record_scan_sweeps(monkeypatch)
@@ -453,6 +465,36 @@ def _pair_prefix(state):
     a1, a2, a3 = state.tolist()
     return re.escape(f"state {(a1, a2, a3)} with (a1^2 + a2^2, |a3|) = "
                      f"{(a1 * a1 + a2 * a2, abs(a3))}: ")
+
+
+@pytest.mark.parametrize("resolution", [9, 21, None])
+def test_stacked_detection_equals_the_per_row_calls(resolution):
+    # The first row of each pair of a scan grid, or a stack of one state.
+    if resolution is None:
+        states = np.array([[0.3, 0.4, 0.2]])
+    else:
+        first = np.unique(state_scan(resolution, 701).pair, return_index=True)[1]
+        states = bloch_ball_grid(resolution)[first]
+    curve = sweep(states)
+    reports = detect_enhancement(curve)
+    assert type(reports) is tuple and len(reports) == len(states)
+    slopes = estimate_slopes(curve)
+    flat = [slopes[0], *slopes[1], *slopes[2]]
+    assert all(column.shape == (len(states), 701) for column in flat)
+    for row, state in enumerate(states):
+        alone = sweep(BlochVector(*state))
+        assert reports[row] == detect_enhancement(alone)
+        own = estimate_slopes(alone)
+        for column, want in zip(flat, [own[0], *own[1], *own[2]]):
+            assert column[row].tobytes() == want.tobytes()
+
+
+def test_stack_with_one_zig_zag_row_names_that_row():
+    curve = sweep(np.array([[0.1, 0.2, 0.9], [0.3, 0.4, 0.2], [0.0, 0.0, 0.5]]), 0.0, 0.7, 51)
+    curve.noise[1, 1::2] += 1.0
+    with pytest.raises(_TurningNoise, match="one peak") as refused:
+        detect_enhancement(curve)
+    assert refused.value.row == 1
 
 
 def test_scan_names_the_first_refused_pair_in_first_row_order(monkeypatch):

@@ -23,7 +23,7 @@ from qsr.channel import (
     von_neumann_entropy,
 )
 from qsr.linalg import hermitian_eigenvalues
-from qsr.resonance import detect_enhancement, detect_multivalued, estimate_slopes, state_scan
+from qsr.resonance import detect_multivalued, state_scan
 from qsr.two_pauli import (
     _BLOCK,
     analytic_exchange_matrix,
@@ -443,7 +443,7 @@ def test_stacked_curve_keeps_its_own_copy_of_the_states():
     assert np.array_equal(curve.state, [[0.1, 0.2, 0.3], [0.3, 0.4, 0.2]])
 
 
-@pytest.mark.parametrize("detect", [estimate_slopes, detect_enhancement, detect_multivalued])
+@pytest.mark.parametrize("detect", [detect_multivalued])
 def test_detection_refuses_a_stacked_curve(detect):
     curve = two_pauli_metrics([[0.3, 0.4, 0.2], [0.1, 0.2, 0.3]], np.linspace(0.0, 0.7, 11))
     with pytest.raises(ValueError, match="one state, got a stack of 2"):

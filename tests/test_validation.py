@@ -82,8 +82,8 @@ def test_random_trials_whiten_once_per_kraus_count_in_a_chunk(monkeypatch, trial
         return _original(gram)
 
     monkeypatch.setattr(validation, "_whiteners", counted)
-    shapes = [w.shape[:2] for w in validation._random_trials(
-        np.random.default_rng(3), trials, exchange_matrix)]
+    shapes = [(len(group), len(group[0][0].operators))
+              for group in validation._random_trials(np.random.default_rng(3), trials)]
     # One whitening per group, of the whole group: its trials with k operators.
     assert calls == [size for size, _ in shapes] and sum(calls) == trials
     # The groups fill the chunks in turn, each Kraus count once per chunk.
