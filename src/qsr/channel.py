@@ -6,23 +6,23 @@ coherent information, entangled fidelity, and an explicit
 system-environment dilation that serves as an independent cross-check of
 the exchange matrix.
 
-A state is one Bloch vector (a `BlochVector` or three reals) or an
-(m, 3) float array of them, one per row: the one form of a stack of
-states, checked in one array pass. Every function of the generic route
-takes rho as one 2x2 density matrix or as an (m, 2, 2) stack of them (as
-`bloch_to_density` makes from a stack of states), and evaluates a stack
-in one pass over the (k, 2, 2) Kraus operator array. The result follows
-numpy's leading-axis rule: one matrix gives the per-matrix shape (a numpy
-scalar, a (3,) Bloch array or a (k, k) matrix), and a stack adds a
-leading axis of length m. Every check applies to each matrix of a stack,
-and an error names the first matrix that fails it.
+A state has one form: a checked float array of Bloch rows, (3,) for one
+state and (m, 3) for a stack, checked in one array pass. A `BlochVector`
+is the checked input record of one state, read as its (3,) row. Every
+function of the generic route takes rho as one 2x2 density matrix or as
+an (m, 2, 2) stack of them (as `bloch_to_density` makes from a stack of
+states), and evaluates a stack in one pass over the (k, 2, 2) Kraus
+operator array. The result follows numpy's leading-axis rule: one matrix
+gives the per-matrix shape (a numpy scalar, a (3,) Bloch array or a
+(k, k) matrix), and a stack adds a leading axis of length m. Every check
+applies to each matrix of a stack, and an error names the first matrix
+that fails it.
 
 All entropies are in bits (base-2 logarithms).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,15 +56,9 @@ class BlochVector:
     a3: float
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"Bloch component {name} must be finite")
+        components = _bloch_rows(np.array((self.a1, self.a2, self.a3), dtype=float), "state")
+        for name, value in zip(("a1", "a2", "a3"), components.tolist()):
             object.__setattr__(self, name, value)
-        if self.norm_squared > 1.0 + BLOCH_NORM_TOL:
-            raise ValueError(
-                f"unphysical Bloch vector: |a|^2 = {self.norm_squared:.12g} > 1"
-            )
 
     @property
     def norm_squared(self) -> float:
@@ -74,16 +68,6 @@ class BlochVector:
         return (self.a1, self.a2, self.a3)
 
 
-def as_bloch(state) -> BlochVector:
-    """Coerce a BlochVector or a 3-sequence of reals into a BlochVector."""
-    if isinstance(state, BlochVector):
-        return state
-    values = tuple(state)
-    if len(values) != 3:
-        raise ValueError(f"expected 3 Bloch components, got {len(values)}")
-    return BlochVector(*values)
-
-
 def _bloch_rows(rows: np.ndarray, item: str) -> np.ndarray:
     """Check a float array of Bloch rows, (3,) or (m, 3): every row must be
     finite, of width 3 and of |a|^2 <= 1 within BLOCH_NORM_TOL. An error
@@ -91,32 +75,35 @@ def _bloch_rows(rows: np.ndarray, item: str) -> np.ndarray:
     if rows.shape[-1] != 3:  # every row is as wide, so the first is named
         raise ValueError(f"expected 3 Bloch components, got {rows.shape[-1]}"
                          + _where(np.ones(rows.shape[:-1]), item))
-    finite = np.isfinite(rows).all(axis=-1)
-    if not finite.all():
-        raise ValueError("Bloch components must be finite" + _where(~finite, item))
-    norm_squared = (rows * rows).sum(axis=-1)
-    unphysical = norm_squared > 1.0 + BLOCH_NORM_TOL
-    if unphysical.any():
+    # A huge finite component squares to inf, which the bound refuses.
+    with np.errstate(over="ignore"):
+        norm_squared = (rows * rows).sum(axis=-1)
+    # One comparison, which NaN and inf fail too; the per-row flags only
+    # to name the first failure.
+    if not (norm_squared <= 1.0 + BLOCH_NORM_TOL).all():
+        finite = np.isfinite(rows).all(axis=-1)
+        if not finite.all():
+            raise ValueError("Bloch components must be finite" + _where(~finite, item))
+        unphysical = norm_squared > 1.0 + BLOCH_NORM_TOL
         worst = norm_squared.flat[int(np.argmax(unphysical))]
         raise ValueError(f"unphysical Bloch vector: |a|^2 = {worst:.12g} > 1"
                          + _where(unphysical, item))
     return rows
 
 
-def _as_states(state):
-    """``(state, lead, (a1, a2, a3))``: one state (a BlochVector or a 1-D
-    row) through `as_bloch`, with lead () and its float components; a stack
-    (a 2-D input) as a checked float copy of its rows, with lead (m,) and
-    (m, 1) component columns that broadcast over rates; no other shape."""
-    if isinstance(state, BlochVector) or np.ndim(state) == 1:
-        state = as_bloch(state)
-        return state, (), state.as_tuple()
-    if np.ndim(state) != 2:
-        raise ValueError(f"expected a Bloch vector or an (m, 3) stack, got shape {np.shape(state)}")
-    if not len(state):
+def _as_states(state) -> np.ndarray:
+    """One state (a BlochVector or three reals) as a checked float (3,)
+    array, or an (m, 3) stack of them as a checked float copy; no other
+    shape. Callers take ``shape[:-1]`` as the leading shape, and the
+    components as columns that broadcast over rates."""
+    if isinstance(state, BlochVector):
+        state = state.as_tuple()
+    rows = np.array(state, dtype=float)
+    if rows.ndim not in (1, 2):
+        raise ValueError(f"expected a Bloch vector or an (m, 3) stack, got shape {rows.shape}")
+    if rows.ndim == 2 and not len(rows):
         raise ValueError("a stack of states needs at least one row")
-    rows = _bloch_rows(np.array(state, dtype=float), "state")
-    return rows, (len(rows),), tuple(rows.T[..., None])
+    return _bloch_rows(rows, "state")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,9 +156,7 @@ def _require_complete(channel: KrausChannel) -> None:
 def bloch_to_density(state) -> np.ndarray:
     """Density matrix (I + a . sigma) / 2 for a Bloch vector of length <= 1;
     for an (m, 3) stack, an (m, 2, 2) stack equal to the one-state calls."""
-    _, lead, (a1, a2, a3) = _as_states(state)
-    if lead:  # (m, 1) columns, broadcast against the 2x2 matrices
-        a1, a2, a3 = a1[..., None], a2[..., None], a3[..., None]
+    a1, a2, a3 = _as_states(state).T[..., None, None]
     return 0.5 * (IDENTITY + a1 * PAULI_X + a2 * PAULI_Y + a3 * PAULI_Z)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BLOCH_NORM_TOL, BlochVector
+from .channel import BLOCH_NORM_TOL
 from .two_pauli import _BLOCK, SweepCurve, two_pauli_metrics
 
 #: The default window of flipping rates swept, [DEFAULT_X_MIN, DEFAULT_X_MAX],
@@ -192,7 +192,7 @@ def detect_multivalued(curve: SweepCurve) -> list[tuple[float, float]]:
     when the noise has more than two monotone branches, or on the curve
     of a stack of states.
     """
-    if not isinstance(curve.state, BlochVector):
+    if np.ndim(curve.state) == 2:
         raise ValueError(
             f"detection takes the curve of one state, got a stack of {len(curve.state)}")
     noise = curve.noise
@@ -237,7 +237,7 @@ def detect_enhancement(curve: SweepCurve):
     segments = (_segments(curve.x, np.atleast_2d(ratio), outside) for ratio in ratios)
     reports = tuple(EnhancementReport(capacity=c, fidelity=f, noise_peak_x=p)
                     for c, f, p in zip(*segments, peak_x))
-    return reports[0] if isinstance(curve.state, BlochVector) else reports
+    return reports if np.ndim(curve.state) == 2 else reports[0]
 
 
 def _segments(x: np.ndarray, ratio: np.ndarray, outside: np.ndarray) -> list[tuple]:

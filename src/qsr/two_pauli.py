@@ -8,12 +8,12 @@ The closed forms take a 1-D array of rates, or one rate as an array of
 length 1, and evaluate every rate in one pass; `two_pauli_metrics`
 gathers them into one `SweepCurve`, which is how a sweep is computed.
 
-The state is one Bloch vector (a `BlochVector` or three reals) or an
-``(m, 3)`` float array of them, one state per row; the array is the one
-form of a stack, checked in one array pass, and an error names the first
-row that fails. Results follow numpy's leading-axis rule: a stack puts a
-leading axis of length m in front of the one-state shape, so row i equals
-the call on state i alone, bit for bit.
+A state is a checked float array of Bloch rows: ``(3,)`` for one state
+(given as a `BlochVector` or three reals) and ``(m, 3)`` for a stack,
+checked in one array pass; an error names the first row that fails.
+Results follow numpy's leading-axis rule: a stack puts a leading axis of
+length m in front of the one-state shape, so row i equals the call on
+state i alone, bit for bit.
 
 The noise is the entropy of the exchange-matrix spectrum, solved in
 closed form. That spectrum is the root set of the cubic
@@ -55,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    BlochVector,
     IDENTITY,
     KrausChannel,
     PAULI_X,
@@ -131,11 +130,12 @@ def analytic_exchange_matrix(state, x) -> np.ndarray:
     -i convention on the sigma_y operator produces. Returns an (n, 3, 3)
     stack, one matrix per rate; an (m, n, 3, 3) one for m states.
     """
-    _, lead, (a1, a2, a3) = _as_states(state)
+    state = _as_states(state)
+    a1, a2, a3 = state.T[..., None]
     x = _check_rate(x)
     root = np.sqrt(0.5 * x * (1.0 - x))
     half = 0.5 * (1.0 - x)
-    w = np.zeros(lead + x.shape + (3, 3), dtype=complex)
+    w = np.zeros(state.shape[:-1] + x.shape + (3, 3), dtype=complex)
     w[..., 0, 0] = x
     w[..., 0, 1] = w[..., 1, 0] = a1 * root
     w[..., 0, 2] = 1j * a2 * root
@@ -152,7 +152,7 @@ def analytic_output_entropy(state, x) -> np.ndarray:
     |b|^2 = (a1^2 + a2^2) x^2 + a3^2 (1 - 2x)^2. One entropy per rate; an
     (m, n) array for m states.
     """
-    _, _, (a1, a2, a3) = _as_states(state)
+    a1, a2, a3 = _as_states(state).T[..., None]
     x = _check_rate(x)
     planar = a1 * a1 + a2 * a2
     axial = 1.0 - 2.0 * x
@@ -258,13 +258,13 @@ class SweepCurve:
 
     Every column holds one entry per rate; ``output_bloch`` is an (n, 3)
     array, one output Bloch vector per rate. Entropies are in bits and
-    ``coherent_info`` is exactly ``output_entropy - noise``. For a stack
-    of m states, ``state`` is their checked (m, 3) float array, which
-    `two_pauli_metrics` takes back, and every column gains a leading axis
-    of length m.
+    ``coherent_info`` is exactly ``output_entropy - noise``. ``state`` is
+    the checked float array of the input, (3,) for one state and (m, 3)
+    for a stack, which `two_pauli_metrics` takes back; for a stack, every
+    column gains a leading axis of length m.
     """
 
-    state: BlochVector | np.ndarray
+    state: np.ndarray
     x: np.ndarray
     noise: np.ndarray
     coherent_info: np.ndarray
@@ -273,9 +273,7 @@ class SweepCurve:
     output_bloch: np.ndarray
 
     def __post_init__(self):
-        shape = (len(self.x),)
-        if not isinstance(self.state, BlochVector):
-            shape = (len(self.state),) + shape
+        shape = np.shape(self.state)[:-1] + (len(self.x),)
         columns = (self.noise, self.coherent_info, self.fidelity, self.output_entropy)
         if any(np.shape(c) != shape for c in columns) or np.shape(self.output_bloch) != shape + (3,):
             raise ValueError("every sweep column needs one entry per rate (and per state)")
@@ -297,7 +295,9 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     entangled fidelity is (a1^2 + a2^2)(1 - x)/2 + x and the output Bloch
     vector is (a1 x, a2 x, a3 (2x - 1)), one row per rate.
     """
-    state, lead, (a1, a2, a3) = _as_states(state)
+    state = _as_states(state)
+    a1, a2, a3 = state.T[..., None]
+    lead = state.shape[:-1]
     x = _check_rate(x)
     planar = a1 * a1 + a2 * a2
     # One row per state; only the mixed rows solve the cubic.
@@ -310,7 +310,7 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     per_block = max(1, _BLOCK // len(x))
     for top in range(0, len(noise_rows), per_block):
         rows = slice(top, top + per_block)
-        states = state[rows] if lead else state
+        states = state.reshape(-1, 3)[rows]
         solve = top + np.flatnonzero(mixed[rows])
         for start in range(0, len(x), _BLOCK):
             cols = slice(start, start + _BLOCK)

@@ -35,7 +35,6 @@ from .channel import (
     completeness_residual,
     density_to_bloch,
     entangled_fidelity,
-    entropy_exchange,
     environment_output,
     exchange_matrix,
     von_neumann_entropy,
@@ -215,13 +214,14 @@ def check_analytic_generic_agreement(
             m = two_pauli_metrics(states, xs[rates])
             for k, channel in enumerate(channels[rates]):
                 out = apply_channel(channel, rho)
+                exchange = exchange_matrix(channel, rho)
                 # np.max, unlike max, carries a NaN deviation through to the verdict.
                 worst = float(np.max([
                     worst,
-                    np.abs(w[:, k] - exchange_matrix(channel, rho)).max(),
+                    np.abs(w[:, k] - exchange).max(),
                     np.abs(m.output_bloch[:, k] - density_to_bloch(out)).max(),
                     np.abs(m.output_entropy[:, k] - von_neumann_entropy(out)).max(),
-                    np.abs(m.noise[:, k] - entropy_exchange(channel, rho)).max(),
+                    np.abs(m.noise[:, k] - von_neumann_entropy(exchange)).max(),
                     np.abs(m.fidelity[:, k] - entangled_fidelity(channel, rho)).max(),
                 ]))
     return CheckResult(
@@ -257,7 +257,7 @@ def check_pure_state_collapse(rng) -> CheckResult:
     # then takes the mixed route instead of the exact pure one.
     pure = []
     while len(pure) < COLLAPSE_STATES:
-        a1, a2, a3 = random_bloch_vector(rng, pure=True).as_tuple()
+        a1, a2, a3 = _bloch_draw(rng, pure=True).tolist()
         if 1.0 - (a1 * a1 + a2 * a2 + a3 * a3) <= 0.0:
             pure.append((a1, a2, a3))
     worst = float(np.abs(two_pauli_metrics(np.array(pure), xs).coherent_info).max())

@@ -8,9 +8,9 @@ from qsr.channel import (
     BlochVector,
     IDENTITY,
     KrausChannel,
+    _as_states,
     _normalized_output,
     apply_channel,
-    as_bloch,
     bloch_to_density,
     coherent_information,
     completeness_residual,
@@ -45,10 +45,13 @@ class TestBlochVector:
         with pytest.raises(ValueError, match="finite"):
             BlochVector(float("nan"), 0.0, 0.0)
 
-    def test_as_bloch_coerces_sequences(self):
-        assert as_bloch((0.1, 0.2, 0.3)) == BlochVector(0.1, 0.2, 0.3)
+    def test_a_sequence_reads_as_the_record_does(self):
+        got = _as_states((0.1, 0.2, 0.3))
+        assert got.dtype == float and got.shape == (3,)
+        assert np.array_equal(got, _as_states(BlochVector(0.1, 0.2, 0.3)))
+        assert BlochVector(*got) == BlochVector(0.1, 0.2, 0.3)
         with pytest.raises(ValueError, match="3 Bloch components"):
-            as_bloch((0.1, 0.2))
+            _as_states((0.1, 0.2))
 
 
 class TestKrausChannel:

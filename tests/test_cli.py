@@ -67,6 +67,18 @@ class TestSweepCommand:
         assert code == 1
         assert "unphysical" in stderr
 
+    @pytest.mark.parametrize("state, message", [
+        ("1e200,0,0", "unphysical Bloch vector: |a|^2 = inf > 1"),
+        ("nan,0,0", "Bloch components must be finite"),
+    ], ids=["huge", "nan"])
+    def test_rejects_a_huge_or_non_finite_state_in_one_line(self, tmp_path, capsys,
+                                                             state, message):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, "sweep", f"--state={state}", "--out", str(out))
+        assert code == 1
+        assert stderr == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unwritable_path_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")

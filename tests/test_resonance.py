@@ -77,8 +77,9 @@ class TestSweep:
         state = BlochVector(0.6, 0.3, 0.5)
         curve = sweep(state, 0.1, 0.9, 37)
         direct = two_pauli_metrics(state, np.linspace(0.1, 0.9, 37))
-        assert isinstance(direct, SweepCurve) and direct.state is state
-        for name in ("x", "noise", "coherent_info", "fidelity", "output_entropy",
+        assert isinstance(direct, SweepCurve)
+        assert np.array_equal(direct.state, state.as_tuple())
+        for name in ("state", "x", "noise", "coherent_info", "fidelity", "output_entropy",
                      "output_bloch"):
             assert np.array_equal(getattr(curve, name), getattr(direct, name)), name
 
@@ -659,7 +660,7 @@ def _walk_curve(noise, rng):
     fidelity columns."""
     n = len(noise)
     values = np.cumsum(rng.normal(size=n))
-    return SweepCurve(BlochVector(0, 0, 0), np.linspace(0.0, 1.0, n), noise, values,
+    return SweepCurve(np.zeros(3), np.linspace(0.0, 1.0, n), noise, values,
                       values[::-1], np.zeros(n), np.zeros((n, 3)))
 
 
@@ -724,7 +725,7 @@ def test_array_detection_matches_loop_reference(fig1_curves):
     # The falling branch stays at the peak value: the fold (N[-1], N[peak])
     # is empty.
     values = np.arange(3.0) ** 2
-    curves.append(SweepCurve(BlochVector(0, 0, 0), np.linspace(0.0, 1.0, 3),
+    curves.append(SweepCurve(np.zeros(3), np.linspace(0.0, 1.0, 3),
                              np.array([0.0, 1.0, 1.0]), values, values, np.zeros(3),
                              np.zeros((3, 3))))
     multivalued = sum(bool(_matches_loop_reference(curve)) for curve in curves)

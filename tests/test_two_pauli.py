@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsr import channel, two_pauli
+from qsr import two_pauli
 from qsr.channel import (
     BlochVector,
     IDENTITY,
@@ -239,16 +239,16 @@ def test_blocked_metrics_match_one_pass(state, rates):
 @pytest.mark.parametrize("rates, checks", [(701, 3), (2 * _BLOCK + 1, 5)])
 def test_metrics_check_their_inputs_once_per_closed_form(monkeypatch, rates, checks):
     # One check in two_pauli_metrics, one per block of the output entropy,
-    # and one in the spot check's analytic_exchange_matrix. A state is
-    # checked in channel.
+    # and one in the spot check's analytic_exchange_matrix; a state is
+    # checked by the same array pass as a stack.
     calls = collections.Counter()
-    for module, name in ((two_pauli, "_check_rate"), (channel, "as_bloch")):
-        def counted(value, _name=name, _original=getattr(module, name)):
+    for name in ("_check_rate", "_as_states"):
+        def counted(value, _name=name, _original=getattr(two_pauli, name)):
             calls[_name] += 1
             return _original(value)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(two_pauli, name, counted)
     two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, rates))
-    assert calls == {"_check_rate": checks, "as_bloch": checks}
+    assert calls == {"_check_rate": checks, "_as_states": checks}
 
 
 def test_metrics_peak_memory_stays_under_twice_the_columns():
@@ -310,15 +310,21 @@ def test_stacked_closed_forms_match_per_state_calls(m, n):
 
 
 @pytest.mark.parametrize("single", [
-    BlochVector(0.3, 0.4, 0.2), (0.3, 0.4, 0.2)], ids=["BlochVector", "tuple"])
+    BlochVector(0.3, 0.4, 0.2), (0.3, 0.4, 0.2), [0.3, 0.4, 0.2], np.array([0.3, 0.4, 0.2])],
+    ids=["BlochVector", "tuple", "list", "array"])
 def test_stack_of_one_state_matches_the_one_state_call(single):
     stacked = two_pauli_metrics([[0.3, 0.4, 0.2]], 0.4)
     one = two_pauli_metrics(single, 0.4)
-    assert one.state == BlochVector(0.3, 0.4, 0.2) and one.noise.shape == (1,)
-    assert np.array_equal(stacked.state, [one.state.as_tuple()])
+    # One state's record holds its checked (3,) float array, which passes back.
+    assert type(one.state) is np.ndarray and one.state.dtype == float
+    assert one.state.shape == (3,) and one.noise.shape == (1,)
+    assert BlochVector(*one.state) == BlochVector(0.3, 0.4, 0.2)
+    assert np.array_equal(stacked.state, [one.state])
     assert stacked.state.shape == (1, 3) and stacked.noise.shape == (1, 1)
+    again = two_pauli_metrics(one.state, one.x)
     for name in COLUMNS:
-        assert np.array_equal(getattr(stacked, name)[0], getattr(one, name)), name
+        assert getattr(stacked, name)[0].tobytes() == getattr(one, name).tobytes(), name
+        assert getattr(again, name).tobytes() == getattr(one, name).tobytes(), name
     assert np.array_equal(analytic_exchange_matrix([[0.3, 0.4, 0.2]], 0.4)[0],
                           analytic_exchange_matrix(single, 0.4))
     assert np.array_equal(analytic_output_entropy([[0.3, 0.4, 0.2]], 0.4)[0],
@@ -405,6 +411,37 @@ def test_stack_with_a_non_finite_or_misshapen_row_is_refused_by_name(
         closed_form, states, message):
     with pytest.raises(ValueError, match=f"^{message} of the stack$"):
         closed_form(states, [0.0, 0.5])
+
+
+#: A bad state and the error text it gets, alone and as a row of a stack.
+BAD_STATES = {
+    "width-0": ([], "expected 3 Bloch components, got 0"),
+    "width-2": ([0.1, 0.2], "expected 3 Bloch components, got 2"),
+    "width-4": ([0.1, 0.2, 0.3, 0.4], "expected 3 Bloch components, got 4"),
+    "nan": ([0.0, math.nan, 0.0], "Bloch components must be finite"),
+    "inf": ([0.0, 0.0, -math.inf], "Bloch components must be finite"),
+    "unphysical": ([0.8, 0.8, 0.0], r"unphysical Bloch vector: \|a\|\^2 = 1.28 > 1"),
+    # Its square overflows: refused by the bound, with no overflow warning,
+    # which the suite's warning filter would raise instead.
+    "huge": ([1e200, 0.0, 0.0], r"unphysical Bloch vector: \|a\|\^2 = inf > 1"),
+}
+
+
+@pytest.mark.parametrize("closed_form", STACK_FUNCTIONS.values(), ids=STACK_FUNCTIONS.keys())
+@pytest.mark.parametrize("state, message", BAD_STATES.values(), ids=BAD_STATES.keys())
+def test_a_bad_state_gets_one_message_alone_and_in_a_stack(closed_form, state, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        closed_form(state, [0.0, 0.5])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        closed_form(np.array(state), [0.0, 0.5])
+    if len(state) == 3:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlochVector(*state)
+        stack, row = [[0.1, 0.2, 0.3], state], 1
+    else:  # every row of a 2-D array is as wide, so the first is named
+        stack, row = [state, state], 0
+    with pytest.raises(ValueError, match=f"^{message} in state {row} of the stack$"):
+        closed_form(stack, [0.0, 0.5])
 
 
 @pytest.mark.parametrize("closed_form", STACK_FUNCTIONS.values(), ids=STACK_FUNCTIONS.keys())

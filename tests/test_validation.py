@@ -139,18 +139,20 @@ def test_agreement_detail_does_not_depend_on_the_block(monkeypatch):
 def test_agreement_calls_the_generic_route_once_per_rate(monkeypatch):
     # At 9^3 the 257 states are one block, so each generic-route function
     # runs once per rate over all of them, and each closed form once per
-    # chunk of 2048 // 257 = 7 rates.
-    generic = ("apply_channel", "exchange_matrix", "density_to_bloch",
-               "von_neumann_entropy", "entropy_exchange", "entangled_fidelity")
+    # chunk of 2048 // 257 = 7 rates. The exchange matrix is contracted
+    # once per rate: the noise is the entropy of that same matrix, so two
+    # entropies are taken per rate.
+    generic = ("apply_channel", "exchange_matrix", "density_to_bloch", "entangled_fidelity")
     counts = collections.Counter()
-    for name in generic + ("analytic_exchange_matrix", "two_pauli_metrics"):
+    for name in generic + ("von_neumann_entropy", "analytic_exchange_matrix",
+                           "two_pauli_metrics"):
         def counted(*args, _name=name, _original=getattr(validation, name)):
             counts[_name] += 1
             return _original(*args)
         monkeypatch.setattr(validation, name, counted)
     assert check_analytic_generic_agreement(9, 41).passed
     assert counts == dict.fromkeys(generic, 41) | {
-        "analytic_exchange_matrix": 6, "two_pauli_metrics": 6}
+        "von_neumann_entropy": 82, "analytic_exchange_matrix": 6, "two_pauli_metrics": 6}
 
 
 def test_agreement_fails_on_a_nan_deviation(monkeypatch):
