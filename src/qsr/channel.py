@@ -11,12 +11,14 @@ state and (m, 3) for a stack, checked in one array pass. A `BlochVector`
 is the checked input record of one state, read as its (3,) row. Every
 function of the generic route takes rho as one 2x2 density matrix or as
 an (m, 2, 2) stack of them (as `bloch_to_density` makes from a stack of
-states), and evaluates a stack in one pass over the (k, 2, 2) Kraus
-operator array. The result follows numpy's leading-axis rule: one matrix
-gives the per-matrix shape (a numpy scalar, a (3,) Bloch array or a
-(k, k) matrix), and a stack adds a leading axis of length m. Every check
-applies to each matrix of a stack, and an error names the first matrix
-that fails it.
+states), and a `KrausChannel` of one channel, (k, 2, 2) operators, or of
+a stack of n channels, (n, k, 2, 2); it evaluates every pairing in one
+pass. The result follows numpy's leading-axis rule: one matrix and one
+channel give the per-matrix shape (a numpy scalar, a (3,) Bloch array or
+a (k, k) matrix), and the stacks' leading axes broadcast against each
+other, so an (n, 2, 2) rho pairs row by row with n channels and one rho
+is shared by all of them. Every check applies to each matrix and each
+channel of a stack, and an error names the first that fails it.
 
 All entropies are in bits (base-2 logarithms).
 """
@@ -108,48 +110,68 @@ def _as_states(state) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Ordered 2x2 Kraus operators defining rho -> sum_i A_i rho A_i^dag.
+    """Ordered 2x2 Kraus operators defining rho -> sum_i A_i rho A_i^dag,
+    or a stack of n such channels with k operators each.
 
     Construction checks shapes and finiteness only and stores the
-    operators as the complex (k, 2, 2) array ``operators`` that every
-    function of the generic route evaluates. Completeness
-    (sum_i A_i^dag A_i = I) is checked where it matters, on first use, so
-    deliberately broken operator sets can still be built and diagnosed
-    with `completeness_residual`.
+    operators as the complex array ``operators`` that every function of
+    the generic route evaluates: (k, 2, 2) for one channel, (n, k, 2, 2)
+    for a stack, whose checks apply to each channel and name the first
+    that fails. Completeness (sum_i A_i^dag A_i = I) is checked where it
+    matters, on first use, so deliberately broken operator sets can still
+    be built and diagnosed with `completeness_residual`.
     """
 
     operators: np.ndarray
     label: str = ""
 
     def __post_init__(self):
+        operators = np.asarray(self.operators, dtype=complex)
+        stacked = operators.ndim == 4
+        if stacked and not len(operators):
+            raise ValueError("a stack of channels needs at least one channel")
+        # Every channel of a stack has the same shape, so a shape error names the first.
+        each = np.ones(len(operators)) if stacked else 0
+        k = operators.shape[1] if stacked else len(operators)
         # k operators give a k x k exchange matrix, which the eigensolver must take.
-        if not 1 <= len(self.operators) <= MAX_DIM:
-            raise ValueError(
-                f"channel needs 1..{MAX_DIM} Kraus operators, got {len(self.operators)}"
-            )
-        stack = _as_complex_matrices(self.operators)
-        if stack.shape[1:] != (2, 2):
-            raise ValueError(f"Kraus operators must be 2x2, got {stack.shape[1:]}")
-        object.__setattr__(self, "operators", stack)
+        if not 1 <= k <= MAX_DIM:
+            raise ValueError(f"channel needs 1..{MAX_DIM} Kraus operators, got {k}"
+                             + _where(each, "channel"))
+        if stacked:
+            if operators.shape[2:] != (2, 2):
+                raise ValueError(f"Kraus operators must be 2x2, got {operators.shape[2:]}"
+                                 + _where(each, "channel"))
+            finite = np.isfinite(operators).all(axis=(1, 2, 3))
+            if not finite.all():
+                raise ValueError("matrix entries must be finite" + _where(~finite, "channel"))
+        else:
+            operators = _as_complex_matrices(operators)
+            if operators.shape[1:] != (2, 2):
+                raise ValueError(f"Kraus operators must be 2x2, got {operators.shape[1:]}")
+        object.__setattr__(self, "operators", operators)
 
     @cached_property
-    def _residual(self) -> float:
+    def _residual(self):
         return completeness_residual(self)
 
 
-def completeness_residual(channel: KrausChannel) -> float:
-    """Max-norm of sum_i A_i^dag A_i - I; zero for a trace-preserving set."""
+def completeness_residual(channel: KrausChannel):
+    """Max-norm of sum_i A_i^dag A_i - I; zero for a trace-preserving set.
+    A float for one channel, an (n,) array for a stack of n."""
     # Summed in operator order: an einsum contraction would round differently.
-    gram = (channel.operators.conj().swapaxes(-1, -2) @ channel.operators).sum(axis=0)
-    return float(np.abs(gram - IDENTITY).max())
+    gram = (channel.operators.conj().swapaxes(-1, -2) @ channel.operators).sum(axis=-3)
+    residual = np.abs(gram - IDENTITY).max(axis=(-2, -1))
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def _require_complete(channel: KrausChannel) -> None:
-    residual = channel._residual
-    if residual > COMPLETENESS_TOL:
+    residual = np.asarray(channel._residual)
+    broken = residual > COMPLETENESS_TOL
+    if broken.any():
         name = channel.label or "channel"
         raise ValueError(
-            f"{name} violates the completeness relation: residual {residual:.3e}"
+            f"{name} violates the completeness relation: "
+            f"residual {residual.flat[int(np.argmax(broken))]:.3e}" + _where(broken, "channel")
         )
 
 
@@ -219,7 +241,8 @@ def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
     """
     _require_complete(channel)
     rho = _density_matrices(rho)
-    return np.einsum("kab,...bc,kdc->...ad", channel.operators, rho, channel.operators.conj())
+    ops = channel.operators
+    return np.einsum("...kab,...bc,...kdc->...ad", ops, rho, ops.conj())
 
 
 def exchange_matrix(channel: KrausChannel, rho) -> np.ndarray:
@@ -231,7 +254,8 @@ def exchange_matrix(channel: KrausChannel, rho) -> np.ndarray:
     environment.
     """
     rho = _density_matrices(rho)
-    return np.einsum("iab,...bc,jac->...ij", channel.operators, rho, channel.operators.conj())
+    ops = channel.operators
+    return np.einsum("...iab,...bc,...jac->...ij", ops, rho, ops.conj())
 
 
 def entropy_exchange(channel: KrausChannel, rho):
@@ -264,9 +288,13 @@ def entangled_fidelity(channel: KrausChannel, rho):
     gives a numpy scalar, a stack an array with one fidelity per matrix.
     """
     rho = _density_matrices(rho)
-    traces = np.einsum("...ab,kba->...k", rho, channel.operators)
+    # Tr(rho A_mu) sums rho[a, b] (A_mu^T)[a, b]. With A^T copied in C order,
+    # as rho is, einsum adds the four products in the same order whatever
+    # the leading axes; over a transposed view it may not, and a stack's
+    # row would round apart from its channel alone.
+    traces = np.einsum("...ab,...kab->...k", rho, channel.operators.swapaxes(-1, -2).copy())
     # (A^dag)[b, a] = conj(A[a, b]), so this is Tr(rho A_mu^dag).
-    adjoint_traces = np.einsum("...ab,kab->...k", rho, channel.operators.conj())
+    adjoint_traces = np.einsum("...ab,...kab->...k", rho, channel.operators.conj())
     total = (traces * adjoint_traces).sum(axis=-1)
     non_real = np.abs(total.imag) > _FIDELITY_IMAG_TOL
     if non_real.any():
@@ -290,7 +318,8 @@ def environment_output(channel: KrausChannel, rho) -> np.ndarray:
     through this separate route precisely so the two can cross-check.
     """
     rho = _density_matrices(rho)
-    k = len(channel.operators)
-    isometry = channel.operators.reshape(2 * k, 2)
-    joint = np.einsum("xa,...ab,yb->...xy", isometry, rho, isometry.conj())
-    return np.einsum("...iaja->...ij", joint.reshape(rho.shape[:-2] + (k, 2, k, 2)))
+    ops = channel.operators
+    k = ops.shape[-3]
+    isometry = ops.reshape(ops.shape[:-3] + (2 * k, 2))
+    joint = np.einsum("...xa,...ab,...yb->...xy", isometry, rho, isometry.conj())
+    return np.einsum("...iaja->...ij", joint.reshape(joint.shape[:-2] + (k, 2, k, 2)))

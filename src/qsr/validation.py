@@ -6,17 +6,17 @@ system-environment dilation cross-check, and the collapse of coherent
 information on pure states. A deliberately broken operator set is included
 as a negative control to prove the completeness detector actually fires.
 
-The checks batch their linear algebra and leave the functions under test
-and the random-number stream alone. The random-channel checks draw each
-trial as a per-trial loop would (the Kraus count, the operators, then the
-state) and call `exchange_matrix` and `environment_output` per trial, but
-whiten the operators, build the states and solve the spectra once per
-Kraus count in each chunk of _TRIAL_CHUNK trials, bit for bit as one trial
-at a time; the worst gap, residual and lowest eigenvalue are maxima and
-minima, so they do not depend on the grouping. The agreement check walks
-the ball grid in blocks of at most _BLOCK states and the rates in chunks
-of at most _BLOCK samples per block: the closed forms take one call per
-chunk, and the generic route one call per block and rate.
+The checks leave the random-number stream alone. The random-channel
+checks draw each trial as a per-trial loop would (the Kraus count, the
+operators, then the state), but group the trials of each chunk of
+_TRIAL_CHUNK by Kraus count: per group the operators are whitened and the
+states built in one pass, and the functions under test take the group as
+one (n, k, 2, 2) channel stack and (n, 2, 2) state stack, bit for bit as
+one trial at a time. The worst gap, residual and lowest eigenvalue are
+maxima and minima, so they do not depend on the grouping. The agreement
+check walks the ball grid in blocks of at most _BLOCK states and the
+rates in chunks of at most _BLOCK samples per block: the closed forms take
+one call per chunk, and the generic route one call per block and rate.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class CheckResult:
 def _bloch_draw(rng, pure: bool = False) -> np.ndarray:
     """`random_bloch_vector`'s components, as a (3,) array."""
     v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))  # np.linalg.norm's own formula for a real vector
     if not pure:
         v *= rng.uniform() ** (1.0 / 3.0)
     return v
@@ -128,9 +128,9 @@ def random_kraus_channel(rng, num_operators: int | None = None) -> KrausChannel:
 def _random_trials(rng, trials: int):
     """Draw `trials` random (channel, state) pairs, in trial order the
     channel and then its state, and yield per chunk of _TRIAL_CHUNK trials
-    and per Kraus count k in it the list of that chunk's ``(channel, rho)``
-    pairs with k operators. Only the draws run per trial; each group's
-    operators and states are built in one pass."""
+    and per Kraus count k in it one ``(channels, rho)`` pair: the (n, k, 2, 2)
+    channel stack and (n, 2, 2) state stack of that chunk's n trials with k
+    operators, in trial order. Only the draws run per trial."""
     for start in range(0, trials, _TRIAL_CHUNK):
         groups = {}
         for _ in range(min(_TRIAL_CHUNK, trials - start)):
@@ -139,9 +139,8 @@ def _random_trials(rng, trials: int):
             groups.setdefault(k, []).append((draws, _bloch_draw(rng)))
         for k, group in groups.items():
             draws, states = zip(*group)
-            rhos = bloch_to_density(np.array(states))
-            yield [(KrausChannel(operators, label=f"random(k={k})"), rho)
-                   for operators, rho in zip(_kraus_stacks(np.array(draws)), rhos)]
+            channels = KrausChannel(_kraus_stacks(np.array(draws)), label=f"random(k={k})")
+            yield channels, bloch_to_density(np.array(states))
 
 
 def check_two_pauli_completeness() -> CheckResult:
@@ -178,8 +177,8 @@ def check_broken_channel_detected() -> CheckResult:
 def check_exchange_matrix_properties(rng) -> CheckResult:
     worst_herm = worst_trace = 0.0
     lowest_eig = 0.0
-    for group in _random_trials(rng, EXCHANGE_TRIALS):
-        w = np.stack([exchange_matrix(channel, rho) for channel, rho in group])
+    for channels, rho in _random_trials(rng, EXCHANGE_TRIALS):
+        w = exchange_matrix(channels, rho)
         worst_herm = max(worst_herm, hermitian_residual(w))
         trace = np.trace(w, axis1=-2, axis2=-1).real
         worst_trace = max(worst_trace, float(np.abs(trace - 1.0).max()))
@@ -236,13 +235,12 @@ def check_analytic_generic_agreement(
 
 def check_dilation_oracle(rng, trials: int = 100) -> CheckResult:
     worst = 0.0
-    for group in _random_trials(rng, trials):
+    for channels, rho in _random_trials(rng, trials):
         # Both k x k spectra of every trial in the group from one eigensolve.
-        pairs = np.stack([matrix for channel, rho in group for matrix in
-                          (exchange_matrix(channel, rho), environment_output(channel, rho))])
-        k = pairs.shape[-1]
-        spectra = hermitian_eigenvalues(pairs).reshape(-1, 2, k)
-        worst = max(worst, float(np.abs(spectra[:, 0] - spectra[:, 1]).max()))
+        spectra = hermitian_eigenvalues(
+            np.concatenate((exchange_matrix(channels, rho), environment_output(channels, rho))))
+        n = len(rho)
+        worst = max(worst, float(np.abs(spectra[:n] - spectra[n:]).max()))
     return CheckResult(
         name="dilation environment matches exchange spectrum",
         passed=worst <= 1e-10,

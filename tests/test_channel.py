@@ -547,3 +547,96 @@ class TestStackedRoute:
                 got = environment_output(channel, rho)
                 assert got.shape == (k, k)
                 assert np.abs(got - want).max() <= STACK_TOL
+
+
+def random_channel_stack(rng, n, k):
+    """n random channels with k operators each, as one (n, k, 2, 2) stack."""
+    operators = [random_kraus_channel(rng, num_operators=k).operators for _ in range(n)]
+    return KrausChannel(np.stack(operators), label=f"random(k={k})")
+
+
+def two_pauli_stack(rates):
+    return KrausChannel(np.stack([make_two_pauli(float(x)).operators for x in rates]))
+
+
+class TestChannelStack:
+    """An (n, k, 2, 2) stack of channels follows the leading-axis rule, row
+    by row bit for bit as each channel alone."""
+
+    @pytest.mark.parametrize("func", CHANNEL_FUNCTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("shared", [False, True], ids=["rho-stack", "one-rho"])
+    def test_row_equals_the_channel_alone(self, func, shared):
+        rng = np.random.default_rng(45)
+        stacks = [random_channel_stack(rng, 7, k) for k in range(1, 7)]
+        stacks.append(two_pauli_stack(np.linspace(0.0, 1.0, 7)))
+        for channels in stacks:
+            rho = random_density_stack(rng, 7)
+            if shared:
+                rho = rho[0]
+            got = func(channels, rho)
+            assert isinstance(got, np.ndarray) and len(got) == 7
+            for t, operators in enumerate(channels.operators):
+                want = np.asarray(func(KrausChannel(operators), rho if shared else rho[t]))
+                assert got[t].shape == want.shape and got[t].tobytes() == want.tobytes()
+
+    def test_completeness_residual_per_channel(self):
+        operators = random_channel_stack(np.random.default_rng(46), 5, 4).operators
+        operators[3] *= 2.0
+        channels = KrausChannel(operators)
+        got = completeness_residual(channels)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        want = [completeness_residual(KrausChannel(operators)) for operators in channels.operators]
+        assert got.tolist() == want and got[3] > 1.0
+
+    @pytest.mark.parametrize("operators, message", [
+        (np.zeros((4, 0, 2, 2)), "channel needs 1..6 Kraus operators, got 0 in channel 0"),
+        (np.zeros((4, 7, 2, 2)), "channel needs 1..6 Kraus operators, got 7 in channel 0"),
+        (np.zeros((4, 1, 3, 3)), r"Kraus operators must be 2x2, got \(3, 3\) in channel 0"),
+        (np.zeros((4, 1, 2, 3)), r"Kraus operators must be 2x2, got \(2, 3\) in channel 0"),
+    ])
+    def test_refuses_a_bad_shape_naming_the_first_channel(self, operators, message):
+        with pytest.raises(ValueError, match=f"^{message} of the stack$"):
+            KrausChannel(operators)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_a_non_finite_operator_naming_its_channel(self, bad):
+        operators = np.stack([np.stack((IDENTITY, 0 * IDENTITY))] * 5)
+        operators[2, 1, 0, 1] = operators[4, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite in channel 2 of the stack$"):
+            KrausChannel(operators)
+
+    def test_refuses_an_empty_stack(self):
+        with pytest.raises(ValueError, match="^a stack of channels needs at least one channel$"):
+            KrausChannel(np.zeros((0, 1, 2, 2)))
+
+    def test_incomplete_channel_named_with_its_residual(self):
+        operators = np.stack([IDENTITY[None]] * 5)
+        operators[1] *= math.sqrt(0.5)
+        operators[3] *= 0.5
+        channels = KrausChannel(operators, label="scaled")
+        residual = completeness_residual(channels)
+        assert np.abs(residual - [0.0, 0.5, 0.0, 0.75, 0.0]).max() <= 1e-15
+        rho = random_density_stack(np.random.default_rng(47), 5)
+        for func in (apply_channel, entropy_exchange, coherent_information):
+            for r in (rho, rho[0]):
+                with pytest.raises(ValueError, match=r"^scaled violates the completeness relation:"
+                                   r" residual 5\.000e-01 in channel 1 of the stack$"):
+                    func(channels, r)
+
+    @pytest.mark.parametrize("operators, message", [
+        ((), "channel needs 1..6 Kraus operators, got 0"),
+        (tuple(np.eye(2) for _ in range(7)), "channel needs 1..6 Kraus operators, got 7"),
+        ((np.eye(3),), r"Kraus operators must be 2x2, got \(3, 3\)"),
+        ((np.eye(2)[:, :1],), r"expected a square matrix or a stack of them, got shape \(1, 2, 1\)"),
+        ((IDENTITY, [[math.nan, 0], [0, 0]]), "matrix entries must be finite in matrix 1 of the stack"),
+    ])
+    def test_one_channel_messages_are_unchanged(self, operators, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            KrausChannel(operators)
+
+    def test_one_incomplete_channel_message_is_unchanged(self):
+        broken = KrausChannel((math.sqrt(0.5) * IDENTITY,), label="broken")
+        assert type(completeness_residual(broken)) is float
+        with pytest.raises(ValueError, match=r"^broken violates the completeness relation:"
+                           r" residual 5\.000e-01$"):
+            apply_channel(broken, IDENTITY / 2)

@@ -7,7 +7,7 @@ import pytest
 
 from qsr import validation
 from qsr.channel import IDENTITY, bloch_to_density, environment_output, exchange_matrix
-from qsr.linalg import hermitian_eigenvalues, hermitian_residual
+from qsr.linalg import MAX_DIM, hermitian_eigenvalues, hermitian_residual
 from qsr.resonance import bloch_ball_grid
 from qsr.validation import (
     _TRIAL_CHUNK,
@@ -82,8 +82,12 @@ def test_random_trials_whiten_once_per_kraus_count_in_a_chunk(monkeypatch, trial
         return _original(gram)
 
     monkeypatch.setattr(validation, "_whiteners", counted)
-    shapes = [(len(group), len(group[0][0].operators))
-              for group in validation._random_trials(np.random.default_rng(3), trials)]
+    shapes = []
+    for channels, rho in validation._random_trials(np.random.default_rng(3), trials):
+        # One channel stack and one state stack per group, read from their shapes.
+        size, k = channels.operators.shape[:2]
+        assert channels.operators.shape == (size, k, 2, 2) and rho.shape == (size, 2, 2)
+        shapes.append((size, k))
     # One whitening per group, of the whole group: its trials with k operators.
     assert calls == [size for size, _ in shapes] and sum(calls) == trials
     # The groups fill the chunks in turn, each Kraus count once per chunk.
@@ -220,28 +224,51 @@ def test_exchange_matrix_check_matches_the_per_trial_loop(monkeypatch, trials):
         assert new_rng.normal() == old_rng.normal()
 
 
-def _perturb_one_call(monkeypatch, name, index, offset):
-    """Replace validation.<name> by the original, except that call number
-    ``index`` gets ``offset`` times the identity added to its result."""
-    original = getattr(validation, name)
-    calls = [0]
+def _trial_keys(seed, trials):
+    """Each trial's operators and density matrix as bytes, mapped to its
+    index in stream order, as the per-trial loop draws them."""
+    rng = np.random.default_rng(seed)
+    keys = {}
+    for index in range(trials):
+        operators = random_kraus_channel(rng).operators
+        keys[operators.tobytes() + bloch_to_density(random_bloch_vector(rng)).tobytes()] = index
+    return keys
 
-    def perturbed(channel, rho):
-        out = original(channel, rho)
-        if calls[0] == index:
-            out = out + offset * np.eye(len(out))
-        calls[0] += 1
+
+def _perturb_one_call(monkeypatch, name, seed, trials, index, offset):
+    """Replace validation.<name> by the original, except that in the call
+    that holds trial ``index`` (of `trials` drawn from ``seed``) that
+    trial's row gets ``offset`` times the identity added. Returns, per call,
+    the indices of the trials its rows hold."""
+    keys = _trial_keys(seed, trials)
+    original = getattr(validation, name)
+    seen = []
+
+    def perturbed(channels, rho):
+        out = original(channels, rho)
+        rows = [keys[operators.tobytes() + matrix.tobytes()]
+                for operators, matrix in zip(channels.operators, rho)]
+        seen.append(rows)
+        if index in rows:
+            out[rows.index(index)] += offset * np.eye(out.shape[-1])
         return out
 
     monkeypatch.setattr(validation, name, perturbed)
-    return calls
+    return seen
+
+
+def _assert_every_trial_seen_once(seen, trials):
+    assert sorted(index for rows in seen for index in rows) == list(range(trials))
+    # One call per Kraus count in each chunk, not one per trial.
+    assert len(seen) <= MAX_DIM * -(-trials // _TRIAL_CHUNK)
 
 
 @pytest.mark.parametrize("index", [0, _TRIAL_CHUNK, _TRIAL_CHUNK + 1])
 def test_dilation_check_fails_on_one_perturbed_environment(monkeypatch, index):
-    calls = _perturb_one_call(monkeypatch, "environment_output", index, 1e-8)
-    result = check_dilation_oracle(np.random.default_rng(5), _TRIAL_CHUNK + 2)
-    assert calls[0] == _TRIAL_CHUNK + 2
+    trials = _TRIAL_CHUNK + 2
+    seen = _perturb_one_call(monkeypatch, "environment_output", 5, trials, index, 1e-8)
+    result = check_dilation_oracle(np.random.default_rng(5), trials)
+    _assert_every_trial_seen_once(seen, trials)
     assert not result.passed, result.detail
 
 
@@ -249,11 +276,31 @@ def test_dilation_check_fails_on_one_perturbed_environment(monkeypatch, index):
 def test_exchange_matrix_check_fails_on_one_non_hermitian_matrix(monkeypatch, index):
     # 1e-11j on the diagonal: a Hermitian residual of 2e-11, above the
     # check's 1e-12 and below the eigensolver's 1e-10, so the solve runs.
-    calls = _perturb_one_call(monkeypatch, "exchange_matrix", index, 1e-11j)
+    trials = validation.EXCHANGE_TRIALS
+    seen = _perturb_one_call(monkeypatch, "exchange_matrix", 5, trials, index, 1e-11j)
     result = check_exchange_matrix_properties(np.random.default_rng(5))
-    assert calls[0] == validation.EXCHANGE_TRIALS
+    _assert_every_trial_seen_once(seen, trials)
     assert not result.passed, result.detail
     assert result.detail.startswith("hermitian residual 2.000e-11"), result.detail
+
+
+def old_bloch_draw(rng, pure):
+    """The draw that _bloch_draw replaced, normalised by np.linalg.norm."""
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    if not pure:
+        v *= rng.uniform() ** (1.0 / 3.0)
+    return v
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_bloch_draw_normalises_as_linalg_norm(pure):
+    for seed in range(4):
+        old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = np.array([validation._bloch_draw(new_rng, pure) for _ in range(2500)])
+        want = np.array([old_bloch_draw(old_rng, pure) for _ in range(2500)])
+        assert got.tobytes() == want.tobytes()
+        assert new_rng.normal() == old_rng.normal()
 
 
 @pytest.mark.parametrize("seed", [0, 4, validation.DEFAULT_SEED])
