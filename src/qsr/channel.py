@@ -17,7 +17,8 @@ pass. The result follows numpy's leading-axis rule: one matrix and one
 channel give the per-matrix shape (a numpy scalar, a (3,) Bloch array or
 a (k, k) matrix), and the stacks' leading axes broadcast against each
 other, so an (n, 2, 2) rho pairs row by row with n channels and one rho
-is shared by all of them. Every check applies to each matrix and each
+is shared by all of them; a rho stack of another length is refused with
+both lengths named. Every check applies to each matrix and each
 channel of a stack, and an error names the first that fails it.
 
 All entropies are in bits (base-2 logarithms).
@@ -61,10 +62,6 @@ class BlochVector:
         components = _bloch_rows(np.array((self.a1, self.a2, self.a3), dtype=float), "state")
         for name, value in zip(("a1", "a2", "a3"), components.tolist()):
             object.__setattr__(self, name, value)
-
-    @property
-    def norm_squared(self) -> float:
-        return self.a1 * self.a1 + self.a2 * self.a2 + self.a3 * self.a3
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a1, self.a2, self.a3)
@@ -192,6 +189,17 @@ def _density_matrices(rho) -> np.ndarray:
     return _as_complex_matrices(rho)
 
 
+def _paired(channel: KrausChannel, rho) -> tuple[np.ndarray, np.ndarray]:
+    """The channel's operators and rho as `_density_matrices` checks it; a
+    stack of n channels pairs only with one rho or a stack of n."""
+    rho = _density_matrices(rho)
+    ops = channel.operators
+    if ops.ndim == 4 and rho.ndim == 3 and len(ops) != len(rho):
+        raise ValueError(f"a stack of {len(ops)} channels needs one density matrix "
+                         f"or a stack of {len(ops)}, got a stack of {len(rho)}")
+    return ops, rho
+
+
 def density_to_bloch(rho):
     """Bloch components a_i = Tr(rho sigma_i); inverse of bloch_to_density.
 
@@ -240,8 +248,7 @@ def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
     guarantees the output trace stays 1.
     """
     _require_complete(channel)
-    rho = _density_matrices(rho)
-    ops = channel.operators
+    ops, rho = _paired(channel, rho)
     return np.einsum("...kab,...bc,...kdc->...ad", ops, rho, ops.conj())
 
 
@@ -253,8 +260,7 @@ def exchange_matrix(channel: KrausChannel, rho) -> np.ndarray:
     and state; its spectrum carries the entropy exchanged with the
     environment.
     """
-    rho = _density_matrices(rho)
-    ops = channel.operators
+    ops, rho = _paired(channel, rho)
     return np.einsum("...iab,...bc,...jac->...ij", ops, rho, ops.conj())
 
 
@@ -287,14 +293,14 @@ def entangled_fidelity(channel: KrausChannel, rho):
     residue above 1e-12 is an error, below it is discarded. One matrix
     gives a numpy scalar, a stack an array with one fidelity per matrix.
     """
-    rho = _density_matrices(rho)
+    ops, rho = _paired(channel, rho)
     # Tr(rho A_mu) sums rho[a, b] (A_mu^T)[a, b]. With A^T copied in C order,
     # as rho is, einsum adds the four products in the same order whatever
     # the leading axes; over a transposed view it may not, and a stack's
     # row would round apart from its channel alone.
-    traces = np.einsum("...ab,...kab->...k", rho, channel.operators.swapaxes(-1, -2).copy())
+    traces = np.einsum("...ab,...kab->...k", rho, ops.swapaxes(-1, -2).copy())
     # (A^dag)[b, a] = conj(A[a, b]), so this is Tr(rho A_mu^dag).
-    adjoint_traces = np.einsum("...ab,...kab->...k", rho, channel.operators.conj())
+    adjoint_traces = np.einsum("...ab,...kab->...k", rho, ops.conj())
     total = (traces * adjoint_traces).sum(axis=-1)
     non_real = np.abs(total.imag) > _FIDELITY_IMAG_TOL
     if non_real.any():
@@ -317,8 +323,7 @@ def environment_output(channel: KrausChannel, rho) -> np.ndarray:
     Its spectrum must match the exchange matrix spectrum; it is computed
     through this separate route precisely so the two can cross-check.
     """
-    rho = _density_matrices(rho)
-    ops = channel.operators
+    ops, rho = _paired(channel, rho)
     k = ops.shape[-3]
     isometry = ops.reshape(ops.shape[:-3] + (2 * k, 2))
     joint = np.einsum("...xa,...ab,...yb->...xy", isometry, rho, isometry.conj())

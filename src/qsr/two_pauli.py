@@ -40,11 +40,11 @@ information is exactly 0; its rows do not solve the cubic.
 `two_pauli_metrics` call checks the first and last sample of each of its
 states against them.
 
-The noise and the output entropy are computed in fixed blocks of at most
-_BLOCK samples: whole rows of ``max(1, _BLOCK // n)`` states by
-``min(n, _BLOCK)`` of the n rates, so one state is solved in runs of
-_BLOCK rates. The fidelity and output state run over all states and
-rates at once.
+The output entropy, the fidelity and the output state run over all
+states and rates in one pass. Only the mixed rows' cubic is solved in
+fixed blocks of at most _BLOCK samples: whole rows of
+``max(1, _BLOCK // n)`` mixed states by ``min(n, _BLOCK)`` of the n
+rates, so one state is solved in runs of _BLOCK rates.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .channel import (
 )
 from .linalg import hermitian_eigenvalues
 
-#: Samples per block of the noise and output-entropy solve in
+#: Samples per block of the mixed rows' cubic solve in
 #: `two_pauli_metrics`, states and samples per block of the agreement
 #: check in `validation`, and rows per write of the CLI's CSV files: large
 #: enough that the per-block overhead does not show, small enough that a
@@ -284,10 +284,11 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     gives columns of length 1), for one state or, with a leading axis, for
     each state of an (m, 3) stack.
 
-    The noise is the entropy of the closed-form exchange spectrum of the
-    module docstring, and a pure state's noise is its output entropy.
-    Both are computed in the blocks of the module docstring, sample by
-    sample, so they do not depend on the block size. The first and the
+    The output entropy is one pass over every state and rate, and a pure
+    state's noise is its output entropy. A mixed state's noise is the
+    entropy of the closed-form exchange spectrum of the module docstring,
+    solved in the blocks of the module docstring sample by sample, so it
+    does not depend on the block size. The first and the
     last sample's noise of every state are checked against LAPACK's
     eigensolve of `analytic_exchange_matrix`, in one batched call; a gap
     over _SPOT_TOL raises ValueError.
@@ -300,25 +301,19 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     lead = state.shape[:-1]
     x = _check_rate(x)
     planar = a1 * a1 + a2 * a2
-    # One row per state; only the mixed rows solve the cubic.
+    output_entropy = analytic_output_entropy(state, x)
+    # A pure row's noise is its output entropy; only the mixed rows solve the cubic.
+    noise = output_entropy.copy()
+    noise_rows = noise.reshape(-1, len(x))  # a view: one row per state
     columns = [np.reshape(a, (-1, 1)) for a in (a1, a2, a3)]
-    mixed = np.ravel(1.0 - (planar + a3 * a3) > 0.0)
-    noise = np.empty(lead + x.shape)
-    output_entropy = np.empty_like(noise)
-    noise_rows = noise.reshape(-1, len(x))  # views: one row per state
-    entropy_rows = output_entropy.reshape(-1, len(x))
+    mixed = np.flatnonzero(1.0 - (planar + a3 * a3) > 0.0)
     per_block = max(1, _BLOCK // len(x))
-    for top in range(0, len(noise_rows), per_block):
-        rows = slice(top, top + per_block)
-        states = state.reshape(-1, 3)[rows]
-        solve = top + np.flatnonzero(mixed[rows])
+    for top in range(0, len(mixed), per_block):
+        solve = mixed[top : top + per_block]
         for start in range(0, len(x), _BLOCK):
             cols = slice(start, start + _BLOCK)
-            entropy = analytic_output_entropy(states, x[cols])
-            entropy_rows[rows, cols] = noise_rows[rows, cols] = entropy
-            if solve.size:
-                noise_rows[solve, cols] = spectrum_entropy(
-                    _exchange_spectrum(*(a[solve] for a in columns), x[cols]))
+            noise_rows[solve, cols] = spectrum_entropy(
+                _exchange_spectrum(*(a[solve] for a in columns), x[cols]))
     _spot_check(state, x, noise)
     # Written a column at a time: np.stack would hold three more columns.
     output_bloch = np.empty(lead + x.shape + (3,))

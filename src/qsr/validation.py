@@ -8,7 +8,7 @@ as a negative control to prove the completeness detector actually fires.
 
 The checks leave the random-number stream alone. The random-channel
 checks draw each trial as a per-trial loop would (the Kraus count, the
-operators, then the state), but group the trials of each chunk of
+operators, then the state from `random_bloch_vector`), but group the trials of each chunk of
 _TRIAL_CHUNK by Kraus count: per group the operators are whitened and the
 states built in one pass, and the functions under test take the group as
 one (n, k, 2, 2) channel stack and (n, 2, 2) state stack, bit for bit as
@@ -16,7 +16,9 @@ one trial at a time. The worst gap, residual and lowest eigenvalue are
 maxima and minima, so they do not depend on the grouping. The agreement
 check walks the ball grid in blocks of at most _BLOCK states and the
 rates in chunks of at most _BLOCK samples per block: the closed forms take
-one call per chunk, and the generic route one call per block and rate.
+one call per chunk, in which `two_pauli_metrics` takes the output entropy
+in one pass and blocks only the mixed rows' cubic, and the generic route
+one call per block and rate.
 """
 
 from __future__ import annotations
@@ -64,18 +66,14 @@ class CheckResult:
     detail: str
 
 
-def _bloch_draw(rng, pure: bool = False) -> np.ndarray:
-    """`random_bloch_vector`'s components, as a (3,) array."""
+def random_bloch_vector(rng, pure: bool = False) -> np.ndarray:
+    """Bloch components as a (3,) array: a random direction, radius 1 if
+    pure, else uniform in the ball."""
     v = rng.normal(size=3)
     v /= math.sqrt(v.dot(v))  # np.linalg.norm's own formula for a real vector
     if not pure:
         v *= rng.uniform() ** (1.0 / 3.0)
     return v
-
-
-def random_bloch_vector(rng, pure: bool = False) -> BlochVector:
-    """Random direction; radius 1 if pure, else uniform in the ball."""
-    return BlochVector(*_bloch_draw(rng, pure))
 
 
 def _det(m: np.ndarray) -> np.ndarray:
@@ -136,7 +134,7 @@ def _random_trials(rng, trials: int):
         for _ in range(min(_TRIAL_CHUNK, trials - start)):
             k = int(rng.integers(1, MAX_DIM + 1))
             draws = rng.normal(size=(k, 2, 2, 2))
-            groups.setdefault(k, []).append((draws, _bloch_draw(rng)))
+            groups.setdefault(k, []).append((draws, random_bloch_vector(rng)))
         for k, group in groups.items():
             draws, states = zip(*group)
             channels = KrausChannel(_kraus_stacks(np.array(draws)), label=f"random(k={k})")
@@ -255,7 +253,7 @@ def check_pure_state_collapse(rng) -> CheckResult:
     # then takes the mixed route instead of the exact pure one.
     pure = []
     while len(pure) < COLLAPSE_STATES:
-        a1, a2, a3 = _bloch_draw(rng, pure=True).tolist()
+        a1, a2, a3 = random_bloch_vector(rng, pure=True).tolist()
         if 1.0 - (a1 * a1 + a2 * a2 + a3 * a3) <= 0.0:
             pure.append((a1, a2, a3))
     worst = float(np.abs(two_pauli_metrics(np.array(pure), xs).coherent_info).max())

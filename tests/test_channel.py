@@ -35,7 +35,7 @@ H_QUARTER = 0.8112781244591328
 class TestBlochVector:
     def test_accepts_unit_vector(self):
         v = BlochVector(0.6, 0.0, 0.8)
-        assert math.sqrt(v.norm_squared) == pytest.approx(1.0, abs=1e-15)
+        assert math.hypot(*v.as_tuple()) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_overlong_vector(self):
         with pytest.raises(ValueError, match="unphysical"):
@@ -111,8 +111,7 @@ class TestBlochDensityConversions:
     @pytest.mark.parametrize("m", [1, 2, 3, 9])
     def test_stack_equals_the_one_state_calls_bit_for_bit(self, m):
         rng = np.random.default_rng(m)
-        states = np.array([random_bloch_vector(rng, pure=bool(i % 2)).as_tuple()
-                           for i in range(m)])
+        states = np.array([random_bloch_vector(rng, pure=bool(i % 2)) for i in range(m)])
         if m > 1:  # signed zeros and a pole
             states[0] = (-0.0, 0.0, -1.0)
         got = bloch_to_density(states)
@@ -131,7 +130,7 @@ class TestBlochDensityConversions:
         for _ in range(100):
             v = random_bloch_vector(rng)
             back = density_to_bloch(bloch_to_density(v))
-            assert np.abs(back - v.as_tuple()).max() < 1e-14
+            assert np.abs(back - v).max() < 1e-14
 
 
 class TestVonNeumannEntropy:
@@ -313,7 +312,7 @@ class TestEntangledFidelity:
             v = random_bloch_vector(rng)
             x = float(rng.uniform())
             rho = bloch_to_density(v)
-            want = 0.5 * (v.a1**2 + v.a2**2) * (1 - x) + x
+            want = 0.5 * (v[0] ** 2 + v[1] ** 2) * (1 - x) + x
             got = entangled_fidelity(make_two_pauli(x), rho)
             assert got == pytest.approx(want, abs=1e-14)
 
@@ -368,7 +367,7 @@ def test_bloch_contraction_under_two_pauli():
         v = random_bloch_vector(rng)
         x = float(rng.uniform())
         out = density_to_bloch(apply_channel(make_two_pauli(x), bloch_to_density(v)))
-        assert math.sqrt(out @ out) <= math.sqrt(v.norm_squared) + 1e-12
+        assert math.sqrt(out @ out) <= math.sqrt(v @ v) + 1e-12
 
 
 # Stacks of density matrices go through the same einsum path as one matrix;
@@ -578,6 +577,13 @@ class TestChannelStack:
             for t, operators in enumerate(channels.operators):
                 want = np.asarray(func(KrausChannel(operators), rho if shared else rho[t]))
                 assert got[t].shape == want.shape and got[t].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("func", CHANNEL_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_refuses_a_rho_stack_of_another_length(self, func):
+        channels = KrausChannel(np.stack([IDENTITY[None]] * 3))
+        with pytest.raises(ValueError, match=r"^a stack of 3 channels needs one density matrix"
+                           r" or a stack of 3, got a stack of 4$"):
+            func(channels, np.stack([IDENTITY / 2] * 4))
 
     def test_completeness_residual_per_channel(self):
         operators = random_channel_stack(np.random.default_rng(46), 5, 4).operators

@@ -236,26 +236,31 @@ def test_blocked_metrics_match_one_pass(state, rates):
     assert np.abs(curve.noise - lapack).max() <= 1e-12
 
 
-@pytest.mark.parametrize("rates, checks", [(701, 3), (2 * _BLOCK + 1, 5)])
-def test_metrics_check_their_inputs_once_per_closed_form(monkeypatch, rates, checks):
-    # One check in two_pauli_metrics, one per block of the output entropy,
-    # and one in the spot check's analytic_exchange_matrix; a state is
-    # checked by the same array pass as a stack.
+@pytest.mark.parametrize("rates", [701, 2 * _BLOCK + 1, 20001])
+def test_metrics_check_their_inputs_once_per_closed_form(monkeypatch, rates):
+    # One check in two_pauli_metrics, one in its one analytic_output_entropy
+    # call and one in the spot check's analytic_exchange_matrix, at any size:
+    # a state is checked by the same array pass as a stack, and a stack of
+    # three row blocks no more often than one state.
     calls = collections.Counter()
     for name in ("_check_rate", "_as_states"):
         def counted(value, _name=name, _original=getattr(two_pauli, name)):
             calls[_name] += 1
             return _original(value)
         monkeypatch.setattr(two_pauli, name, counted)
-    two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, rates))
-    assert calls == {"_check_rate": checks, "_as_states": checks}
+    x = np.linspace(0.0, 0.7, rates)
+    stack = np.tile((0.3, 0.4, 0.2), (2 * max(1, _BLOCK // rates) + 1, 1))
+    for state in ((0.3, 0.4, 0.2), stack):
+        calls.clear()
+        two_pauli_metrics(state, x)
+        assert calls == {"_check_rate": 3, "_as_states": 3}
 
 
 def test_metrics_peak_memory_stays_under_twice_the_columns():
-    # At 100001 rates the call peaks near 5.6 MB (traced) for 5.6 MB of
-    # columns: the noise and output entropy are solved in blocks and the
-    # output state is written a column at a time. The fidelity still runs
-    # over all rates at once, so the bound is relative.
+    # At 100001 rates the call peaks near 7.4 MB (traced) for 5.6 MB of
+    # columns: the mixed rows' cubic is solved in blocks and the output
+    # state is written a column at a time. The output entropy and the
+    # fidelity run over all rates at once, so the bound is relative.
     x = np.linspace(0.0, 0.7, 100_001)
     tracemalloc.start()
     try:
@@ -281,7 +286,7 @@ COLUMNS = ("noise", "coherent_info", "fidelity", "output_entropy", "output_bloch
 
 def _random_stack(rng, m):
     """m random states as an (m, 3) array, mixed and pure alternating."""
-    return np.array([random_bloch_vector(rng, pure=bool(i % 2)).as_tuple() for i in range(m)])
+    return np.array([random_bloch_vector(rng, pure=bool(i % 2)) for i in range(m)])
 
 
 @pytest.mark.parametrize("m, n", [
@@ -337,7 +342,7 @@ def test_stack_of_one_state_matches_the_one_state_call(single):
     (1, 701, [701]),
 ])
 def test_stacked_solve_keeps_each_block_within_the_limit(monkeypatch, m, n, sizes):
-    # Whole rows of max(1, _BLOCK // n) states by min(n, _BLOCK) rates.
+    # Whole rows of max(1, _BLOCK // n) mixed states by min(n, _BLOCK) rates.
     solved = []
 
     def recorded(a1, a2, a3, x, _original=two_pauli._exchange_spectrum):
@@ -345,10 +350,17 @@ def test_stacked_solve_keeps_each_block_within_the_limit(monkeypatch, m, n, size
         return _original(a1, a2, a3, x)
 
     monkeypatch.setattr(two_pauli, "_exchange_spectrum", recorded)
-    # Mixed states only: a pure row does not solve the cubic.
     rng = np.random.default_rng(0)
-    states = np.array([random_bloch_vector(rng).as_tuple() for _ in range(m)])
-    two_pauli_metrics(states, np.linspace(0.0, 1.0, n))
+    states = np.array([random_bloch_vector(rng) for _ in range(m)])
+    x = np.linspace(0.0, 1.0, n)
+    two_pauli_metrics(states, x)
+    assert solved == sizes
+    # A pure row does not solve the cubic, so with an exactly pure row after
+    # each mixed one the blocks still hold max(1, _BLOCK // n) mixed rows.
+    alternating = np.empty((2 * m, 3))
+    alternating[0::2], alternating[1::2] = states, (0.0, 0.0, 1.0)
+    solved.clear()
+    two_pauli_metrics(alternating, x)
     assert solved == sizes
 
 

@@ -285,7 +285,7 @@ def test_exchange_matrix_check_fails_on_one_non_hermitian_matrix(monkeypatch, in
 
 
 def old_bloch_draw(rng, pure):
-    """The draw that _bloch_draw replaced, normalised by np.linalg.norm."""
+    """The draw that random_bloch_vector replaced, normalised by np.linalg.norm."""
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     if not pure:
@@ -297,7 +297,7 @@ def old_bloch_draw(rng, pure):
 def test_bloch_draw_normalises_as_linalg_norm(pure):
     for seed in range(4):
         old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = np.array([validation._bloch_draw(new_rng, pure) for _ in range(2500)])
+        got = np.array([random_bloch_vector(new_rng, pure) for _ in range(2500)])
         want = np.array([old_bloch_draw(old_rng, pure) for _ in range(2500)])
         assert got.tobytes() == want.tobytes()
         assert new_rng.normal() == old_rng.normal()
