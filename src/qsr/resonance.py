@@ -13,6 +13,9 @@ Slopes and enhancement follow the package's leading-axis rule: the curve
 of one state gives one result, and the curve of an (m, 3) stack of states
 gives one per row, row i equal bit for bit to the call on state i alone.
 `state_scan` detects each (m, n) stack of its sweeps in one such call.
+It stacks whole rows by the bound and the rule of the noise solve,
+`two_pauli._SOLVE_BLOCK` (4,096 samples), so each stack is one solve of
+the cubic and its columns and temporaries stay near a megabyte.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BLOCH_NORM_TOL
-from .two_pauli import _BLOCK, SweepCurve, two_pauli_metrics
+from .two_pauli import _SOLVE_BLOCK, SweepCurve, two_pauli_metrics
 
 #: The default window of flipping rates swept, [DEFAULT_X_MIN, DEFAULT_X_MAX],
 #: and the default number of rates in it.
@@ -45,12 +48,6 @@ MIN_POSITIVE_SLOPE = 1e-9
 MULTIVALUED_TOL = 1e-9
 
 _GRID_TOL = 1e-12
-
-#: Most samples (whole rows of rates) per stacked sweep of `state_scan`.
-#: A stack's columns and their temporaries stay near a megabyte: one stack
-#: of all 33 pairs of the 9^3 grid raised the scan benchmark's peak process
-#: memory by 7 % (33.8 to 36.2 MB), and this bound by less than 1 %.
-_SCAN_STACK = 2 * _BLOCK
 
 
 @dataclass(frozen=True)
@@ -293,18 +290,18 @@ def state_scan(grid_resolution: int, x_steps: int, x_min: float = DEFAULT_X_MIN,
     |a3|, so each row is keyed by the exact pair (i1² + i2², |i3|) of its
     lattice numerators i = a (n - 1), and each pair is swept and detected
     once, on its first row in grid order. The pairs' first rows are swept
-    in that order as (m, 3) stacks of whole rows, at most _SCAN_STACK
-    samples each, and each stack is detected in one `detect_enhancement`
-    call. A window or step count that `sweep` refuses raises ValueError
-    before any sweep; a curve that detection refuses raises ValueError
-    naming its state and its (a1² + a2², |a3|) pair, the first refused in
-    first-row order.
+    in that order as (m, 3) stacks of ``max(1, _SOLVE_BLOCK // x_steps)``
+    whole rows, which `two_pauli_metrics` solves in one block, and each
+    stack is detected in one `detect_enhancement` call. A window or step
+    count that `sweep` refuses raises ValueError before any sweep; a curve
+    that detection refuses raises ValueError naming its state and its
+    (a1² + a2², |a3|) pair, the first refused in first-row order.
     """
     _require_window(x_min, x_max, x_steps)
     grid = bloch_ball_grid(grid_resolution)
     pair, first_rows = _pairs(grid, grid_resolution)
     reports = []
-    per_stack = max(1, _SCAN_STACK // x_steps)
+    per_stack = max(1, _SOLVE_BLOCK // x_steps)
     for top in range(0, len(first_rows), per_stack):
         rows = first_rows[top : top + per_stack]
         curve = sweep(grid[rows], x_min, x_max, x_steps)

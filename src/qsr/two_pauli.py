@@ -42,9 +42,11 @@ states against them.
 
 The output entropy, the fidelity and the output state run over all
 states and rates in one pass. Only the mixed rows' cubic is solved in
-fixed blocks of at most _BLOCK samples: whole rows of
-``max(1, _BLOCK // n)`` mixed states by ``min(n, _BLOCK)`` of the n
-rates, so one state is solved in runs of _BLOCK rates.
+fixed blocks of at most _SOLVE_BLOCK samples: whole rows of
+``max(1, _SOLVE_BLOCK // n)`` mixed states by ``min(n, _SOLVE_BLOCK)``
+of the n rates, so one state is solved in runs of _SOLVE_BLOCK rates,
+and a block's temporaries do not grow with n. `resonance.state_scan`
+stacks its sweeps by the same bound and rule, so each stack is one solve.
 """
 
 from __future__ import annotations
@@ -64,12 +66,20 @@ from .channel import (
 )
 from .linalg import hermitian_eigenvalues
 
-#: Samples per block of the mixed rows' cubic solve in
-#: `two_pauli_metrics`, states and samples per block of the agreement
-#: check in `validation`, and rows per write of the CLI's CSV files: large
-#: enough that the per-block overhead does not show, small enough that a
-#: block's columns and their temporaries stay well under a megabyte.
+#: States and samples per block of the agreement check in `validation`,
+#: and rows per write of the CLI's CSV files: large enough that the
+#: per-block overhead does not show, small enough that a block's columns
+#: and their temporaries stay well under a megabyte. 4,096 rows per CSV
+#: write made a 20,001-step sweep slower.
 _BLOCK = 2048
+
+#: Most samples solved at once: the mixed rows' cubic in
+#: `two_pauli_metrics`, and the whole rows of one stacked sweep of
+#: `resonance.state_scan`, so each scan stack is one solve. Its columns and
+#: temporaries stay near a megabyte: one stack of all 33 pairs of the 9^3
+#: grid raised the scan benchmark's peak process memory by 7 % (33.8 to
+#: 36.2 MB), and this bound by less than 1 %.
+_SOLVE_BLOCK = 4096
 
 #: Newton steps on a root stop once a step is below this fraction of the
 #: root. Near a simple root the error left is about the square of that
@@ -307,11 +317,11 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     noise_rows = noise.reshape(-1, len(x))  # a view: one row per state
     columns = [np.reshape(a, (-1, 1)) for a in (a1, a2, a3)]
     mixed = np.flatnonzero(1.0 - (planar + a3 * a3) > 0.0)
-    per_block = max(1, _BLOCK // len(x))
+    per_block = max(1, _SOLVE_BLOCK // len(x))
     for top in range(0, len(mixed), per_block):
         solve = mixed[top : top + per_block]
-        for start in range(0, len(x), _BLOCK):
-            cols = slice(start, start + _BLOCK)
+        for start in range(0, len(x), _SOLVE_BLOCK):
+            cols = slice(start, start + _SOLVE_BLOCK)
             noise_rows[solve, cols] = spectrum_entropy(
                 _exchange_spectrum(*(a[solve] for a in columns), x[cols]))
     _spot_check(state, x, noise)

@@ -12,6 +12,7 @@ from qsr.resonance import (
     SLOPE_EPSILON,
     SweepCurve,
     _noise_peak,
+    _pairs,
     _TurningNoise,
     bloch_ball_grid,
     detect_enhancement,
@@ -394,6 +395,23 @@ class TestStateScan:
         assert [len(stack) for stack in calls] == [5] * 6 + [3]
         assert_stacks_hold_first_rows(report, calls, 701, lambda state: state)
 
+    def test_each_stack_is_one_solve(self, monkeypatch):
+        # The scan stacks whole rows by the noise solve's own bound and rule,
+        # so each of the 7 stacks of the 9^3 scan solves its cubic in one call.
+        import qsr.two_pauli as two_pauli
+
+        stacks = record_scan_sweeps(monkeypatch)
+        solved = []
+
+        def recorded(a1, a2, a3, x, _original=two_pauli._exchange_spectrum):
+            solved.append(np.broadcast(a1, x).size)
+            return _original(a1, a2, a3, x)
+
+        monkeypatch.setattr(two_pauli, "_exchange_spectrum", recorded)
+        state_scan(9, 701)
+        assert len(stacks) == len(solved) == 7
+        assert max(solved) <= two_pauli._SOLVE_BLOCK
+
     @pytest.mark.parametrize(
         "resolution, steps, window",
         [
@@ -770,3 +788,62 @@ def test_capacity_segments_lie_in_the_wedge_or_near_the_poles():
             else:
                 assert a3 >= 0.9, (report.states[row], start, end)
     assert inside == 16
+
+
+def test_fidelity_detection_agrees_with_the_end_point_rule():
+    # dF/dx = 1 - P/2 > 0, so dF/dN > 0 exactly on the rising branch of N,
+    # which lies outside the fold only when N(x_min) < N(x_max). That rule,
+    # from one two-rate call, marks 2,725 of the 21^3 grid's 4,169 states on
+    # [0, 0.7]. Detection never marks a state the rule excludes; it misses
+    # those whose rising stretch at x = 0 is thinner than one cell (224 of
+    # them at 101 steps, 32 at 701), and agrees exactly at 7001.
+    grid = bloch_ball_grid(21)
+    pair, first = _pairs(grid, 21)
+    ends = two_pauli_metrics(grid[first], [0.0, 0.7]).noise
+    rule = ends[:, 0] < ends[:, 1]
+    assert rule[pair].sum() == 2725
+    for steps, enhanced in ((101, 2501), (701, 2693), (7001, 2725)):
+        report = state_scan(21, steps)
+        detected = np.array([bool(found.fidelity) for found in report.reports])
+        assert np.array_equal(report.pair, pair)
+        assert not (detected & ~rule).any(), steps
+        assert report.fidelity_enhanced_states == enhanced
+    assert np.array_equal(detected, rule)
+
+
+#: C is a difference of two entropies of about one bit, so where it is 0
+#: rounding can leave it a few ulps of 1 above: 1.1e-16 at x = 0 on the z
+#: axis of the 51^3 grid, where both are h2((1 + |a3|)/2).
+C_ROUNDING = 1e-15
+
+
+def monotonicity_extremes(resolution):
+    """Over the (a1² + a2², |a3|) pairs of the resolution^3 grid, swept 64
+    pairs at a time to bound the memory: the largest C over 801 rates on
+    [0, 0.7729078], below the root x* of h2(x) = x, and the largest N step
+    and the smallest C step over 2,301 rates on [0.77, 1]."""
+    grid = bloch_ball_grid(resolution)
+    states = grid[_pairs(grid, resolution)[1]]
+    low, high = np.linspace(0.0, 0.7729078, 801), np.linspace(0.77, 1.0, 2301)
+    c_max, n_step, c_step = -np.inf, -np.inf, np.inf
+    for top in range(0, len(states), 64):
+        stack = states[top : top + 64]
+        c_max = max(c_max, float(two_pauli_metrics(stack, low).coherent_info.max()))
+        curve = two_pauli_metrics(stack, high)
+        n_step = max(n_step, float(np.diff(curve.noise).max()))
+        c_step = min(c_step, float(np.diff(curve.coherent_info).min()))
+    return c_max, n_step, c_step
+
+
+def monotonicity_facts_hold(c_max, n_step, c_step):
+    """The two facts behind "noise never enhances the capacity": C is at
+    most 0, up to C_ROUNDING, below x*, and above 0.77 the noise falls
+    strictly while C never falls, so dC/dN <= 0 wherever C > 0."""
+    return c_max <= C_ROUNDING and n_step < 0.0 and c_step >= 0.0
+
+
+def test_capacity_is_flat_below_x_star_and_falls_with_the_noise_above():
+    # Measured here: 0.0, -1.47e-4 and 0.0. CI runs the same check on the
+    # 3,831 pairs of the 51^3 grid.
+    extremes = monotonicity_extremes(21)
+    assert monotonicity_facts_hold(*extremes), extremes

@@ -26,6 +26,7 @@ from qsr.linalg import hermitian_eigenvalues
 from qsr.resonance import detect_multivalued, state_scan
 from qsr.two_pauli import (
     _BLOCK,
+    _SOLVE_BLOCK,
     analytic_exchange_matrix,
     analytic_output_entropy,
     make_two_pauli,
@@ -209,7 +210,8 @@ class TestMetrics:
 
 
 @pytest.mark.parametrize("state", [(0.3, 0.4, 0.2), (1.0, 0.0, 0.0)])
-@pytest.mark.parametrize("rates", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 20001])
+@pytest.mark.parametrize("rates", [
+    1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 20001])
 def test_blocked_metrics_match_one_pass(state, rates):
     # The one-pass route: every rate's closed-form spectrum in one call, and
     # a pure state's noise taken from its output entropy.
@@ -236,7 +238,7 @@ def test_blocked_metrics_match_one_pass(state, rates):
     assert np.abs(curve.noise - lapack).max() <= 1e-12
 
 
-@pytest.mark.parametrize("rates", [701, 2 * _BLOCK + 1, 20001])
+@pytest.mark.parametrize("rates", [701, _SOLVE_BLOCK + 1, 20001])
 def test_metrics_check_their_inputs_once_per_closed_form(monkeypatch, rates):
     # One check in two_pauli_metrics, one in its one analytic_output_entropy
     # call and one in the spot check's analytic_exchange_matrix, at any size:
@@ -249,7 +251,7 @@ def test_metrics_check_their_inputs_once_per_closed_form(monkeypatch, rates):
             return _original(value)
         monkeypatch.setattr(two_pauli, name, counted)
     x = np.linspace(0.0, 0.7, rates)
-    stack = np.tile((0.3, 0.4, 0.2), (2 * max(1, _BLOCK // rates) + 1, 1))
+    stack = np.tile((0.3, 0.4, 0.2), (2 * max(1, _SOLVE_BLOCK // rates) + 1, 1))
     for state in ((0.3, 0.4, 0.2), stack):
         calls.clear()
         two_pauli_metrics(state, x)
@@ -291,10 +293,13 @@ def _random_stack(rng, m):
 
 @pytest.mark.parametrize("m, n", [
     (3, 41),
-    (_BLOCK // 41 + 1, 41),  # m * n just over _BLOCK: two row blocks
-    (_BLOCK // 41, 41),  # m * n just under _BLOCK: one block
-    (2, _BLOCK + 1),  # n > _BLOCK: one state per block, two rate blocks each
+    (50, 41),
+    (49, 41),
+    (2, 2049),  # one state per block
     (1, 1),
+    (_SOLVE_BLOCK // 41 + 1, 41),  # m * n just over the bound: two row blocks
+    (_SOLVE_BLOCK // 41, 41),  # m * n just under the bound: one block
+    (2, _SOLVE_BLOCK + 1),  # n over the bound: two rate blocks per state
 ])
 def test_stacked_closed_forms_match_per_state_calls(m, n):
     rng = np.random.default_rng(m * 1000 + n)
@@ -337,12 +342,15 @@ def test_stack_of_one_state_matches_the_one_state_call(single):
 
 
 @pytest.mark.parametrize("m, n, sizes", [
-    (_BLOCK // 41 + 1, 41, [_BLOCK // 41 * 41, 41]),
-    (2, _BLOCK + 1, [_BLOCK, 1, _BLOCK, 1]),
+    (50, 41, [50 * 41]),
+    (2, 2049, [2049, 2049]),  # two rows would exceed the bound
     (1, 701, [701]),
+    (_SOLVE_BLOCK // 41 + 1, 41, [_SOLVE_BLOCK // 41 * 41, 41]),
+    (2, _SOLVE_BLOCK + 1, [_SOLVE_BLOCK, 1, _SOLVE_BLOCK, 1]),
 ])
 def test_stacked_solve_keeps_each_block_within_the_limit(monkeypatch, m, n, sizes):
-    # Whole rows of max(1, _BLOCK // n) mixed states by min(n, _BLOCK) rates.
+    # Whole rows of max(1, _SOLVE_BLOCK // n) mixed states by
+    # min(n, _SOLVE_BLOCK) rates.
     solved = []
 
     def recorded(a1, a2, a3, x, _original=two_pauli._exchange_spectrum):
@@ -356,7 +364,7 @@ def test_stacked_solve_keeps_each_block_within_the_limit(monkeypatch, m, n, size
     two_pauli_metrics(states, x)
     assert solved == sizes
     # A pure row does not solve the cubic, so with an exactly pure row after
-    # each mixed one the blocks still hold max(1, _BLOCK // n) mixed rows.
+    # each mixed one the blocks still hold max(1, _SOLVE_BLOCK // n) mixed rows.
     alternating = np.empty((2 * m, 3))
     alternating[0::2], alternating[1::2] = states, (0.0, 0.0, 1.0)
     solved.clear()
@@ -580,7 +588,8 @@ def test_newton_steps_are_bounded(newton_steps):
     assert max(newton_steps) <= 2
     newton_steps.clear()
     two_pauli_metrics((0.6, 0.3, 0.5), np.linspace(0.0, 0.7, 20001))
-    assert len(newton_steps) == 10 and max(newton_steps) <= 2
+    # One solve per run of _SOLVE_BLOCK rates.
+    assert len(newton_steps) == -(-20001 // _SOLVE_BLOCK) == 5 and max(newton_steps) <= 2
 
 
 def test_newton_bound_cuts_the_loop_and_the_spot_check_sees_it(monkeypatch, newton_steps):
@@ -594,6 +603,19 @@ def test_newton_bound_cuts_the_loop_and_the_spot_check_sees_it(monkeypatch, newt
     with pytest.raises(ValueError, match=r"^closed-form noise is .* from the eigensolver's"):
         two_pauli_metrics((0.3, 0.4, 0.2), x)
     assert newton_steps == [2]
+
+
+@pytest.mark.parametrize("a1", [1e-8, 1e-5, 1e-3])
+def test_states_just_off_the_centre_converge_at_every_sample(newton_steps, a1):
+    # Near the centre, just off the z axis, the smallest root is nearly
+    # double over x > 1/3 and Viete's seed often restarts from 0, so Newton
+    # takes 24 to 35 steps here, not 2. It still stops before the cut, and
+    # every sample, not only the two ends the spot check reads, is within
+    # _SPOT_TOL of LAPACK's.
+    x = np.linspace(0.0, 1.0, 2001)
+    noise = two_pauli_metrics((a1, 0.0, 0.0), x).noise
+    assert np.abs(noise - _lapack_noise((a1, 0.0, 0.0), x)).max() <= two_pauli._SPOT_TOL
+    assert len(newton_steps) == 1 and newton_steps[0] < two_pauli._NEWTON_STEPS
 
 
 @pytest.mark.parametrize("a3", [0.0, 0.3, 0.5, 0.999999])
