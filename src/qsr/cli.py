@@ -34,7 +34,7 @@ DEFAULT_PRECISION = 12
 MAX_PRECISION = 17
 
 #: Largest --steps accepted: a sweep holds its eight columns and blocks of
-#: fixed size, about 42 MB peak process memory at this size.
+#: fixed size, about 43 MB peak process memory at this size.
 MAX_STEPS = 100_001
 
 #: Largest --grid-resolution accepted: 65,267 ball states.
@@ -88,18 +88,107 @@ def _write_lines(path: str, chunks) -> None:
         handle.writelines(chunks)
 
 
+#: The four ASCII digits of each of 0..9999, one uint32 per entry.
+_DIGITS = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"),
+                   axis=-1).view(np.uint32).ravel()
+
+#: 10^k for k = 0..22, each an exact double.
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+
+_PREFIX = np.frombuffer(b"-0.000", np.uint8)[:, None]
+_EXPONENT = np.frombuffer(b"e-", np.uint8)[:, None]
+
+
+def _csv_text(rows: np.ndarray, precision: int) -> str:
+    """The text that _format gives each value of ``rows``, with ',' between
+    the columns and a newline after each row.
+
+    A value v with 0 < |v| < 10 and e = floor(log10|v|) is rounded as
+    s = |v| 10^k, k = p - 1 - e: one correctly rounded product while 10^k
+    is exact (k <= 22). Below 2^52, where s stays for p <= 15, every
+    half-integer and power of ten is a double, which that rounding can
+    reach but not cross. So when s is more than s 2^-51 from the nearest
+    half-integer and from 10^(p-1), and below 10^p - 1/2, rint(s) is the
+    p-digit mantissa that %g rounds to; a log10 one decade off puts s
+    outside that range. Zero is written as 0. Every other value goes
+    through _format: nan, inf, |v| >= 10, tiny values, ties, decade edges,
+    and all values at p >= 16.
+
+    The text is laid out one uint8 row per character slot and one column
+    per value: the sign, '0.' and three zeros, the digits with a point
+    after the first, 'e-' and two exponent digits, then the separator. A
+    slot a value does not use holds 0, and one compaction drops them. The
+    text of a value that falls back replaces its slots but the last.
+    """
+    values = rows.ravel()
+    n = len(values)
+    p = max(precision, 1)
+    magnitude = np.abs(values)
+    fast = (magnitude > 0.0) & (magnitude < 10.0) & (p <= 15)
+    exponent = np.floor(np.log10(magnitude, where=fast, out=np.zeros(n)))
+    k = (p - 1 - exponent).astype(np.intp)
+    scaled = np.where(fast, magnitude, 0.0) * _POW10.take(k, mode="clip")
+    margin = scaled * 2.0**-51
+    fast &= ((k >= 0) & (k <= 22) & (np.abs(scaled - np.floor(scaled) - 0.5) > margin)
+             & (scaled - _POW10[p - 1] > margin) & (scaled < _POW10[p] - 0.5))
+    mantissa = np.rint(np.where(fast, scaled, 0.0)).astype(np.int64)
+
+    # The mantissa's base-10^4 places, most significant first, give its p
+    # digits through the table.
+    places = -(-p // 4)
+    groups = np.empty((n, places), np.intp)
+    for i in range(places - 1):
+        unit = 10 ** (4 * (places - 1 - i))
+        groups[:, i] = mantissa // unit
+        mantissa = mantissa - groups[:, i] * unit
+    groups[:, -1] = mantissa
+    digits = np.ascontiguousarray(_DIGITS[groups].view(np.uint8).T[4 * places - p :])
+    # A digit after the first is kept while a nonzero digit follows it.
+    tail = digits[:0:-1] != ord("0")
+    for i in range(1, p - 1):
+        tail[i] |= tail[i - 1]
+    tail = tail[::-1]
+    small = (exponent < 0) & (exponent >= -4)
+    tiny = exponent < -4
+
+    slots = p + 12
+    chars = np.empty((slots, n), np.uint8)
+    used = np.empty((6, n), bool)
+    np.less(values, 0.0, out=used[0])
+    used[1:3] = small
+    np.less(exponent, -1.0 - np.arange(3)[:, None], out=used[3:6])
+    used[3:6] &= small
+    np.multiply(used, _PREFIX, out=chars[:6])
+    chars[6] = digits[0]
+    chars[7] = 0
+    if p > 1:
+        np.multiply(~small & tail[0], np.uint8(ord(".")), out=chars[7])
+    np.multiply(digits[1:], tail, out=chars[8 : p + 7])
+    np.multiply(tiny, _EXPONENT, out=chars[p + 7 : p + 9])
+    np.multiply(_DIGITS[(-exponent).astype(np.intp)].view(np.uint8).reshape(n, 4)[:, 2:].T,
+                tiny, out=chars[p + 9 : p + 11])
+    chars[-1] = ord(",")
+    chars[-1, rows.shape[1] - 1 :: rows.shape[1]] = ord("\n")
+
+    fallback = np.flatnonzero(~fast & (magnitude != 0.0))
+    if fallback.size:
+        texts = [_format(v, precision) for v in values[fallback].tolist()]
+        chars[:-1, fallback] = np.array(texts, dtype=f"S{slots - 1}").view(np.uint8).reshape(
+            len(fallback), slots - 1).T
+    text = chars.T.ravel()
+    return np.compress(text != 0, text).tobytes().decode("ascii")
+
+
 def _sweep_lines(curve, precision: int):
     """The text of a sweep CSV: a header, then one row per rate, one string
-    per block of _BLOCK rows."""
+    per block of _BLOCK values (256 rows)."""
     yield "x,N,C,F,H_out,b1,b2,b3\n"
     columns = (curve.x, curve.noise, curve.coherent_info, curve.fidelity,
                curve.output_entropy, curve.output_bloch)
-    # One %-template per row writes what _format writes for each value, and
-    # one % formats a whole block of them.
-    template = ",".join([f"%.{precision}g"] * 8) + "\n"
-    for start in range(0, len(curve.x), _BLOCK):
-        rows = np.column_stack([column[start : start + _BLOCK] for column in columns])
-        yield (template * len(rows)) % tuple((rows + 0.0).ravel().tolist())
+    step = _BLOCK // 8
+    for start in range(0, len(curve.x), step):
+        yield _csv_text(np.column_stack([column[start : start + step] for column in columns]),
+                        precision)
 
 
 def _scan_lines(report, precision: int):

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsr import cli, two_pauli
 from qsr.cli import MAX_GRID_RESOLUTION, MAX_PRECISION, MAX_STEPS, main
@@ -374,15 +376,26 @@ class TestValidateCommand:
 
 
 def test_sweep_csv_rows_match_per_value_format(tmp_path):
-    # -0, subnormals, huge values and values that round up at some precision
     edge_values = np.array([
+        # -0, subnormals, huge values and values that round up at some precision
         -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300,
         0.999999999999999, 9.9999999999995, 0.5, 2.5, 1.0 / 3.0, -0.95, 123456.5,
         float(np.nextafter(1.0, 2.0)), 0.1, 7.0, -12345678901234567.0,
+        # decade edges
+        0.99999999999995, 9.99999999999e-5, 1e-4, 1e-5, 10.0,
+        # binary ties
+        0.125, 0.375, 2.5e-1,
+        # either side of 1e-11, the smallest magnitude rounded in numpy at 12 digits
+        float(np.nextafter(1e-11, 0.0)), 1e-11, float(np.nextafter(1e-11, 1.0)),
+        # near-ties whose float64 product |v| 10^k is a half-integer that rint
+        # rounds the wrong way: three at precision 12, two at 15
+        0.7228541843385, 0.3789177883335, 0.7472578897934999,
+        0.8180810625156025, 0.4558484508329035,
     ])
     out = tmp_path / "sweep.csv"
-    # The edge values repeat down each column; _BLOCK + 1 rows cross a block edge.
-    for rows in (len(edge_values), _BLOCK + 1):
+    # The edge values repeat down each column; _BLOCK // 8 + 1 and _BLOCK + 1
+    # rows cross the edge of a block of _BLOCK values.
+    for rows in (len(edge_values), _BLOCK // 8 + 1, _BLOCK + 1):
         values = np.resize(edge_values, rows)
         curve = SimpleNamespace(
             x=values, noise=values[::-1], coherent_info=np.roll(values, 3),
@@ -397,6 +410,15 @@ def test_sweep_csv_rows_match_per_value_format(tmp_path):
             assert lines[0] == "x,N,C,F,H_out,b1,b2,b3"
             want = [",".join(cli._format(v, precision) for v in row) for row in table.tolist()]
             assert lines[1:] == want + [""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=24))
+def test_csv_text_matches_format_for_any_double(values):
+    # nan, inf, subnormals and -0 included, at every precision the CLI accepts
+    for precision in range(MAX_PRECISION + 1):
+        want = ",".join(cli._format(v, precision) for v in values) + "\n"
+        assert cli._csv_text(np.array([values]), precision) == want
 
 
 def test_scan_csv_is_written_in_blocks_of_rows():

@@ -545,10 +545,11 @@ def test_scan_names_its_first_pair_on_a_rate_grid_that_is_not_increasing():
 
 
 def test_scan_memory_stays_flat_over_the_pairs():
-    # The traced peak of a scan above that of building its grid: 0.59 MB at
-    # 21 (329 pairs) and 0.68 MB at 31 (958 pairs), most of it the keying
-    # of the 4,169 and 14,147 states. One stack of all pairs peaks 25 and
-    # 71 MB above it.
+    # The traced peak of a scan above that of building its grid: 0.99 MB at
+    # 21 (329 pairs) and at 31 (958 pairs), set at both by the solve of one
+    # stack of _SOLVE_BLOCK samples; with one row per stack it is 0.34 and
+    # 0.68 MB, the keying of the 4,169 and 14,147 states. One stack of all
+    # pairs peaks 47 and 139 MB above it.
     excess = []
     for resolution in (21, 31):
         peaks = []
