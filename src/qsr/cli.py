@@ -33,8 +33,8 @@ DEFAULT_PRECISION = 12
 #: Largest --precision accepted: 17 significant digits round-trip any double.
 MAX_PRECISION = 17
 
-#: Largest --steps accepted: a sweep holds its eight columns and blocks of
-#: fixed size, about 43 MB peak process memory at this size.
+#: Largest --steps accepted: a sweep holds its eight columns and one set of
+#: fixed-size CSV buffers, about 43 MB peak process memory at this size.
 MAX_STEPS = 100_001
 
 #: Largest --grid-resolution accepted: 65,267 ball states.
@@ -99,9 +99,20 @@ _PREFIX = np.frombuffer(b"-0.000", np.uint8)[:, None]
 _EXPONENT = np.frombuffer(b"e-", np.uint8)[:, None]
 
 
-def _csv_text(rows: np.ndarray, precision: int) -> str:
+def _csv_buffers(values: int, precision: int):
+    """The three byte buffers _csv_text writes for up to ``values`` values
+    at ``precision``: the slot-major characters, their value-major
+    transpose and the mask of the slots kept."""
+    size = (max(precision, 1) + 12) * values
+    return np.empty(size, np.uint8), np.empty(size, np.uint8), np.empty(size, bool)
+
+
+def _csv_text(rows: np.ndarray, precision: int, chars, text, keep) -> str:
     """The text that _format gives each value of ``rows``, with ',' between
-    the columns and a newline after each row.
+    the columns and a newline after each row. ``chars``, ``text`` and
+    ``keep`` come from _csv_buffers for at least ``rows.size`` values. A
+    call writes every slot it reads back, so one set serves every block of
+    a CSV.
 
     A value v with 0 < |v| < 10 and e = floor(log10|v|) is rounded as
     s = |v| 10^k, k = p - 1 - e: one correctly rounded product while 10^k
@@ -114,11 +125,13 @@ def _csv_text(rows: np.ndarray, precision: int) -> str:
     through _format: nan, inf, |v| >= 10, tiny values, ties, decade edges,
     and all values at p >= 16.
 
-    The text is laid out one uint8 row per character slot and one column
-    per value: the sign, '0.' and three zeros, the digits with a point
-    after the first, 'e-' and two exponent digits, then the separator. A
-    slot a value does not use holds 0, and one compaction drops them. The
-    text of a value that falls back replaces its slots but the last.
+    The text is laid out in ``chars``, one uint8 row per character slot
+    and one column per value: the sign, '0.' and three zeros, the digits
+    with a point after the first, 'e-' and two exponent digits, then the
+    separator. A slot a value does not use holds 0. The text of a value
+    that falls back replaces its slots but the last. ``text`` takes the
+    value-major transpose, ``keep`` marks its nonzero slots, and one
+    compaction drops the rest.
     """
     values = rows.ravel()
     n = len(values)
@@ -152,7 +165,7 @@ def _csv_text(rows: np.ndarray, precision: int) -> str:
     tiny = exponent < -4
 
     slots = p + 12
-    chars = np.empty((slots, n), np.uint8)
+    chars = chars[: slots * n].reshape(slots, n)
     used = np.empty((6, n), bool)
     np.less(values, 0.0, out=used[0])
     used[1:3] = small
@@ -175,20 +188,29 @@ def _csv_text(rows: np.ndarray, precision: int) -> str:
         texts = [_format(v, precision) for v in values[fallback].tolist()]
         chars[:-1, fallback] = np.array(texts, dtype=f"S{slots - 1}").view(np.uint8).reshape(
             len(fallback), slots - 1).T
-    text = chars.T.ravel()
-    return np.compress(text != 0, text).tobytes().decode("ascii")
+    text = text[: n * slots]
+    np.copyto(text.reshape(n, slots), chars.T)
+    keep = np.not_equal(text, 0, out=keep[: n * slots])
+    return np.compress(keep, text).tobytes().decode("ascii")
 
 
 def _sweep_lines(curve, precision: int):
     """The text of a sweep CSV: a header, then one row per rate, one string
-    per block of _BLOCK values (256 rows)."""
+    per block of _BLOCK // 2 rows (1,024). Each block is copied into one
+    float block and formatted into one set of _csv_buffers, both made once
+    per CSV: made per block, they took fresh pages every block."""
     yield "x,N,C,F,H_out,b1,b2,b3\n"
     columns = (curve.x, curve.noise, curve.coherent_info, curve.fidelity,
-               curve.output_entropy, curve.output_bloch)
-    step = _BLOCK // 8
+               curve.output_entropy)
+    step = _BLOCK // 2
+    block = np.empty((step, 8))
+    buffers = _csv_buffers(block.size, precision)
     for start in range(0, len(curve.x), step):
-        yield _csv_text(np.column_stack([column[start : start + step] for column in columns]),
-                        precision)
+        stop = min(start + step, len(curve.x))
+        rows = block[: stop - start]
+        np.concatenate([column[start:stop, None] for column in columns]
+                       + [curve.output_bloch[start:stop]], axis=1, out=rows)
+        yield _csv_text(rows, precision, *buffers)
 
 
 def _scan_lines(report, precision: int):

@@ -68,12 +68,12 @@ from .linalg import hermitian_eigenvalues
 
 #: Items handled at once by three loops: the states per block, and the
 #: samples per chunk, of the agreement check in `validation`; the rows per
-#: write of the scan CSV; and the values per block (256 rows of 8) of the
-#: sweep CSV's numpy formatter. Large enough that the per-block overhead
-#: does not show, small enough that a block's temporaries stay well under
-#: a megabyte: at 2,048 rows per block the formatter's took fresh pages
-#: (1,178 minor faults per 20,001-step curve, none at 256 rows) and it
-#: ran 15 % slower.
+#: write of the scan CSV; and, halved, the rows per block (1,024 rows of
+#: 8 values) of the sweep CSV's numpy formatter. Large enough that the
+#: per-block overhead does not show, small enough that a block's
+#: temporaries stay under a megabyte. The formatter's largest arrays are
+#: made once per CSV: made per block, they were freed to the system and
+#: took fresh pages every block, which made larger blocks slower.
 _BLOCK = 2048
 
 #: Most samples solved at once: the mixed rows' cubic in

@@ -393,9 +393,10 @@ def test_sweep_csv_rows_match_per_value_format(tmp_path):
         0.8180810625156025, 0.4558484508329035,
     ])
     out = tmp_path / "sweep.csv"
-    # The edge values repeat down each column; _BLOCK // 8 + 1 and _BLOCK + 1
-    # rows cross the edge of a block of _BLOCK values.
-    for rows in (len(edge_values), _BLOCK // 8 + 1, _BLOCK + 1):
+    # The edge values repeat down each column. _BLOCK // 8 + 1 rows end
+    # inside the first block of _BLOCK // 2 rows; _BLOCK // 2 + 1 and
+    # _BLOCK + 1 rows cross its edge once and twice.
+    for rows in (len(edge_values), _BLOCK // 8 + 1, _BLOCK // 2 + 1, _BLOCK + 1):
         values = np.resize(edge_values, rows)
         curve = SimpleNamespace(
             x=values, noise=values[::-1], coherent_info=np.roll(values, 3),
@@ -412,13 +413,60 @@ def test_sweep_csv_rows_match_per_value_format(tmp_path):
             assert lines[1:] == want + [""]
 
 
+def test_sweep_csv_buffers_leak_no_stale_bytes(tmp_path, monkeypatch):
+    # The rows cross the edge of a block of _BLOCK // 2 rows twice and end in
+    # a short block. The first block prints long texts (negatives, exponents
+    # and fallbacks), the later ones short texts, and the buffers start out
+    # as junk, so a slot that some block leaves unwritten shows in the text.
+    make_buffers = cli._csv_buffers
+
+    def junk_buffers(values, precision):
+        buffers = make_buffers(values, precision)
+        for buffer in buffers:
+            buffer.view(np.uint8).fill(ord("7"))
+        return buffers
+
+    monkeypatch.setattr(cli, "_csv_buffers", junk_buffers)
+    step = _BLOCK // 2
+    long_texts = [-0.123456789012345, -3.25e-7, 1.5e-5, -9.87654321e-12, math.nan,
+                  -math.inf, math.inf, 1e300, -2.0 / 3.0]
+    values = np.concatenate((np.resize(long_texts, step), np.resize([0.0, 0.5, 1.0], step + 5)))
+    curve = SimpleNamespace(x=values, noise=-values, coherent_info=values, fidelity=-values,
+                            output_entropy=values, output_bloch=np.column_stack((values,) * 3))
+    table = np.column_stack((values, -values, values, -values, values, values, values, values))
+    out = tmp_path / "sweep.csv"
+    for precision in range(MAX_PRECISION + 1):
+        cli._write_lines(out, cli._sweep_lines(curve, precision))
+        want = [",".join(cli._format(v, precision) for v in row) for row in table.tolist()]
+        assert out.read_text(encoding="utf-8").split("\n")[1:] == want + [""]
+
+
+def test_sweep_csv_blocks_share_one_set_of_buffers(monkeypatch):
+    # Every block of one CSV is formatted from and into the first block's
+    # arrays: allocated per block, they take fresh pages every block.
+    calls = []
+    kernel = cli._csv_text
+
+    def record(rows, precision, *buffers):
+        calls.append((rows, *buffers))
+        return kernel(rows, precision, *buffers)
+
+    monkeypatch.setattr(cli, "_csv_text", record)
+    curve = two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, _BLOCK + 1))
+    assert "".join(cli._sweep_lines(curve, 12)).count("\n") == _BLOCK + 2
+    assert len(calls) == 3
+    for arrays in calls[1:]:
+        assert all(np.shares_memory(new, first) for new, first in zip(arrays, calls[0]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=24))
 def test_csv_text_matches_format_for_any_double(values):
     # nan, inf, subnormals and -0 included, at every precision the CLI accepts
     for precision in range(MAX_PRECISION + 1):
         want = ",".join(cli._format(v, precision) for v in values) + "\n"
-        assert cli._csv_text(np.array([values]), precision) == want
+        buffers = cli._csv_buffers(len(values), precision)
+        assert cli._csv_text(np.array([values]), precision, *buffers) == want
 
 
 def test_scan_csv_is_written_in_blocks_of_rows():
