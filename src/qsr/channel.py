@@ -13,7 +13,8 @@ function of the generic route takes rho as one 2x2 density matrix or as
 an (m, 2, 2) stack of them (as `bloch_to_density` makes from a stack of
 states), and a `KrausChannel` of one channel, (k, 2, 2) operators, or of
 a stack of n channels, (n, k, 2, 2); it evaluates every pairing in one
-pass. The result follows numpy's leading-axis rule: one matrix and one
+pass, `apply_channel` as explicit products added in a fixed order.
+The result follows numpy's leading-axis rule: one matrix and one
 channel give the per-matrix shape (a numpy scalar, a (3,) Bloch array or
 a (k, k) matrix), and the stacks' leading axes broadcast against each
 other, so an (n, 2, 2) rho pairs row by row with n channels and one rho
@@ -249,7 +250,13 @@ def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
     """
     _require_complete(channel)
     ops, rho = _paired(channel, rho)
-    return np.einsum("...kab,...bc,...kdc->...ad", ops, rho, ops.conj())
+    # A_k rho, then (A_k rho) A_k^dag, each adding its b = 0 term and then
+    # its b = 1 term, then the operators in k order, whatever the leading axes.
+    rho = rho[..., None, None, :, :]
+    left = ops[..., 0, None] * rho[..., 0, :] + ops[..., 1, None] * rho[..., 1, :]
+    adjoint = ops.conj()[..., None, :, :]
+    terms = left[..., 0, None] * adjoint[..., 0] + left[..., 1, None] * adjoint[..., 1]
+    return terms.sum(axis=-3)
 
 
 def exchange_matrix(channel: KrausChannel, rho) -> np.ndarray:

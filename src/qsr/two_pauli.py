@@ -297,11 +297,11 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     gives columns of length 1), for one state or, with a leading axis, for
     each state of an (m, 3) stack.
 
-    The output entropy is one pass over every state and rate, and a pure
-    state's noise is its output entropy. A mixed state's noise is the
-    entropy of the closed-form exchange spectrum of the module docstring,
-    solved in the blocks of the module docstring sample by sample, so it
-    does not depend on the block size. The first and the
+    The output entropy is one pass over every state and rate; it is also
+    the noise of a pure state, and of every state at x = 0, where both are
+    h2((1 + |a3|)/2). Other noise is the entropy of the closed-form exchange
+    spectrum of the module docstring, solved in its blocks sample by
+    sample, so it does not depend on the block size. The first and the
     last sample's noise of every state are checked against LAPACK's
     eigensolve of `analytic_exchange_matrix`, in one batched call; a gap
     over _SPOT_TOL raises ValueError.
@@ -327,6 +327,8 @@ def two_pauli_metrics(state, x) -> SweepCurve:
             cols = slice(start, start + _SOLVE_BLOCK)
             noise_rows[solve, cols] = spectrum_entropy(
                 _exchange_spectrum(*(a[solve] for a in columns), x[cols]))
+    # At x = 0 the output entropy replaces the solved noise, so C(0) is exactly 0.
+    noise[..., x == 0.0] = output_entropy[..., x == 0.0]
     _spot_check(state, x, noise)
     # Written a column at a time: np.stack would hold three more columns.
     output_bloch = np.empty(lead + x.shape + (3,))

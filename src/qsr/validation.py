@@ -6,19 +6,20 @@ system-environment dilation cross-check, and the collapse of coherent
 information on pure states. A deliberately broken operator set is included
 as a negative control to prove the completeness detector actually fires.
 
-The checks leave the random-number stream alone. The random-channel
-checks draw each trial as a per-trial loop would (the Kraus count, the
-operators, then the state from `random_bloch_vector`), but group the trials of each chunk of
-_TRIAL_CHUNK by Kraus count: per group the operators are whitened and the
-states built in one pass, and the functions under test take the group as
-one (n, k, 2, 2) channel stack and (n, 2, 2) state stack, bit for bit as
-one trial at a time. The worst gap, residual and lowest eigenvalue are
-maxima and minima, so they do not depend on the grouping. The agreement
-check walks the ball grid in blocks of at most _BLOCK states and the
-rates in chunks of at most _BLOCK samples per block: the closed forms take
-one call per chunk, in which `two_pauli_metrics` takes the output entropy
-in one pass and blocks only the mixed rows' cubic, and the generic route
-one call per block and rate.
+The checks leave the random-number stream alone. The random-channel checks
+draw each trial's values as a per-trial loop would (the Kraus count, the
+operators' normals, the state's direction and radius), in one normal draw
+per trial, but group the trials of each chunk of _TRIAL_CHUNK by Kraus
+count: per group the operators are whitened and the states scaled in one
+pass (`_ball_points`, which `random_bloch_vector` shares), and the
+functions under test take the group as one (n, k, 2, 2) channel stack and
+(n, 2, 2) state stack, bit for bit as one trial at a time. The worst gap,
+residual and lowest eigenvalue are maxima and minima, so they do not
+depend on the grouping. The agreement check walks the ball grid in blocks
+of at most _BLOCK states and the rates in chunks of at most _BLOCK samples
+per block: the closed forms take one call per chunk, in which
+`two_pauli_metrics` takes the output entropy in one pass and blocks only
+the mixed rows' cubic, and the generic route one call per block and rate.
 """
 
 from __future__ import annotations
@@ -66,14 +67,18 @@ class CheckResult:
     detail: str
 
 
+def _ball_points(normals: np.ndarray, radii) -> np.ndarray:
+    """Each row of an (n, 3) normal draw scaled to unit length, then by its
+    radius. The squared length comes from matmul, which adds as v.dot(v),
+    np.linalg.norm's own formula for a real vector, bit for bit."""
+    return normals / np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0] * radii
+
+
 def random_bloch_vector(rng, pure: bool = False) -> np.ndarray:
     """Bloch components as a (3,) array: a random direction, radius 1 if
     pure, else uniform in the ball."""
-    v = rng.normal(size=3)
-    v /= math.sqrt(v.dot(v))  # np.linalg.norm's own formula for a real vector
-    if not pure:
-        v *= rng.uniform() ** (1.0 / 3.0)
-    return v
+    normals = rng.normal(size=(1, 3))
+    return _ball_points(normals, 1.0 if pure else rng.uniform() ** (1.0 / 3.0))[0]
 
 
 def _det(m: np.ndarray) -> np.ndarray:
@@ -128,17 +133,22 @@ def _random_trials(rng, trials: int):
     channel and then its state, and yield per chunk of _TRIAL_CHUNK trials
     and per Kraus count k in it one ``(channels, rho)`` pair: the (n, k, 2, 2)
     channel stack and (n, 2, 2) state stack of that chunk's n trials with k
-    operators, in trial order. Only the draws run per trial."""
+    operators, in trial order. Only the draws run per trial: the Kraus
+    count, one normal draw of the operators' 8k values and the state's 3,
+    and the state's radius."""
     for start in range(0, trials, _TRIAL_CHUNK):
         groups = {}
         for _ in range(min(_TRIAL_CHUNK, trials - start)):
             k = int(rng.integers(1, MAX_DIM + 1))
-            draws = rng.normal(size=(k, 2, 2, 2))
-            groups.setdefault(k, []).append((draws, random_bloch_vector(rng)))
+            # random() is uniform() on [0, 1) bit for bit, for less call overhead.
+            draw = (rng.normal(size=8 * k + 3), rng.random() ** (1.0 / 3.0))
+            groups.setdefault(k, []).append(draw)
         for k, group in groups.items():
-            draws, states = zip(*group)
-            channels = KrausChannel(_kraus_stacks(np.array(draws)), label=f"random(k={k})")
-            yield channels, bloch_to_density(np.array(states))
+            normals, radii = zip(*group)
+            normals = np.array(normals)
+            channels = KrausChannel(_kraus_stacks(normals[:, :-3].reshape(-1, k, 2, 2, 2)),
+                                    label=f"random(k={k})")
+            yield channels, bloch_to_density(_ball_points(normals[:, -3:], np.array(radii)[:, None]))
 
 
 def check_two_pauli_completeness() -> CheckResult:

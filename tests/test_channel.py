@@ -23,6 +23,7 @@ from qsr.channel import (
     von_neumann_entropy,
 )
 from qsr.linalg import hermitian_eigenvalues, hermitian_residual
+from qsr.resonance import bloch_ball_grid
 from qsr.two_pauli import make_two_pauli
 from qsr.validation import random_bloch_vector, random_kraus_channel
 
@@ -646,3 +647,56 @@ class TestChannelStack:
         with pytest.raises(ValueError, match=r"^broken violates the completeness relation:"
                            r" residual 5\.000e-01$"):
             apply_channel(broken, IDENTITY / 2)
+
+
+def einsum_apply_channel(channel, rho):
+    """The one-pass einsum that apply_channel replaced, as the reference."""
+    ops = channel.operators
+    return np.einsum("...kab,...bc,...kdc->...ad", ops, rho, ops.conj())
+
+
+class TestApplyChannelOrder:
+    """apply_channel adds its products in a fixed order: A_k rho over b, then
+    (A_k rho) A_k^dag over c, then the operators in k order."""
+
+    def test_two_pauli_equals_the_einsum_bit_for_bit(self):
+        # Every two-Pauli operator has one nonzero entry per row and column,
+        # so each inner sum has one nonzero term, and the rest rounds as the
+        # einsum does.
+        rho = bloch_to_density(bloch_ball_grid(9))
+        rates = np.linspace(0.0, 1.0, 101)
+        for x in rates:
+            channel = make_two_pauli(float(x))
+            for matrices in (rho, *rho[::32]):  # the grid's stack, then single matrices
+                got = apply_channel(channel, matrices)
+                assert got.tobytes() == einsum_apply_channel(channel, matrices).tobytes()
+        channels = two_pauli_stack(rates)
+        for matrix in rho[::32]:
+            got = apply_channel(channels, matrix)
+            assert got.tobytes() == einsum_apply_channel(channels, matrix).tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_random_channels_are_within_1e_15_of_the_einsum(self, k):
+        rng = np.random.default_rng(60 + k)
+        for n in (1, 7, 300):
+            channels = random_channel_stack(rng, n, k)
+            rho = random_density_stack(rng, n)
+            for pairing in ((channels, rho), (channels, rho[0]),
+                            (KrausChannel(channels.operators[0]), rho)):
+                gap = np.abs(apply_channel(*pairing) - einsum_apply_channel(*pairing)).max()
+                assert gap <= 1e-15
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_row_equals_the_one_matrix_call_bit_for_bit(self, k):
+        # The order does not depend on the stack's length, so a row of any
+        # stack is its own call, for paired stacks and for one shared channel.
+        rng = np.random.default_rng(70 + k)
+        channels = random_channel_stack(rng, 300, k)
+        rho = random_density_stack(rng, 300)
+        paired = apply_channel(channels, rho)
+        shared = apply_channel(KrausChannel(channels.operators[0]), rho)
+        for t in range(300):
+            assert paired[t].tobytes() == apply_channel(
+                KrausChannel(channels.operators[t]), rho[t]).tobytes()
+            assert shared[t].tobytes() == apply_channel(
+                KrausChannel(channels.operators[0]), rho[t]).tobytes()

@@ -812,12 +812,6 @@ def test_fidelity_detection_agrees_with_the_end_point_rule():
     assert np.array_equal(detected, rule)
 
 
-#: C is a difference of two entropies of about one bit, so where it is 0
-#: rounding can leave it a few ulps of 1 above: 1.1e-16 at x = 0 on the z
-#: axis of the 51^3 grid, where both are h2((1 + |a3|)/2).
-C_ROUNDING = 1e-15
-
-
 def monotonicity_extremes(resolution):
     """Over the (a1² + a2², |a3|) pairs of the resolution^3 grid, swept 64
     pairs at a time to bound the memory: the largest C over 801 rates on
@@ -838,9 +832,9 @@ def monotonicity_extremes(resolution):
 
 def monotonicity_facts_hold(c_max, n_step, c_step):
     """The two facts behind "noise never enhances the capacity": C is at
-    most 0, up to C_ROUNDING, below x*, and above 0.77 the noise falls
-    strictly while C never falls, so dC/dN <= 0 wherever C > 0."""
-    return c_max <= C_ROUNDING and n_step < 0.0 and c_step >= 0.0
+    most 0 below x*, and above 0.77 the noise falls strictly while C never
+    falls, so dC/dN <= 0 wherever C > 0."""
+    return c_max <= 0.0 and n_step < 0.0 and c_step >= 0.0
 
 
 def test_capacity_is_flat_below_x_star_and_falls_with_the_noise_above():
@@ -848,3 +842,19 @@ def test_capacity_is_flat_below_x_star_and_falls_with_the_noise_above():
     # 3,831 pairs of the 51^3 grid.
     extremes = monotonicity_extremes(21)
     assert monotonicity_facts_hold(*extremes), extremes
+
+
+def test_capacity_is_exactly_zero_at_x_zero_on_the_z_axis():
+    # At x = 0 the output Bloch vector is (0, 0, -a3), and the noise is the
+    # output entropy h2((1 + |a3|)/2). Computed by two routes they rounded
+    # apart: C read -1.7e-16 on two of these states, and +1.1e-16 on two of
+    # the 51^3 grid's. The noise is taken as the output entropy there, so C
+    # is 0 with no rounding allowance.
+    grid = bloch_ball_grid(21)
+    axis = grid[(grid[:, 0] == 0.0) & (grid[:, 1] == 0.0)]
+    assert len(axis) == 21
+    curve = two_pauli_metrics(axis, [0.0, 0.25, 0.7])
+    assert np.array_equal(curve.coherent_info[:, 0], np.zeros(len(axis)))
+    assert np.array_equal(curve.noise[:, 0], curve.output_entropy[:, 0])
+    for state in axis:
+        assert two_pauli_metrics(state, [0.0]).coherent_info[0] == 0.0

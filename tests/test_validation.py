@@ -295,11 +295,50 @@ def old_bloch_draw(rng, pure):
 
 @pytest.mark.parametrize("pure", [False, True])
 def test_bloch_draw_normalises_as_linalg_norm(pure):
+    # np.linalg.norm of a real vector is sqrt(v.dot(v)); the stacked helper
+    # must add as it does, where (v * v).sum(axis=1) rounds apart on about a
+    # tenth of the draws.
     for seed in range(4):
         old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = np.array([random_bloch_vector(new_rng, pure) for _ in range(2500)])
-        want = np.array([old_bloch_draw(old_rng, pure) for _ in range(2500)])
+        got = np.array([random_bloch_vector(new_rng, pure) for _ in range(10**4)])
+        want = np.array([old_bloch_draw(old_rng, pure) for _ in range(10**4)])
         assert got.tobytes() == want.tobytes()
+        assert new_rng.normal() == old_rng.normal()
+
+
+def per_trial_draws(rng, trials):
+    """The per-trial loop that _random_trials replaced: each trial's Kraus
+    count, its operators' normals and its state, in stream order."""
+    draws = []
+    for _ in range(trials):
+        k = int(rng.integers(1, MAX_DIM + 1))
+        normals = rng.normal(size=(k, 2, 2, 2))
+        v = rng.normal(size=3)
+        v /= math.sqrt(v.dot(v))
+        v *= rng.uniform() ** (1.0 / 3.0)
+        draws.append((k, normals, v))
+    return draws
+
+
+@pytest.mark.parametrize("trials", [1, _TRIAL_CHUNK, _TRIAL_CHUNK + 1, 600])
+def test_random_trials_draw_the_per_trial_stream(trials):
+    for seed in (0, 1, validation.DEFAULT_SEED):
+        old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = per_trial_draws(old_rng, trials)
+        want = []
+        for start in range(0, trials, _TRIAL_CHUNK):
+            groups = {}
+            for k, normals, v in draws[start : start + _TRIAL_CHUNK]:
+                groups.setdefault(k, []).append((normals, v))
+            for group in groups.values():
+                normals, states = zip(*group)
+                want.append((validation._kraus_stacks(np.array(normals)),
+                             bloch_to_density(np.array(states))))
+        got = list(validation._random_trials(new_rng, trials))
+        assert len(got) == len(want)
+        for (channels, rho), (operators, matrices) in zip(got, want):
+            assert channels.operators.tobytes() == operators.tobytes()
+            assert rho.tobytes() == matrices.tobytes()
         assert new_rng.normal() == old_rng.normal()
 
 
