@@ -17,7 +17,6 @@ import numpy as np
 from .channel import BlochVector
 from .resonance import DEFAULT_STEPS, DEFAULT_X_MAX, DEFAULT_X_MIN, MIN_STEPS
 from .resonance import detect_enhancement, detect_multivalued, state_scan, sweep
-from .two_pauli import _BLOCK
 from .validation import run_all
 
 #: The four reference input states swept in the figure1 command.
@@ -88,6 +87,11 @@ def _write_lines(path: str, chunks) -> None:
         handle.writelines(chunks)
 
 
+#: Rows per block of either CSV: a block's values go through one _csv_text
+#: call, into buffers made once per CSV. Made per block, they took fresh
+#: pages every block, and larger blocks were slower.
+_CSV_ROWS = 1024
+
 #: The four ASCII digits of each of 0..9999, one uint32 per entry.
 _DIGITS = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"),
                    axis=-1).view(np.uint32).ravel()
@@ -96,53 +100,51 @@ _DIGITS = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, in
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
 
 _PREFIX = np.frombuffer(b"-0.000", np.uint8)[:, None]
-_EXPONENT = np.frombuffer(b"e-", np.uint8)[:, None]
 
 
 def _csv_buffers(values: int, precision: int):
-    """The three byte buffers _csv_text writes for up to ``values`` values
-    at ``precision``: the slot-major characters, their value-major
-    transpose and the mask of the slots kept."""
-    size = (max(precision, 1) + 12) * values
-    return np.empty(size, np.uint8), np.empty(size, np.uint8), np.empty(size, bool)
+    """The two byte buffers _csv_text writes for up to ``values`` values at
+    ``precision``: their text, value by value, and the mask of the slots
+    kept."""
+    size = (max(precision, 1) + 8) * values
+    return np.empty(size, np.uint8), np.empty(size, bool)
 
 
-def _csv_text(rows: np.ndarray, precision: int, chars, text, keep) -> str:
+def _csv_text(rows: np.ndarray, precision: int, text, keep) -> str:
     """The text that _format gives each value of ``rows``, with ',' between
-    the columns and a newline after each row. ``chars``, ``text`` and
-    ``keep`` come from _csv_buffers for at least ``rows.size`` values. A
-    call writes every slot it reads back, so one set serves every block of
-    a CSV.
+    the columns and a newline after each row. ``text`` and ``keep`` come
+    from _csv_buffers for at least ``rows.size`` values. A call writes
+    every slot it reads back, so one pair serves every block of a CSV.
 
-    A value v with 0 < |v| < 10 and e = floor(log10|v|) is rounded as
-    s = |v| 10^k, k = p - 1 - e: one correctly rounded product while 10^k
-    is exact (k <= 22). Below 2^52, where s stays for p <= 15, every
-    half-integer and power of ten is a double, which that rounding can
-    reach but not cross. So when s is more than s 2^-51 from the nearest
-    half-integer and from 10^(p-1), and below 10^p - 1/2, rint(s) is the
-    p-digit mantissa that %g rounds to; a log10 one decade off puts s
-    outside that range. Zero is written as 0. Every other value goes
-    through _format: nan, inf, |v| >= 10, tiny values, ties, decade edges,
-    and all values at p >= 16.
+    Numpy writes exactly %g's fixed-point forms, 1e-4 <= |v| < 10 at
+    p <= 15, and zero as 0. Such a v with e = floor(log10|v|) is rounded as
+    s = |v| 10^k, k = p - 1 - e <= 18: one correctly rounded product, as
+    10^k is exact. Below 2^52, where s stays, every half-integer and power
+    of ten is a double, which that rounding can reach but not cross. So
+    when s is more than s 2^-51 from the nearest half-integer and from
+    10^(p-1), and below 10^p - 1/2, rint(s) is the p-digit mantissa that
+    %g rounds to; a log10 one decade off puts s outside that range. Every
+    other value goes through _format: nan, inf, every exponent form, ties,
+    decade edges, and all values at p >= 16.
 
-    The text is laid out in ``chars``, one uint8 row per character slot
-    and one column per value: the sign, '0.' and three zeros, the digits
-    with a point after the first, 'e-' and two exponent digits, then the
-    separator. A slot a value does not use holds 0. The text of a value
-    that falls back replaces its slots but the last. ``text`` takes the
-    value-major transpose, ``keep`` marks its nonzero slots, and one
+    Each value takes p + 8 slots of ``text``, one more than %g's longest
+    text, -d.ddde-308: the sign, '0.' and three zeros, the digits with a
+    point after the first, then the separator. They are written through a
+    transposed view, one slot for every value at once. A slot a value does
+    not use holds 0, and the text of a value that falls back replaces its
+    slots but the last. ``keep`` marks the nonzero slots, and one
     compaction drops the rest.
     """
     values = rows.ravel()
     n = len(values)
     p = max(precision, 1)
     magnitude = np.abs(values)
-    fast = (magnitude > 0.0) & (magnitude < 10.0) & (p <= 15)
+    fast = (magnitude >= 1e-4) & (magnitude < 10.0) & (p <= 15)
     exponent = np.floor(np.log10(magnitude, where=fast, out=np.zeros(n)))
-    k = (p - 1 - exponent).astype(np.intp)
-    scaled = np.where(fast, magnitude, 0.0) * _POW10.take(k, mode="clip")
+    scaled = np.where(fast, magnitude, 0.0) * _POW10.take((p - 1 - exponent).astype(np.intp),
+                                                            mode="clip")
     margin = scaled * 2.0**-51
-    fast &= ((k >= 0) & (k <= 22) & (np.abs(scaled - np.floor(scaled) - 0.5) > margin)
+    fast &= ((np.abs(scaled - np.floor(scaled) - 0.5) > margin)
              & (scaled - _POW10[p - 1] > margin) & (scaled < _POW10[p] - 0.5))
     mantissa = np.rint(np.where(fast, scaled, 0.0)).astype(np.int64)
 
@@ -161,25 +163,21 @@ def _csv_text(rows: np.ndarray, precision: int, chars, text, keep) -> str:
     for i in range(1, p - 1):
         tail[i] |= tail[i - 1]
     tail = tail[::-1]
-    small = (exponent < 0) & (exponent >= -4)
-    tiny = exponent < -4
+    small = exponent < 0
 
-    slots = p + 12
-    chars = chars[: slots * n].reshape(slots, n)
+    slots = p + 8
+    text = text[: n * slots]
+    chars = text.reshape(n, slots).T
     used = np.empty((6, n), bool)
     np.less(values, 0.0, out=used[0])
     used[1:3] = small
     np.less(exponent, -1.0 - np.arange(3)[:, None], out=used[3:6])
-    used[3:6] &= small
     np.multiply(used, _PREFIX, out=chars[:6])
     chars[6] = digits[0]
     chars[7] = 0
     if p > 1:
         np.multiply(~small & tail[0], np.uint8(ord(".")), out=chars[7])
     np.multiply(digits[1:], tail, out=chars[8 : p + 7])
-    np.multiply(tiny, _EXPONENT, out=chars[p + 7 : p + 9])
-    np.multiply(_DIGITS[(-exponent).astype(np.intp)].view(np.uint8).reshape(n, 4)[:, 2:].T,
-                tiny, out=chars[p + 9 : p + 11])
     chars[-1] = ord(",")
     chars[-1, rows.shape[1] - 1 :: rows.shape[1]] = ord("\n")
 
@@ -188,25 +186,21 @@ def _csv_text(rows: np.ndarray, precision: int, chars, text, keep) -> str:
         texts = [_format(v, precision) for v in values[fallback].tolist()]
         chars[:-1, fallback] = np.array(texts, dtype=f"S{slots - 1}").view(np.uint8).reshape(
             len(fallback), slots - 1).T
-    text = text[: n * slots]
-    np.copyto(text.reshape(n, slots), chars.T)
     keep = np.not_equal(text, 0, out=keep[: n * slots])
     return np.compress(keep, text).tobytes().decode("ascii")
 
 
 def _sweep_lines(curve, precision: int):
     """The text of a sweep CSV: a header, then one row per rate, one string
-    per block of _BLOCK // 2 rows (1,024). Each block is copied into one
-    float block and formatted into one set of _csv_buffers, both made once
-    per CSV: made per block, they took fresh pages every block."""
+    per block of _CSV_ROWS rows. Each block is copied into one float block,
+    made once per CSV, and formatted by _csv_text."""
     yield "x,N,C,F,H_out,b1,b2,b3\n"
     columns = (curve.x, curve.noise, curve.coherent_info, curve.fidelity,
                curve.output_entropy)
-    step = _BLOCK // 2
-    block = np.empty((step, 8))
+    block = np.empty((_CSV_ROWS, 8))
     buffers = _csv_buffers(block.size, precision)
-    for start in range(0, len(curve.x), step):
-        stop = min(start + step, len(curve.x))
+    for start in range(0, len(curve.x), _CSV_ROWS):
+        stop = min(start + _CSV_ROWS, len(curve.x))
         rows = block[: stop - start]
         np.concatenate([column[start:stop, None] for column in columns]
                        + [curve.output_bloch[start:stop]], axis=1, out=rows)
@@ -215,16 +209,17 @@ def _sweep_lines(curve, precision: int):
 
 def _scan_lines(report, precision: int):
     """The text of a scan CSV: a header, then one row per grid state, one
-    string per block of _BLOCK rows."""
+    string per block of _CSV_ROWS rows. _csv_text formats a block's
+    a1,a2,a3, and each row ends with its pair's verdict."""
     yield "a1,a2,a3,cap_enh,fid_enh,noise_peak_x\n"
-    template = ",".join([f"%.{precision}g"] * 3) + ",%s"
-    tails = [f"{len(r.capacity)},{len(r.fidelity)},"
+    tails = [f",{len(r.capacity)},{len(r.fidelity)},"
              + ("" if r.noise_peak_x is None else _format(r.noise_peak_x, precision)) + "\n"
              for r in report.reports]
-    for start in range(0, len(report.states), _BLOCK):
-        rows = (report.states[start : start + _BLOCK] + 0.0).tolist()
-        pairs = report.pair[start : start + _BLOCK].tolist()
-        yield "".join(template % (*row, tails[p]) for row, p in zip(rows, pairs))
+    buffers = _csv_buffers(3 * _CSV_ROWS, precision)
+    for start in range(0, len(report.states), _CSV_ROWS):
+        lines = _csv_text(report.states[start : start + _CSV_ROWS], precision, *buffers)
+        pairs = report.pair[start : start + _CSV_ROWS].tolist()
+        yield "".join(line + tails[p] for line, p in zip(lines.splitlines(), pairs))
 
 
 def _digits(lo: float, hi: float) -> int:

@@ -45,19 +45,15 @@ def _as_complex_matrices(entries) -> np.ndarray:
     return mat
 
 
-def _skew_part(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a - a^dag in a new buffer, and its largest |entry| in each matrix."""
-    part = np.empty_like(a)
-    np.subtract(a.real, a.real.swapaxes(-1, -2), out=part.real)
-    np.add(a.imag, a.imag.swapaxes(-1, -2), out=part.imag)
-    return part, np.abs(part).max(axis=(-2, -1))
+def _skew_gap(a: np.ndarray) -> np.ndarray:
+    """The largest |entry| of a - a^dag in each matrix."""
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def hermitian_residual(a) -> float:
     """Largest |m[i][j] - conj(m[j][i])| over a matrix or a stack of them;
     zero when every matrix is exactly Hermitian."""
-    _, gap = _skew_part(_as_complex_matrices(a))
-    return float(gap.max(initial=0.0))
+    return float(_skew_gap(_as_complex_matrices(a)).max(initial=0.0))
 
 
 def hermitian_eigenvalues(mat):
@@ -71,16 +67,11 @@ def hermitian_eigenvalues(mat):
     finite, and Hermitian within HERMITIAN_TOL.
     """
     a = _as_complex_matrices(mat)
-    # The Hermitian part overwrites the a - a^dag buffer: a scan solves a
-    # stack per curve, and a.conj() would add a second stack-sized copy.
-    part, gap = _skew_part(a)
+    gap = _skew_gap(a)
     residual = float(gap.max(initial=0.0))
     if residual > HERMITIAN_TOL:
         raise ValueError(
             f"matrix is not Hermitian: residual {residual:.3e} exceeds {HERMITIAN_TOL:.3e}"
             + _where(gap)
         )
-    np.add(a.real, a.real.swapaxes(-1, -2), out=part.real)
-    np.subtract(a.imag, a.imag.swapaxes(-1, -2), out=part.imag)
-    part *= 0.5
-    return np.linalg.eigvalsh(part)
+    return np.linalg.eigvalsh(0.5 * (a + a.conj().swapaxes(-1, -2)))

@@ -66,16 +66,6 @@ from .channel import (
 )
 from .linalg import hermitian_eigenvalues
 
-#: Items handled at once by three loops: the states per block, and the
-#: samples per chunk, of the agreement check in `validation`; the rows per
-#: write of the scan CSV; and, halved, the rows per block (1,024 rows of
-#: 8 values) of the sweep CSV's numpy formatter. Large enough that the
-#: per-block overhead does not show, small enough that a block's
-#: temporaries stay under a megabyte. The formatter's largest arrays are
-#: made once per CSV: made per block, they were freed to the system and
-#: took fresh pages every block, which made larger blocks slower.
-_BLOCK = 2048
-
 #: Most samples solved at once: the mixed rows' cubic in
 #: `two_pauli_metrics`, and the whole rows of one stacked sweep of
 #: `resonance.state_scan`, so each scan stack is one solve. Its columns and

@@ -15,11 +15,11 @@ pass (`_ball_points`, which `random_bloch_vector` shares), and the
 functions under test take the group as one (n, k, 2, 2) channel stack and
 (n, 2, 2) state stack, bit for bit as one trial at a time. The worst gap,
 residual and lowest eigenvalue are maxima and minima, so they do not
-depend on the grouping. The agreement check walks the ball grid in blocks
-of at most _BLOCK states and the rates in chunks of at most _BLOCK samples
-per block: the closed forms take one call per chunk, in which
-`two_pauli_metrics` takes the output entropy in one pass and blocks only
-the mixed rows' cubic, and the generic route one call per block and rate.
+depend on the grouping. The agreement check takes the whole ball grid as
+one stack and the rates in chunks of at most _AGREEMENT_SAMPLES samples:
+the closed forms take one call per chunk, in which `two_pauli_metrics`
+takes the output entropy in one pass and blocks only the mixed rows'
+cubic, and the generic route one call per rate.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .channel import (
 )
 from .linalg import MAX_DIM, hermitian_eigenvalues, hermitian_residual
 from .resonance import bloch_ball_grid
-from .two_pauli import _BLOCK, analytic_exchange_matrix, make_two_pauli, two_pauli_metrics
+from .two_pauli import analytic_exchange_matrix, make_two_pauli, two_pauli_metrics
 
 DEFAULT_SEED = 20240117
 
@@ -58,6 +58,10 @@ COLLAPSE_RATES = 101
 # Random-channel trials drawn before their spectra are solved, one
 # eigensolve per Kraus count among them.
 _TRIAL_CHUNK = 256
+
+# Most (state, rate) samples the agreement check gives the closed forms in
+# one call: whole rates, at least one.
+_AGREEMENT_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -208,29 +212,27 @@ def check_analytic_generic_agreement(
     worst = 0.0
     xs = np.linspace(0.0, 1.0, x_samples)
     channels = [make_two_pauli(float(x)) for x in xs]
-    grid = bloch_ball_grid(grid_resolution)
-    for start in range(0, len(grid), _BLOCK):
-        states = grid[start : start + _BLOCK]
-        rho = bloch_to_density(states)
-        per_chunk = max(1, _BLOCK // len(states))
-        for top in range(0, x_samples, per_chunk):
-            rates = slice(top, top + per_chunk)
-            # The closed forms for the chunk's rates in one stacked call
-            # each; axis 0 is the state, axis 1 the rate.
-            w = analytic_exchange_matrix(states, xs[rates])
-            m = two_pauli_metrics(states, xs[rates])
-            for k, channel in enumerate(channels[rates]):
-                out = apply_channel(channel, rho)
-                exchange = exchange_matrix(channel, rho)
-                # np.max, unlike max, carries a NaN deviation through to the verdict.
-                worst = float(np.max([
-                    worst,
-                    np.abs(w[:, k] - exchange).max(),
-                    np.abs(m.output_bloch[:, k] - density_to_bloch(out)).max(),
-                    np.abs(m.output_entropy[:, k] - von_neumann_entropy(out)).max(),
-                    np.abs(m.noise[:, k] - von_neumann_entropy(exchange)).max(),
-                    np.abs(m.fidelity[:, k] - entangled_fidelity(channel, rho)).max(),
-                ]))
+    states = bloch_ball_grid(grid_resolution)
+    rho = bloch_to_density(states)
+    per_chunk = max(1, _AGREEMENT_SAMPLES // len(states))
+    for top in range(0, x_samples, per_chunk):
+        rates = slice(top, top + per_chunk)
+        # The closed forms for the chunk's rates in one stacked call each;
+        # axis 0 is the state, axis 1 the rate.
+        w = analytic_exchange_matrix(states, xs[rates])
+        m = two_pauli_metrics(states, xs[rates])
+        for k, channel in enumerate(channels[rates]):
+            out = apply_channel(channel, rho)
+            exchange = exchange_matrix(channel, rho)
+            # np.max, unlike max, carries a NaN deviation through to the verdict.
+            worst = float(np.max([
+                worst,
+                np.abs(w[:, k] - exchange).max(),
+                np.abs(m.output_bloch[:, k] - density_to_bloch(out)).max(),
+                np.abs(m.output_entropy[:, k] - von_neumann_entropy(out)).max(),
+                np.abs(m.noise[:, k] - von_neumann_entropy(exchange)).max(),
+                np.abs(m.fidelity[:, k] - entangled_fidelity(channel, rho)).max(),
+            ]))
     return CheckResult(
         name="closed forms match generic Kraus route",
         passed=worst < 1e-12,

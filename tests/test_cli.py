@@ -6,12 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsr import cli, two_pauli
-from qsr.cli import MAX_GRID_RESOLUTION, MAX_PRECISION, MAX_STEPS, main
-from qsr.two_pauli import _BLOCK, two_pauli_metrics
+from qsr.cli import _CSV_ROWS, MAX_GRID_RESOLUTION, MAX_PRECISION, MAX_STEPS, main
+from qsr.two_pauli import two_pauli_metrics
 
 
 def run(capsys, *argv):
@@ -393,10 +393,10 @@ def test_sweep_csv_rows_match_per_value_format(tmp_path):
         0.8180810625156025, 0.4558484508329035,
     ])
     out = tmp_path / "sweep.csv"
-    # The edge values repeat down each column. _BLOCK // 8 + 1 rows end
-    # inside the first block of _BLOCK // 2 rows; _BLOCK // 2 + 1 and
-    # _BLOCK + 1 rows cross its edge once and twice.
-    for rows in (len(edge_values), _BLOCK // 8 + 1, _BLOCK // 2 + 1, _BLOCK + 1):
+    # The edge values repeat down each column. _CSV_ROWS // 4 + 1 rows end
+    # inside the first block; _CSV_ROWS + 1 and 2 * _CSV_ROWS + 1 rows cross
+    # its edge once and twice.
+    for rows in (len(edge_values), _CSV_ROWS // 4 + 1, _CSV_ROWS + 1, 2 * _CSV_ROWS + 1):
         values = np.resize(edge_values, rows)
         curve = SimpleNamespace(
             x=values, noise=values[::-1], coherent_info=np.roll(values, 3),
@@ -414,7 +414,7 @@ def test_sweep_csv_rows_match_per_value_format(tmp_path):
 
 
 def test_sweep_csv_buffers_leak_no_stale_bytes(tmp_path, monkeypatch):
-    # The rows cross the edge of a block of _BLOCK // 2 rows twice and end in
+    # The rows cross the edge of a block of _CSV_ROWS rows twice and end in
     # a short block. The first block prints long texts (negatives, exponents
     # and fallbacks), the later ones short texts, and the buffers start out
     # as junk, so a slot that some block leaves unwritten shows in the text.
@@ -427,7 +427,7 @@ def test_sweep_csv_buffers_leak_no_stale_bytes(tmp_path, monkeypatch):
         return buffers
 
     monkeypatch.setattr(cli, "_csv_buffers", junk_buffers)
-    step = _BLOCK // 2
+    step = _CSV_ROWS
     long_texts = [-0.123456789012345, -3.25e-7, 1.5e-5, -9.87654321e-12, math.nan,
                   -math.inf, math.inf, 1e300, -2.0 / 3.0]
     values = np.concatenate((np.resize(long_texts, step), np.resize([0.0, 0.5, 1.0], step + 5)))
@@ -452,8 +452,8 @@ def test_sweep_csv_blocks_share_one_set_of_buffers(monkeypatch):
         return kernel(rows, precision, *buffers)
 
     monkeypatch.setattr(cli, "_csv_text", record)
-    curve = two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, _BLOCK + 1))
-    assert "".join(cli._sweep_lines(curve, 12)).count("\n") == _BLOCK + 2
+    curve = two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, 2 * _CSV_ROWS + 1))
+    assert "".join(cli._sweep_lines(curve, 12)).count("\n") == 2 * _CSV_ROWS + 2
     assert len(calls) == 3
     for arrays in calls[1:]:
         assert all(np.shares_memory(new, first) for new, first in zip(arrays, calls[0]))
@@ -461,6 +461,11 @@ def test_sweep_csv_blocks_share_one_set_of_buffers(monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=24))
+# The edges of the range numpy formats, 1e-4 <= |v| < 10, and values that
+# round up onto them.
+@example([float(np.nextafter(1e-4, 0.0)), 1e-4, float(np.nextafter(1e-4, 1.0))])
+@example([float(np.nextafter(10.0, 0.0)), 10.0, float(np.nextafter(10.0, 20.0))])
+@example([9.99999999999995e-5, -1e-4, 9.9999999999995])
 def test_csv_text_matches_format_for_any_double(values):
     # nan, inf, subnormals and -0 included, at every precision the CLI accepts
     for precision in range(MAX_PRECISION + 1):
@@ -470,8 +475,8 @@ def test_csv_text_matches_format_for_any_double(values):
 
 
 def test_scan_csv_is_written_in_blocks_of_rows():
-    # _BLOCK + 1 states give one full block and one single-row block.
-    rows = _BLOCK + 1
+    # _CSV_ROWS + 1 states give one full block and one single-row block.
+    rows = _CSV_ROWS + 1
     report = SimpleNamespace(
         states=np.column_stack((np.arange(rows), np.zeros(rows), np.full(rows, -0.5))),
         reports=(SimpleNamespace(capacity=(), fidelity=((0.0, 0.1, 2.0),), noise_peak_x=None),),
@@ -479,15 +484,41 @@ def test_scan_csv_is_written_in_blocks_of_rows():
     )
     chunks = list(cli._scan_lines(report, 12))
     assert chunks[0] == "a1,a2,a3,cap_enh,fid_enh,noise_peak_x\n"
-    assert [chunk.count("\n") for chunk in chunks[1:]] == [_BLOCK, 1]
-    assert "".join(chunks[1:]) == "".join(f"{i},0,-0.5,0,1,\n" for i in range(_BLOCK + 1))
+    assert [chunk.count("\n") for chunk in chunks[1:]] == [_CSV_ROWS, 1]
+    assert "".join(chunks[1:]) == "".join(f"{i},0,-0.5,0,1,\n" for i in range(_CSV_ROWS + 1))
+
+
+def test_scan_csv_matches_the_percent_template():
+    # The scan CSV's former formatter, a % template per row, is the
+    # reference: negative, zero and -0.0 components, exponent forms, and a
+    # pair with no noise peak, over a block edge, at every precision.
+    components = [-0.0, 0.0, -0.5, 0.123456789012345, -3.25e-5, 1e-4, -0.999999999999999,
+                  1.0, 2.0 / 3.0, -1e-7, 0.05]
+    rows = _CSV_ROWS + 3
+    report = SimpleNamespace(
+        states=np.resize(components, (rows, 3)),
+        reports=(SimpleNamespace(capacity=(), fidelity=((0.0, 0.1, 2.0),), noise_peak_x=None),
+                 SimpleNamespace(capacity=((0.1, 0.2, 1.0),) * 2, fidelity=(),
+                                 noise_peak_x=0.123456789012345)),
+        pair=np.arange(rows) % 2,
+    )
+    for precision in range(MAX_PRECISION + 1):
+        template = ",".join([f"%.{precision}g"] * 3) + ",%s"
+        tails = [f"{len(r.capacity)},{len(r.fidelity)},"
+                 + ("" if r.noise_peak_x is None else cli._format(r.noise_peak_x, precision))
+                 + "\n" for r in report.reports]
+        want = "".join(template % (*row, tails[p])
+                       for row, p in zip((report.states + 0.0).tolist(), report.pair.tolist()))
+        chunks = list(cli._scan_lines(report, precision))
+        assert chunks[0] == "a1,a2,a3,cap_enh,fid_enh,noise_peak_x\n"
+        assert "".join(chunks[1:]) == want
 
 
 def test_sweep_csv_memory_does_not_grow_with_the_rows(tmp_path):
     # Formatting every row at once makes the traced peak grow with the rows,
     # about 4x from the first size to the second.
     peaks = []
-    for rows in (_BLOCK + 1, 4 * _BLOCK + 1):
+    for rows in (2 * _CSV_ROWS + 1, 8 * _CSV_ROWS + 1):
         curve = two_pauli_metrics((0.3, 0.4, 0.2), np.linspace(0.0, 0.7, rows))
         tracemalloc.start()
         try:

@@ -812,6 +812,20 @@ def test_fidelity_detection_agrees_with_the_end_point_rule():
     assert np.array_equal(detected, rule)
 
 
+def test_fidelity_rule_ends_are_monotone_in_p():
+    # The end-point rule's boundary is one curve P*(|a3|), P = a1² + a2²:
+    # at fixed |a3|, N(0) = h2((1 + |a3|)/2) does not depend on P, and
+    # N(0.7) never rises with P, so the enhanced states at each |a3| are
+    # those with P below one edge. 101 values of |a3| by 401 of P, up to
+    # the pure state P = 1 - a3².
+    a3 = np.linspace(0.0, 1.0, 101)[:, None]
+    p = np.linspace(0.0, 1.0, 401) * (1.0 - a3 * a3)
+    states = np.stack(np.broadcast_arrays(np.sqrt(p), 0.0, a3), axis=-1)
+    noise = two_pauli_metrics(states.reshape(-1, 3), [0.0, 0.7]).noise.reshape(101, 401, 2)
+    assert np.diff(noise[..., 1], axis=1).max() <= 0.0
+    assert (noise[..., 0] == noise[:, :1, 0]).all()
+
+
 def monotonicity_extremes(resolution):
     """Over the (a1² + a2², |a3|) pairs of the resolution^3 grid, swept 64
     pairs at a time to bound the memory: the largest C over 801 rates on

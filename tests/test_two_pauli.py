@@ -25,7 +25,6 @@ from qsr.channel import (
 from qsr.linalg import hermitian_eigenvalues
 from qsr.resonance import detect_multivalued, state_scan
 from qsr.two_pauli import (
-    _BLOCK,
     _SOLVE_BLOCK,
     analytic_exchange_matrix,
     analytic_output_entropy,
@@ -210,8 +209,11 @@ class TestMetrics:
 
 
 @pytest.mark.parametrize("state", [(0.3, 0.4, 0.2), (1.0, 0.0, 0.0)])
+# Past _SOLVE_BLOCK // 2 rates a block holds one row, not two; past
+# _SOLVE_BLOCK a row is solved in two runs of rates.
 @pytest.mark.parametrize("rates", [
-    1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 20001])
+    1, _SOLVE_BLOCK // 2 - 1, _SOLVE_BLOCK // 2, _SOLVE_BLOCK // 2 + 1, _SOLVE_BLOCK,
+    _SOLVE_BLOCK + 1, 20001])
 def test_blocked_metrics_match_one_pass(state, rates):
     # The one-pass route: every rate's closed-form spectrum in one call, and
     # a pure state's noise taken from its output entropy.
@@ -372,7 +374,9 @@ def test_stacked_solve_keeps_each_block_within_the_limit(monkeypatch, m, n, size
     assert solved == sizes
 
 
-@pytest.mark.parametrize("n", [41, _BLOCK + 1])
+# Both mixed rows in one block, one per block, and one per block in two
+# runs of rates.
+@pytest.mark.parametrize("n", [41, _SOLVE_BLOCK // 2 + 1, _SOLVE_BLOCK + 1])
 def test_pure_rows_do_not_solve_the_cubic(monkeypatch, n):
     # Exactly pure rows between mixed ones: only the mixed rows reach the
     # solve, and every column equals the one-state calls bit for bit.

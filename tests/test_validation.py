@@ -102,9 +102,9 @@ def test_random_trials_whiten_once_per_kraus_count_in_a_chunk(monkeypatch, trial
 
 
 def test_agreement_reaches_the_last_sample_of_a_partial_block(monkeypatch):
-    # The last call is a partial chunk of rates: with the default block the
-    # 123 states take 16 rates and then 5, with 50 the last 23 states take
-    # 2 rates at a time and then 1. Only the last state at x = 1 is skewed.
+    # The last call is a partial chunk of rates: the 123 states take 16
+    # rates at a time and then 5 under the default bound, and 4 at a time
+    # and then 1 under a bound of 500. Only the last state at x = 1 is skewed.
     grid = bloch_ball_grid(7)
     rates = np.linspace(0.0, 1.0, 21)
     closed_form = validation.two_pauli_metrics
@@ -120,13 +120,14 @@ def test_agreement_reaches_the_last_sample_of_a_partial_block(monkeypatch):
         return metrics
 
     monkeypatch.setattr(validation, "two_pauli_metrics", skewed)
-    for block in (validation._BLOCK, 50):
-        monkeypatch.setattr(validation, "_BLOCK", block)
+    for bound in (validation._AGREEMENT_SAMPLES, 500):
+        monkeypatch.setattr(validation, "_AGREEMENT_SAMPLES", bound)
         calls.clear()
         result = check_analytic_generic_agreement(7, 21)
         assert not result.passed, result.detail
         states, x = calls[-1]
-        assert len(x) < max(1, block // len(states)) and x[-1] == 1.0
+        assert len(states) == len(grid)
+        assert len(x) < bound // len(states) and x[-1] == 1.0
         # The calls cover every (state, rate) sample of the grid exactly once.
         covered = collections.Counter((tuple(state), rate) for states, x in calls
                                       for state in states.tolist() for rate in x.tolist())
@@ -136,16 +137,16 @@ def test_agreement_reaches_the_last_sample_of_a_partial_block(monkeypatch):
 
 def test_agreement_detail_does_not_depend_on_the_block(monkeypatch):
     default = check_analytic_generic_agreement(7, 21)
-    monkeypatch.setattr(validation, "_BLOCK", 16)
+    monkeypatch.setattr(validation, "_AGREEMENT_SAMPLES", 16)
     assert check_analytic_generic_agreement(7, 21) == default
 
 
 def test_agreement_calls_the_generic_route_once_per_rate(monkeypatch):
-    # At 9^3 the 257 states are one block, so each generic-route function
-    # runs once per rate over all of them, and each closed form once per
-    # chunk of 2048 // 257 = 7 rates. The exchange matrix is contracted
-    # once per rate: the noise is the entropy of that same matrix, so two
-    # entropies are taken per rate.
+    # The 257 states of the 9^3 grid are one stack, so each generic-route
+    # function runs once per rate over all of them, and each closed form
+    # once per chunk of 2048 // 257 = 7 rates. The exchange matrix is
+    # contracted once per rate: the noise is the entropy of that same
+    # matrix, so two entropies are taken per rate.
     generic = ("apply_channel", "exchange_matrix", "density_to_bloch", "entangled_fidelity")
     counts = collections.Counter()
     for name in generic + ("von_neumann_entropy", "analytic_exchange_matrix",
