@@ -28,7 +28,6 @@ All entropies are in bits (base-2 logarithms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +115,7 @@ class KrausChannel:
     the generic route evaluates: (k, 2, 2) for one channel, (n, k, 2, 2)
     for a stack, whose checks apply to each channel and name the first
     that fails. Completeness (sum_i A_i^dag A_i = I) is checked where it
-    matters, on first use, so deliberately broken operator sets can still
+    matters, on each use, so deliberately broken operator sets can still
     be built and diagnosed with `completeness_residual`.
     """
 
@@ -148,10 +147,6 @@ class KrausChannel:
                 raise ValueError(f"Kraus operators must be 2x2, got {operators.shape[1:]}")
         object.__setattr__(self, "operators", operators)
 
-    @cached_property
-    def _residual(self):
-        return completeness_residual(self)
-
 
 def completeness_residual(channel: KrausChannel):
     """Max-norm of sum_i A_i^dag A_i - I; zero for a trace-preserving set.
@@ -163,7 +158,7 @@ def completeness_residual(channel: KrausChannel):
 
 
 def _require_complete(channel: KrausChannel) -> None:
-    residual = np.asarray(channel._residual)
+    residual = np.asarray(completeness_residual(channel))
     broken = residual > COMPLETENESS_TOL
     if broken.any():
         name = channel.label or "channel"

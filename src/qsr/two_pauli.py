@@ -45,8 +45,9 @@ states and rates in one pass. Only the mixed rows' cubic is solved in
 fixed blocks of at most _SOLVE_BLOCK samples: whole rows of
 ``max(1, _SOLVE_BLOCK // n)`` mixed states by ``min(n, _SOLVE_BLOCK)``
 of the n rates, so one state is solved in runs of _SOLVE_BLOCK rates,
-and a block's temporaries do not grow with n. `resonance.state_scan`
-stacks its sweeps by the same bound and rule, so each stack is one solve.
+and a block's temporaries do not grow with n. `resonance.state_scan`'s
+sweep stacks and the agreement oracle's chunks of rates take whole rows
+by the same rule, `_row_blocks`, so each is one solve.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ from .channel import (
 from .linalg import hermitian_eigenvalues
 
 #: Most samples solved at once: the mixed rows' cubic in
-#: `two_pauli_metrics`, and the whole rows of one stacked sweep of
-#: `resonance.state_scan`, so each scan stack is one solve. Its columns and
+#: `two_pauli_metrics`, and the whole rows of one scan stack or oracle
+#: chunk (`_row_blocks`), so each is one solve. Its columns and
 #: temporaries stay near a megabyte: one stack of all 33 pairs of the 9^3
 #: grid raised the scan benchmark's peak process memory by 7 % (33.8 to
 #: 36.2 MB), and this bound by less than 1 %.
@@ -104,6 +105,14 @@ def _check_rate(x) -> np.ndarray:
     if bad.size:
         raise ValueError(f"flipping rate must be in [0, 1], got {float(bad[0])!r}")
     return rates
+
+
+def _row_blocks(rows: int, samples: int) -> list[slice]:
+    """Slices that cover ``range(rows)`` in order, each of at most
+    ``max(1, _SOLVE_BLOCK // samples)`` whole rows of ``samples`` samples:
+    the rows that one solve block holds."""
+    per_block = max(1, _SOLVE_BLOCK // samples)
+    return [slice(top, top + per_block) for top in range(0, rows, per_block)]
 
 
 def make_two_pauli(x: float) -> KrausChannel:
@@ -310,9 +319,8 @@ def two_pauli_metrics(state, x) -> SweepCurve:
     noise_rows = noise.reshape(-1, len(x))  # a view: one row per state
     columns = [np.reshape(a, (-1, 1)) for a in (a1, a2, a3)]
     mixed = np.flatnonzero(1.0 - (planar + a3 * a3) > 0.0)
-    per_block = max(1, _SOLVE_BLOCK // len(x))
-    for top in range(0, len(mixed), per_block):
-        solve = mixed[top : top + per_block]
+    for rows in _row_blocks(len(mixed), len(x)):
+        solve = mixed[rows]
         for start in range(0, len(x), _SOLVE_BLOCK):
             cols = slice(start, start + _SOLVE_BLOCK)
             noise_rows[solve, cols] = spectrum_entropy(

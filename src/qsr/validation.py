@@ -16,10 +16,10 @@ functions under test take the group as one (n, k, 2, 2) channel stack and
 (n, 2, 2) state stack, bit for bit as one trial at a time. The worst gap,
 residual and lowest eigenvalue are maxima and minima, so they do not
 depend on the grouping. The agreement check takes the whole ball grid as
-one stack and the rates in chunks of at most _AGREEMENT_SAMPLES samples:
-the closed forms take one call per chunk, in which `two_pauli_metrics`
-takes the output entropy in one pass and blocks only the mixed rows'
-cubic, and the generic route one call per rate.
+one stack and its rates in chunks by the noise solve's rule for whole
+rows (`two_pauli._row_blocks`), so a chunk of a grid of at most 4,096
+states is one solve: the closed forms take one call per chunk, and the
+generic route one call per rate.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .channel import (
 )
 from .linalg import MAX_DIM, hermitian_eigenvalues, hermitian_residual
 from .resonance import bloch_ball_grid
-from .two_pauli import analytic_exchange_matrix, make_two_pauli, two_pauli_metrics
+from .two_pauli import _row_blocks, analytic_exchange_matrix, make_two_pauli, two_pauli_metrics
 
 DEFAULT_SEED = 20240117
 
@@ -58,10 +58,6 @@ COLLAPSE_RATES = 101
 # Random-channel trials drawn before their spectra are solved, one
 # eigensolve per Kraus count among them.
 _TRIAL_CHUNK = 256
-
-# Most (state, rate) samples the agreement check gives the closed forms in
-# one call: whole rates, at least one.
-_AGREEMENT_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -214,9 +210,7 @@ def check_analytic_generic_agreement(
     channels = [make_two_pauli(float(x)) for x in xs]
     states = bloch_ball_grid(grid_resolution)
     rho = bloch_to_density(states)
-    per_chunk = max(1, _AGREEMENT_SAMPLES // len(states))
-    for top in range(0, x_samples, per_chunk):
-        rates = slice(top, top + per_chunk)
+    for rates in _row_blocks(x_samples, len(states)):
         # The closed forms for the chunk's rates in one stacked call each;
         # axis 0 is the state, axis 1 the rate.
         w = analytic_exchange_matrix(states, xs[rates])

@@ -77,7 +77,7 @@ class TestKrausChannel:
         assert channel.operators.dtype == complex and channel.operators.shape == (2, 2, 2)
         assert np.array_equal(channel.operators, np.stack(ops))
 
-    def test_completeness_computed_on_first_use_only(self, monkeypatch):
+    def test_completeness_checked_on_each_use_not_at_construction(self, monkeypatch):
         import qsr.channel
 
         calls = []
@@ -90,9 +90,10 @@ class TestKrausChannel:
         channel = make_two_pauli(0.3)
         assert calls == []
         rho = bloch_to_density((0.1, 0.2, 0.3))
+        # Each call checks twice: once for its output, once for its exchange matrix.
         for _ in range(3):
             coherent_information(channel, rho)
-        assert calls == [channel]
+        assert calls == [channel] * 6
 
 
 class TestBlochDensityConversions:

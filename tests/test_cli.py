@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qsr import cli, two_pauli
 from qsr.cli import _CSV_ROWS, MAX_GRID_RESOLUTION, MAX_PRECISION, MAX_STEPS, main
 from qsr.two_pauli import two_pauli_metrics
+from qsr.validation import CheckResult
 
 
 def run(capsys, *argv):
@@ -373,6 +374,14 @@ class TestValidateCommand:
         # the negative control proves the completeness detector fires
         assert "broken-channel negative control" in stdout
         assert "completeness violation detected" in stdout
+
+    def test_validate_exits_3_when_a_check_fails(self, capsys, monkeypatch):
+        results = [CheckResult("broken", False, "off by 1"), CheckResult("sound", True, "ok")]
+        monkeypatch.setattr(cli, "run_all", lambda: results)
+        code, stdout, _ = run(capsys, "validate")
+        assert code == 3
+        assert stdout.splitlines() == ["FAIL  broken: off by 1", "PASS  sound: ok",
+                                       "1 of 2 checks failed"]
 
 
 def test_sweep_csv_rows_match_per_value_format(tmp_path):

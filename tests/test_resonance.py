@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -824,6 +825,32 @@ def test_fidelity_rule_ends_are_monotone_in_p():
     noise = two_pauli_metrics(states.reshape(-1, 3), [0.0, 0.7]).noise.reshape(101, 401, 2)
     assert np.diff(noise[..., 1], axis=1).max() <= 0.0
     assert (noise[..., 0] == noise[:, :1, 0]).all()
+
+
+def _fidelity_rule_edge(enhanced, lo, hi):
+    """The edge of the end-point rule between lo, where it holds, and hi,
+    where it does not, by 40 bisection steps."""
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if enhanced(mid) else (lo, mid)
+    return lo
+
+
+def test_fidelity_rule_boundary_p_star():
+    # The rule N(0) < N(0.7) holds on the states (sqrt P, 0, a3) exactly
+    # below one edge P*(|a3|), by the monotonicity in P pinned above.
+    # Measured here: P* = 0.39798, 0.45361 and 0.59122 at |a3| = 0, 0.25
+    # and 0.5, and every state up to the pure P = 1 - a3² is enhanced from
+    # |a3| = 0.60698.
+    def enhanced(p, a3):
+        noise = two_pauli_metrics((math.sqrt(p), 0.0, a3), [0.0, 0.7]).noise
+        return noise[0] < noise[1]
+
+    for a3, p_star in ((0.0, 0.3980), (0.25, 0.4536), (0.5, 0.5912)):
+        edge = _fidelity_rule_edge(lambda p: enhanced(p, a3), 0.0, 1.0 - a3 * a3)
+        assert edge == pytest.approx(p_star, abs=5e-4)
+    every_state = _fidelity_rule_edge(lambda a3: not enhanced(1.0 - a3 * a3, a3), 0.5, 0.75)
+    assert every_state == pytest.approx(0.6070, abs=5e-4)
 
 
 def monotonicity_extremes(resolution):

@@ -14,6 +14,7 @@ from qsr.channel import (
     IDENTITY,
     PAULI_X,
     PAULI_Y,
+    PAULI_Z,
     apply_channel,
     bloch_to_density,
     completeness_residual,
@@ -750,3 +751,38 @@ def test_capacity_wedge_edge_is_the_root_of_the_derivative_factor():
     x_f = 4 * a3**2 / (1 + 3 * a3**2)
     assert sp.simplify((x_u - x_f).subs(a3, meet)) == 0
     assert sp.simplify(x_f.subs(a3, meet) - (3 - sp.sqrt(5)) / 2) == 0
+
+
+def _extension_margin(operators) -> float:
+    """Tr rho_B^2 - (Tr rho_AB^2 - 4 sqrt(det rho_AB)), with det clamped at
+    0, for the Choi state rho_AB = sum_k (I x A_k)|Phi+><Phi+|(I x A_k)^dag
+    of a channel's Kraus operators. It is at least 0 exactly when rho_AB
+    has a symmetric extension (Chen, Ji, Kribs, Lutkenhaus & Zeng, PRA
+    90:032318, 2014), and then the channel is antidegradable."""
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    vectors = np.array([np.kron(IDENTITY, a) @ phi for a in operators])
+    rho = vectors.T @ vectors.conj()
+    rho_b = np.einsum("abad->bd", rho.reshape(2, 2, 2, 2))
+    det = max(float(np.linalg.det(rho).real), 0.0)
+    return float(np.trace(rho_b @ rho_b).real - np.trace(rho @ rho).real + 4.0 * math.sqrt(det))
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 0.6, 2.0 / 3.0, 0.67, 0.7, 0.8, 1.0])
+def test_choi_state_has_a_symmetric_extension_exactly_up_to_two_thirds(x):
+    # The Choi state is Bell-diagonal with weights (x, h, h, 0), so
+    # det rho_AB = 0, Tr rho_B^2 = 1/2 and the margin is x (2 - 3x) / 2:
+    # at least 0 exactly on [0, 2/3], where the channel is antidegradable
+    # and C <= 0 for every input. 0.125 at 0.5, 0 at 2/3, -0.00335 at 0.67.
+    assert _extension_margin(make_two_pauli(x).operators) == pytest.approx(
+        x * (2.0 - 3.0 * x) / 2.0, abs=1e-12)
+
+
+def test_extension_margin_gives_the_depolarizing_cloning_threshold():
+    # rho -> (1 - p) rho + (p/3) sum_s s rho s is antidegradable exactly
+    # from p = 1/4, where the criterion holds with equality.
+    def depolarizing(p):
+        return [math.sqrt(1.0 - p) * IDENTITY] + [
+            math.sqrt(p / 3.0) * pauli for pauli in (PAULI_X, PAULI_Y, PAULI_Z)]
+
+    assert abs(_extension_margin(depolarizing(0.25))) <= 1e-12
+    assert _extension_margin(depolarizing(0.2)) < 0.0 < _extension_margin(depolarizing(0.3))

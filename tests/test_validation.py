@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qsr import validation
+from qsr import two_pauli, validation
 from qsr.channel import IDENTITY, bloch_to_density, environment_output, exchange_matrix
 from qsr.linalg import MAX_DIM, hermitian_eigenvalues, hermitian_residual
 from qsr.resonance import bloch_ball_grid
@@ -102,8 +102,8 @@ def test_random_trials_whiten_once_per_kraus_count_in_a_chunk(monkeypatch, trial
 
 
 def test_agreement_reaches_the_last_sample_of_a_partial_block(monkeypatch):
-    # The last call is a partial chunk of rates: the 123 states take 16
-    # rates at a time and then 5 under the default bound, and 4 at a time
+    # The last call is a partial chunk of rates: the 123 states take all 21
+    # rates, of 33 a block holds, under the default bound, and 4 at a time
     # and then 1 under a bound of 500. Only the last state at x = 1 is skewed.
     grid = bloch_ball_grid(7)
     rates = np.linspace(0.0, 1.0, 21)
@@ -120,8 +120,8 @@ def test_agreement_reaches_the_last_sample_of_a_partial_block(monkeypatch):
         return metrics
 
     monkeypatch.setattr(validation, "two_pauli_metrics", skewed)
-    for bound in (validation._AGREEMENT_SAMPLES, 500):
-        monkeypatch.setattr(validation, "_AGREEMENT_SAMPLES", bound)
+    for bound in (two_pauli._SOLVE_BLOCK, 500):
+        monkeypatch.setattr(two_pauli, "_SOLVE_BLOCK", bound)
         calls.clear()
         result = check_analytic_generic_agreement(7, 21)
         assert not result.passed, result.detail
@@ -137,14 +137,14 @@ def test_agreement_reaches_the_last_sample_of_a_partial_block(monkeypatch):
 
 def test_agreement_detail_does_not_depend_on_the_block(monkeypatch):
     default = check_analytic_generic_agreement(7, 21)
-    monkeypatch.setattr(validation, "_AGREEMENT_SAMPLES", 16)
+    monkeypatch.setattr(two_pauli, "_SOLVE_BLOCK", 16)
     assert check_analytic_generic_agreement(7, 21) == default
 
 
 def test_agreement_calls_the_generic_route_once_per_rate(monkeypatch):
     # The 257 states of the 9^3 grid are one stack, so each generic-route
     # function runs once per rate over all of them, and each closed form
-    # once per chunk of 2048 // 257 = 7 rates. The exchange matrix is
+    # once per chunk of 4096 // 257 = 15 rates. The exchange matrix is
     # contracted once per rate: the noise is the entropy of that same
     # matrix, so two entropies are taken per rate.
     generic = ("apply_channel", "exchange_matrix", "density_to_bloch", "entangled_fidelity")
@@ -157,7 +157,40 @@ def test_agreement_calls_the_generic_route_once_per_rate(monkeypatch):
         monkeypatch.setattr(validation, name, counted)
     assert check_analytic_generic_agreement(9, 41).passed
     assert counts == dict.fromkeys(generic, 41) | {
-        "von_neumann_entropy": 82, "analytic_exchange_matrix": 6, "two_pauli_metrics": 6}
+        "von_neumann_entropy": 82, "analytic_exchange_matrix": 3, "two_pauli_metrics": 3}
+
+
+@pytest.mark.parametrize("resolution, rates, chunks", [(7, 21, [21]), (9, 41, [15, 15, 11])])
+def test_each_agreement_chunk_is_one_solve(monkeypatch, resolution, rates, chunks):
+    # The rates are chunked by the noise solve's own rule for whole rows:
+    # the 123 states of the 7^3 grid take all 21 rates in one chunk, and
+    # the 257 of the 9^3 grid take 4096 // 257 = 15 at a time. Each chunk's
+    # closed-form call solves its cubic in one call.
+    closed_form = validation.two_pauli_metrics
+    chunked, solved = [], []
+
+    def counted(states, x):
+        chunked.append(len(x))
+        return closed_form(states, x)
+
+    def recorded(a1, a2, a3, x, _original=two_pauli._exchange_spectrum):
+        solved.append(np.broadcast(a1, x).size)
+        return _original(a1, a2, a3, x)
+
+    monkeypatch.setattr(validation, "two_pauli_metrics", counted)
+    monkeypatch.setattr(two_pauli, "_exchange_spectrum", recorded)
+    assert check_analytic_generic_agreement(resolution, rates).passed
+    assert chunked == chunks and len(solved) == len(chunks)
+    assert max(solved) <= two_pauli._SOLVE_BLOCK
+
+
+def test_broken_channel_control_fails_when_nothing_is_refused(monkeypatch):
+    # An apply_channel that takes the broken operator set without raising
+    # must fail the negative control.
+    monkeypatch.setattr(validation, "apply_channel", lambda channel, rho: rho)
+    result = validation.check_broken_channel_detected()
+    assert not result.passed
+    assert result.detail == "completeness violation was NOT detected"
 
 
 def test_agreement_fails_on_a_nan_deviation(monkeypatch):
