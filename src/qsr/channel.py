@@ -295,6 +295,7 @@ def entangled_fidelity(channel: KrausChannel, rho):
     residue above 1e-12 is an error, below it is discarded. One matrix
     gives a numpy scalar, a stack an array with one fidelity per matrix.
     """
+    _require_complete(channel)
     ops, rho = _paired(channel, rho)
     # Tr(rho A_mu) sums rho[a, b] (A_mu^T)[a, b]. With A^T copied in C order,
     # as rho is, einsum adds the four products in the same order whatever

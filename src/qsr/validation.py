@@ -10,16 +10,16 @@ The checks leave the random-number stream alone. The random-channel checks
 draw each trial's values as a per-trial loop would (the Kraus count, the
 operators' normals, the state's direction and radius), in one normal draw
 per trial, but group the trials of each chunk of _TRIAL_CHUNK by Kraus
-count: per group the operators are whitened and the states scaled in one
-pass (`_ball_points`, which `random_bloch_vector` shares), and the
-functions under test take the group as one (n, k, 2, 2) channel stack and
-(n, 2, 2) state stack, bit for bit as one trial at a time. The worst gap,
-residual and lowest eigenvalue are maxima and minima, so they do not
-depend on the grouping. The agreement check takes the whole ball grid as
-one stack and its rates in chunks by the noise solve's rule for whole
-rows (`two_pauli._row_blocks`), so a chunk of a grid of at most 4,096
-states is one solve: the closed forms take one call per chunk, and the
-generic route one call per rate.
+count: per group the operators come from one QR decomposition and the
+states are scaled in one pass (`_ball_points`, which `random_bloch_vector`
+shares), and the functions under test take the group as one (n, k, 2, 2)
+channel stack and (n, 2, 2) state stack, bit for bit as one trial at a
+time. The worst gap, residual and lowest eigenvalue are maxima and minima,
+so they do not depend on the grouping. The agreement check takes the whole
+ball grid as one stack and its rates in chunks by the noise solve's rule
+for whole rows (`two_pauli._row_blocks`), so a chunk of a grid of at most
+4,096 states is one solve: the closed forms take one call per chunk, and
+the generic route one call per rate.
 """
 
 from __future__ import annotations
@@ -81,47 +81,23 @@ def random_bloch_vector(rng, pure: bool = False) -> np.ndarray:
     return _ball_points(normals, 1.0 if pure else rng.uniform() ** (1.0 / 3.0))[0]
 
 
-def _det(m: np.ndarray) -> np.ndarray:
-    """Determinants of an (n, 2, 2) complex stack. Each product is formed
-    from real parts, as numpy's scalar complex multiply forms it: its SIMD
-    loop over a stack rounds differently."""
-    a, b, c, e = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0]
-    det = np.empty(len(m), dtype=complex)
-    det.real = (a.real * b.real - a.imag * b.imag) - (c.real * e.real - c.imag * e.imag)
-    det.imag = (a.real * b.imag + a.imag * b.real) - (c.real * e.imag + c.imag * e.real)
-    return det
-
-
-def _whiteners(gram: np.ndarray) -> np.ndarray:
-    """Inverse square roots of an (n, 2, 2) stack of Hermitian positive
-    definite matrices, from the closed-form square root."""
-    t = (gram[:, 0, 0] + gram[:, 1, 1]).real
-    d = _det(gram).real
-    if ((d <= 0.0) | (t <= 0.0)).any():
-        raise ValueError("matrix is not positive definite")
-    s = np.sqrt(d)[:, None, None]
-    root = (gram + s * IDENTITY) / np.sqrt(t[:, None, None] + 2.0 * s)
-    adjugate = -root
-    adjugate[:, 0, 0], adjugate[:, 1, 1] = root[:, 1, 1], root[:, 0, 0]
-    return adjugate / _det(root)[:, None, None]
-
-
 def _kraus_stacks(draws: np.ndarray) -> np.ndarray:
     """`random_kraus_channel`'s operators from each (k, 2, 2, 2) draw of an
-    (n, k, 2, 2, 2) stack: per operator, the real then the imaginary part."""
-    raw = draws[:, :, 0] + 1j * draws[:, :, 1]
-    # Matrix products summed over operators, as the per-operator sum did:
-    # an einsum contraction rounds differently, by up to 4.4e-16.
-    gram = (raw.conj().swapaxes(-1, -2) @ raw).sum(axis=1)
-    return raw @ _whiteners(gram)[:, None]
+    (n, k, 2, 2, 2) stack: per operator, the real then the imaginary part.
+    Each draw's k complex operators, stacked as one 2k x 2 matrix, give
+    the orthonormal factor Q of its QR decomposition, whose 2x2 blocks are
+    the channel's operators: their sum of A^dagger A is Q^dagger Q = I."""
+    n, k = draws.shape[:2]
+    raw = (draws[:, :, 0] + 1j * draws[:, :, 1]).reshape(n, 2 * k, 2)
+    return np.linalg.qr(raw)[0].reshape(n, k, 2, 2)
 
 
 def random_kraus_channel(rng, num_operators: int | None = None) -> KrausChannel:
     """Random trace-preserving channel with 1..6 Kraus operators.
 
-    Draws Gaussian complex matrices and right-multiplies by the inverse
-    square root of their Gram sum, which enforces completeness exactly
-    (up to rounding).
+    Draws Gaussian complex matrices and keeps the orthonormal factor of
+    their QR decomposition, stacked as one 2k x 2 isometry, which enforces
+    completeness exactly (up to rounding).
     """
     k = int(num_operators) if num_operators is not None else int(rng.integers(1, MAX_DIM + 1))
     (operators,) = _kraus_stacks(rng.normal(size=(1, k, 2, 2, 2)))

@@ -534,9 +534,12 @@ class TestStackedRoute:
     def test_completeness_checked_for_a_stack(self):
         broken = KrausChannel((math.sqrt(0.5) * IDENTITY,), label="broken")
         rho = random_density_stack(np.random.default_rng(42), 3)
-        for func in (apply_channel, entropy_exchange, coherent_information):
+        for func in (apply_channel, entropy_exchange, coherent_information, entangled_fidelity):
             with pytest.raises(ValueError, match="completeness"):
                 func(broken, rho)
+        # Unchecked, twice the identity would read a fidelity of 4.0.
+        with pytest.raises(ValueError, match="completeness"):
+            entangled_fidelity(KrausChannel((2 * IDENTITY,)), bloch_to_density((0, 0, 0.5)))
 
     def test_environment_output_matches_block_assembly(self):
         rng = np.random.default_rng(43)

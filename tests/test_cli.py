@@ -554,7 +554,7 @@ RECORDED_DIGESTS = {
     "scan-default.csv": "7fc5dc4d783182ef1265c27483d1c1bfc7a6e8a01dcdae79574868bab9cd9e20",
     "scan 21 stdout": "06a1d12aebd2a63734448842a6fb31f07cf3449535ce38dc35f64bfcdddbda94",
     "scan-21.csv": "3aaee1f1e3f6b878d7171e35defc2f6509001ea9dfa5c1f968e6e0ca2220cf52",
-    "validate stdout": "141b76f5ecbfb855d51bd7f77a42653df6cbb9d6c86aac37309b87b3b4be3680",
+    "validate stdout": "aaff761413047ccc6684dd42863bbd7dea1c789a8ee78b2652e0f5178ff10df8",
     "sweep --help": "6798aeb77df47786067a07a8343b980dbb6bd775826012bb8866e4a762c62f8f",
     "figure1 --help": "a08571021cda83c226340d20271b534db002a742315a3f886d809e854291df3f",
     "scan --help": "a3660081d72db67f00b016ce017176606c17efce45fb47ed24c5887c06dd983c",

@@ -885,6 +885,27 @@ def test_capacity_is_flat_below_x_star_and_falls_with_the_noise_above():
     assert monotonicity_facts_hold(*extremes), extremes
 
 
+def test_best_input_reaches_the_hashing_rate_and_the_best_fidelity():
+    # The channel-level reading over the 329 pairs of the 21^3 grid: at each
+    # rate the largest C is Q1(x) = max(0, 1 - H(x, h, h)), h = (1 - x)/2,
+    # which the centre state attains above x* and the pure states (C = 0)
+    # below it, and the best F is (1 + x)/2, on the pure equatorial states.
+    # Measured here: all three within 4.4e-16.
+    grid = bloch_ball_grid(21)
+    states = grid[_pairs(grid, 21)[1]]
+    assert len(states) == 329
+    x = np.linspace(0.0, 1.0, 101)
+    curve = two_pauli_metrics(states, x)
+    weights = np.array([x, (1.0 - x) / 2.0, (1.0 - x) / 2.0])
+    terms = np.zeros_like(weights)
+    np.multiply(weights, np.log2(weights, where=weights > 0.0, out=terms), out=terms)
+    hashing = 1.0 + terms.sum(axis=0)
+    centre = np.flatnonzero((states == 0.0).all(axis=1))
+    assert np.abs(curve.coherent_info.max(axis=0) - np.maximum(0.0, hashing)).max() <= 1e-12
+    assert np.abs(curve.coherent_info[centre[0]] - hashing).max() <= 1e-12
+    assert np.abs(curve.fidelity.max(axis=0) - (1.0 + x) / 2.0).max() <= 1e-12
+
+
 def test_capacity_is_exactly_zero_at_x_zero_on_the_z_axis():
     # At x = 0 the output Bloch vector is (0, 0, -a3), and the noise is the
     # output entropy h2((1 + |a3|)/2). Computed by two routes they rounded

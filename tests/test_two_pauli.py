@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import re
 import tracemalloc
@@ -566,6 +567,36 @@ def test_noise_matches_lapack_on_random_near_pure_states(window):
     deficit = 10.0 ** rng.uniform(-12.0, 0.0, size=(300, 1))
     states = directions * np.sqrt(1.0 - deficit)
     _assert_noise_matches_lapack(states, window)
+
+
+def reference_noise(mpmath, state, x, digits=40):
+    """The noise of one (state, x) from the module docstring's cubic, its
+    roots found by mpmath at `digits` digits from the float inputs taken
+    exactly, rounded once to a float at the end."""
+    with mpmath.workdps(digits):
+        a1, a2, a3, x = (mpmath.mpf(float(v)) for v in (*state, x))
+        h = (1 - x) / 2
+        p, a3sq = a1**2 + a2**2, a3**2
+        e2 = x * h * (2 - p) + h**2 * (1 - a3sq)
+        d = x * h**2 * (1 - p - a3sq)
+        roots = mpmath.polyroots([1, -1, e2, -d], maxsteps=200, extraprec=2 * digits)
+        return float(-sum(l * mpmath.log(l, 2) for l in map(mpmath.re, roots) if l > 0))
+
+
+def test_noise_matches_a_40_digit_reference_near_pure_states_and_the_rate_ends():
+    # Measured here: the worst gap is 1.2e-15 bits, at (0.9999999999995, 0, 0)
+    # and x = 1 - 1e-6, well inside the spot check's 1e-12.
+    mpmath = pytest.importorskip("mpmath")
+    states = []
+    for a3, delta in itertools.product((0.0, 0.5, 0.9, 0.99, 0.999999), (1e-2, 1e-6, 1e-9, 1e-12)):
+        p = 1.0 - delta - a3 * a3
+        if p >= 0.0:
+            states.append((math.sqrt(p), 0.0, a3))
+    assert len(states) == 19
+    xs = np.array([0.0, 1e-9, 1e-4, 0.1, 1 / 3, 0.5, 0.7, 0.9, 1.0 - 1e-6, 1.0])
+    noise = two_pauli_metrics(np.array(states), xs).noise
+    want = [[reference_noise(mpmath, state, x) for x in xs] for state in states]
+    assert np.abs(noise - want).max() <= 1e-14
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from qsr.linalg import MAX_DIM, hermitian_eigenvalues, hermitian_residual
 from qsr.resonance import bloch_ball_grid
 from qsr.validation import (
     _TRIAL_CHUNK,
-    _whiteners,
     check_analytic_generic_agreement,
     check_dilation_oracle,
     check_exchange_matrix_properties,
@@ -36,7 +35,7 @@ def _inverse_sqrt_2x2(mat: np.ndarray) -> np.ndarray:
 
 
 def old_random_kraus_operators(rng, k):
-    """The per-operator draw that random_kraus_channel replaced."""
+    """The per-operator whitened draw that random_kraus_channel replaced."""
     raw = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(k)]
     gram = sum(b.conj().T @ b for b in raw)
     whitener = _inverse_sqrt_2x2(gram)
@@ -44,51 +43,37 @@ def old_random_kraus_operators(rng, k):
 
 
 def test_random_kraus_channel_keeps_the_stream():
+    # The QR draw reads the normals the whitened draw read, and its operators
+    # are an isometry with the same range: the old channel composed with a
+    # fixed input unitary.
     for seed in range(20):
         for k in range(1, 7):
             old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            want = old_random_kraus_operators(old_rng, k)
+            old = np.concatenate(old_random_kraus_operators(old_rng, k))
             got = random_kraus_channel(new_rng, num_operators=k).operators
-            assert len(got) == k
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert got.shape == (k, 2, 2)
+            new = np.concatenate(got)
+            assert np.abs(new.conj().T @ new - IDENTITY).max() <= 1e-14
+            assert np.linalg.norm(new @ new.conj().T @ old - old) <= 1e-14
             assert new_rng.normal() == old_rng.normal()
 
 
-@pytest.mark.parametrize("size", [1, 40])
-def test_whiteners_match_the_scalar_inverse_square_root(size):
-    for seed in range(20):
-        for k in range(1, 7):
-            draws = np.random.default_rng(seed).normal(size=(size, k, 2, 2, 2))
-            raw = draws[:, :, 0] + 1j * draws[:, :, 1]
-            gram = (raw.conj().swapaxes(-1, -2) @ raw).sum(axis=1)
-            want = [_inverse_sqrt_2x2(matrix) for matrix in gram]
-            assert np.array_equal(_whiteners(gram), want)
-            assert np.array_equal(validation._kraus_stacks(draws),
-                                  [operators @ w for operators, w in zip(raw, want)])
-
-
-@pytest.mark.parametrize("bad", [np.zeros((2, 2)), np.diag([1.0, -1.0]), -np.eye(2)])
-def test_whiteners_refuse_a_matrix_that_is_not_positive_definite(bad):
-    with pytest.raises(ValueError, match="matrix is not positive definite"):
-        _whiteners(np.stack((np.eye(2), bad, np.eye(2))).astype(complex))
-
-
 @pytest.mark.parametrize("trials", [1, _TRIAL_CHUNK, 2 * _TRIAL_CHUNK + 1])
-def test_random_trials_whiten_once_per_kraus_count_in_a_chunk(monkeypatch, trials):
+def test_random_trials_draw_one_kraus_stack_per_kraus_count_in_a_chunk(monkeypatch, trials):
     calls = []
 
-    def counted(gram, _original=_whiteners):
-        calls.append(len(gram))
-        return _original(gram)
+    def counted(draws, _original=validation._kraus_stacks):
+        calls.append(len(draws))
+        return _original(draws)
 
-    monkeypatch.setattr(validation, "_whiteners", counted)
+    monkeypatch.setattr(validation, "_kraus_stacks", counted)
     shapes = []
     for channels, rho in validation._random_trials(np.random.default_rng(3), trials):
         # One channel stack and one state stack per group, read from their shapes.
         size, k = channels.operators.shape[:2]
         assert channels.operators.shape == (size, k, 2, 2) and rho.shape == (size, 2, 2)
         shapes.append((size, k))
-    # One whitening per group, of the whole group: its trials with k operators.
+    # One QR stack per group, of the whole group: its trials with k operators.
     assert calls == [size for size, _ in shapes] and sum(calls) == trials
     # The groups fill the chunks in turn, each Kraus count once per chunk.
     chunks = []
